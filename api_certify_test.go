@@ -3,7 +3,6 @@ package ftsched_test
 import (
 	"context"
 	"errors"
-	"math/rand"
 	"reflect"
 	"testing"
 
@@ -150,21 +149,20 @@ func TestDispatcherTypedErrors(t *testing.T) {
 // *SampleError before touching the RNG.
 func TestSampleScenarioBounds(t *testing.T) {
 	app := ftsched.PaperFig1()
-	rng := rand.New(rand.NewSource(1))
 	var se *ftsched.SampleError
-	if _, err := ftsched.SampleScenario(app, rng, app.K()+1, nil); !errors.As(err, &se) {
+	if _, err := ftsched.SampleScenario(app, 1, app.K()+1, nil); !errors.As(err, &se) {
 		t.Fatalf("faults>k: err = %v, want *SampleError", err)
 	}
-	if _, err := ftsched.SampleScenario(app, rng, -1, nil); !errors.As(err, &se) {
+	if _, err := ftsched.SampleScenario(app, 1, -1, nil); !errors.As(err, &se) {
 		t.Fatalf("negative faults: err = %v, want *SampleError", err)
 	}
-	if _, err := ftsched.SampleScenario(app, rng, 1, []ftsched.ProcessID{}); !errors.As(err, &se) {
+	if _, err := ftsched.SampleScenario(app, 1, 1, []ftsched.ProcessID{}); !errors.As(err, &se) {
 		t.Fatalf("empty pool: err = %v, want *SampleError", err)
 	}
 	if se.NFaults != 1 || !se.EmptyPool {
 		t.Errorf("SampleError detail = %+v", se)
 	}
-	if sc, err := ftsched.SampleScenario(app, rng, 1, nil); err != nil || sc.NFaults != 1 {
+	if sc, err := ftsched.SampleScenario(app, 1, 1, nil); err != nil || sc.NFaults != 1 {
 		t.Errorf("in-bounds sample failed: %v", err)
 	}
 

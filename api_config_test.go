@@ -7,106 +7,56 @@ import (
 	"ftsched"
 )
 
-// The functional-option constructors must produce configs the engines
-// accept unchanged, and reject bad values at construction time with the
-// same typed errors the engines themselves return.
-
-func TestNewMCConfig(t *testing.T) {
-	app := ftsched.PaperFig1()
-	tree, err := ftsched.FTQS(app, ftsched.FTQSOptions{M: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := ftsched.MustNewDispatcher(tree)
-
-	var _ ftsched.MCOption = ftsched.MCFaults(1)
-	cfg, err := ftsched.NewMCConfig(500,
-		ftsched.MCFaults(1),
-		ftsched.MCSeed(7),
-		ftsched.MCWorkers(2),
-		ftsched.MCSink(ftsched.NopSink{}),
-		ftsched.MCDispatcher(d),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Scenarios != 500 || cfg.Faults != 1 || cfg.Seed != 7 || cfg.Workers != 2 || cfg.Dispatcher != d {
-		t.Fatalf("options not applied: %+v", cfg)
-	}
-	// The constructed config evaluates identically to a literal one.
-	want, err := ftsched.MonteCarlo(tree, ftsched.MCConfig{Scenarios: 500, Faults: 1, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := ftsched.MonteCarlo(tree, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("constructed config diverges:\n got %+v\nwant %+v", got, want)
-	}
-
-	var mcErr *ftsched.MCConfigError
-	if _, err := ftsched.NewMCConfig(0); !errors.As(err, &mcErr) || mcErr.Field != "Scenarios" {
-		t.Fatalf("NewMCConfig(0) = %v, want *MCConfigError on Scenarios", err)
-	}
-}
+// The config literals are the only way to configure the engines: every
+// field must be accepted as written, and a bad value must be rejected by
+// the entry point with a typed error naming the offending field, like
+// MonteCarlo's *MCConfigError.
 
 func TestNewCertifyConfig(t *testing.T) {
-	var _ ftsched.CertifyOption = ftsched.CertifySink(nil)
-	cfg, err := ftsched.NewCertifyConfig(
-		ftsched.CertifyMaxFaults(1),
-		ftsched.CertifyWorkers(2),
-		ftsched.CertifyBudget(10000),
-		ftsched.CertifyMaxBoundaries(2),
-		ftsched.CertifySink(ftsched.NopSink{}),
-	)
-	if err != nil {
-		t.Fatal(err)
+	cfg := ftsched.CertifyConfig{
+		MaxFaults:     1,
+		Workers:       2,
+		Budget:        10000,
+		MaxBoundaries: 2,
+		Sink:          ftsched.NopSink{},
 	}
-	if cfg.MaxFaults != 1 || cfg.Workers != 2 || cfg.Budget != 10000 || cfg.MaxBoundaries != 2 {
-		t.Fatalf("options not applied: %+v", cfg)
-	}
-
 	app := ftsched.PaperFig1()
 	tree, err := ftsched.FTQS(app, ftsched.FTQSOptions{M: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ftsched.Certify(tree, cfg); err != nil {
-		t.Fatalf("constructed config rejected by Certify: %v", err)
+	rep, err := ftsched.Certify(tree, cfg)
+	if err != nil {
+		t.Fatalf("config literal rejected by Certify: %v", err)
+	}
+	if rep.MaxFaults != 1 {
+		t.Fatalf("certified MaxFaults = %d, want 1", rep.MaxFaults)
 	}
 
 	var cErr *ftsched.CertifyConfigError
-	if _, err := ftsched.NewCertifyConfig(ftsched.CertifyBudget(-1)); !errors.As(err, &cErr) || cErr.Field != "Budget" {
-		t.Fatalf("CertifyBudget(-1) = %v, want *CertifyConfigError on Budget", err)
+	if _, err := ftsched.Certify(tree, ftsched.CertifyConfig{Budget: -1}); !errors.As(err, &cErr) || cErr.Field != "Budget" {
+		t.Fatalf("Certify(Budget: -1) = %v, want *CertifyConfigError on Budget", err)
 	}
 }
 
 func TestNewChaosConfig(t *testing.T) {
-	var _ ftsched.ChaosOption = ftsched.ChaosClamp()
-	cfg, err := ftsched.NewChaosConfig(50,
-		ftsched.ChaosSeed(42),
-		ftsched.ChaosWorkers(2),
-		ftsched.ChaosPolicy(ftsched.PolicyShedSoft),
-		ftsched.ChaosClamp(),
-		ftsched.ChaosBaseFaults(1),
-		ftsched.ChaosOverruns(0.3, 2.0),
-		ftsched.ChaosBursts(0.2, 2),
-		ftsched.ChaosStuck(0.1),
-		ftsched.ChaosRegressions(0.1),
-		ftsched.ChaosCorrelated(),
-		ftsched.ChaosSoftTargetsOnly(),
-		ftsched.ChaosSink(ftsched.NopSink{}),
-	)
-	if err != nil {
-		t.Fatal(err)
+	cfg := ftsched.ChaosConfig{
+		Cycles:         50,
+		Seed:           42,
+		Workers:        2,
+		Policy:         ftsched.PolicyShedSoft,
+		Clamp:          true,
+		BaseFaults:     1,
+		OverrunProb:    0.3,
+		OverrunFactor:  2.0,
+		BurstProb:      0.2,
+		ExtraFaults:    2,
+		StuckProb:      0.1,
+		RegressionProb: 0.1,
+		Correlated:     true,
+		SoftOnly:       true,
+		Sink:           ftsched.NopSink{},
 	}
-	if cfg.Seed != 42 || cfg.Policy != ftsched.PolicyShedSoft || !cfg.Clamp ||
-		cfg.OverrunFactor != 2.0 || cfg.ExtraFaults != 2 || !cfg.Correlated || !cfg.SoftOnly {
-		t.Fatalf("options not applied: %+v", cfg)
-	}
-
 	app := ftsched.PaperFig8()
 	tree, err := ftsched.FTQS(app, ftsched.FTQSOptions{M: 6})
 	if err != nil {
@@ -114,17 +64,17 @@ func TestNewChaosConfig(t *testing.T) {
 	}
 	rep, err := ftsched.RunChaos(tree, cfg)
 	if err != nil {
-		t.Fatalf("constructed config rejected by RunChaos: %v", err)
+		t.Fatalf("config literal rejected by RunChaos: %v", err)
 	}
 	if rep.Cycles != 50 {
 		t.Fatalf("campaign ran %d cycles, want 50", rep.Cycles)
 	}
 
 	var chErr *ftsched.ChaosConfigError
-	if _, err := ftsched.NewChaosConfig(100, ftsched.ChaosOverruns(0.5, 1.0)); !errors.As(err, &chErr) || chErr.Field != "OverrunFactor" {
-		t.Fatalf("ChaosOverruns(0.5, 1.0) = %v, want *ChaosConfigError on OverrunFactor", err)
+	if _, err := ftsched.RunChaos(tree, ftsched.ChaosConfig{Cycles: 100, OverrunProb: 0.5, OverrunFactor: 1.0}); !errors.As(err, &chErr) || chErr.Field != "OverrunFactor" {
+		t.Fatalf("RunChaos(OverrunFactor: 1.0) = %v, want *ChaosConfigError on OverrunFactor", err)
 	}
-	if _, err := ftsched.NewChaosConfig(0); !errors.As(err, &chErr) || chErr.Field != "Cycles" {
-		t.Fatalf("NewChaosConfig(0) = %v, want *ChaosConfigError on Cycles", err)
+	if _, err := ftsched.RunChaos(tree, ftsched.ChaosConfig{}); !errors.As(err, &chErr) || chErr.Field != "Cycles" {
+		t.Fatalf("RunChaos(Cycles: 0) = %v, want *ChaosConfigError on Cycles", err)
 	}
 }

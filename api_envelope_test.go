@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"math/rand"
 	"reflect"
 	"testing"
 
@@ -27,8 +26,7 @@ func fig8Tree(t *testing.T) (*ftsched.Application, *ftsched.Tree) {
 // error, and the violation vocabulary.
 func TestEnvelopeFacade(t *testing.T) {
 	app, tree := fig8Tree(t)
-	rng := rand.New(rand.NewSource(1))
-	sc, err := ftsched.SampleScenario(app, rng, 0, nil)
+	sc, err := ftsched.SampleScenario(app, 1, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

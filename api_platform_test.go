@@ -58,7 +58,7 @@ func TestPublicPlatformPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := ftsched.WriteTreeCompact(&buf, tree); err != nil {
+	if err := ftsched.WriteTree(&buf, tree); err != nil {
 		t.Fatal(err)
 	}
 	back, err := ftsched.ReadTree(&buf, app)

@@ -61,7 +61,7 @@ func TestPublicRecoveryPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := ftsched.WriteTreeCompact(&buf, tree); err != nil {
+	if err := ftsched.WriteTree(&buf, tree); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Contains(buf.Bytes(), []byte(`"ftsched-tree/v4"`)) {

@@ -2,7 +2,6 @@ package ftsched_test
 
 import (
 	"bytes"
-	"math/rand"
 	"strings"
 	"testing"
 
@@ -63,30 +62,24 @@ func TestAPITreeLifecycle(t *testing.T) {
 		}
 	}
 
-	// Serialisation round trips, both formats.
-	for name, write := range map[string]func(*bytes.Buffer) error{
-		"json":    func(b *bytes.Buffer) error { return ftsched.WriteTree(b, tree) },
-		"compact": func(b *bytes.Buffer) error { return ftsched.WriteTreeCompact(b, tree) },
-	} {
-		var buf bytes.Buffer
-		if err := write(&buf); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		back, err := ftsched.ReadTree(&buf, app)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if back.Size() != tree.Size() {
-			t.Errorf("%s round trip: %d != %d nodes", name, back.Size(), tree.Size())
-		}
-		if err := ftsched.VerifyTree(back); err != nil {
-			t.Errorf("%s round trip failed verification: %v", name, err)
-		}
+	// Serialisation round trip.
+	var buf bytes.Buffer
+	if err := ftsched.WriteTree(&buf, tree); err != nil {
+		t.Fatal(err)
+	}
+	back, err := ftsched.ReadTree(&buf, app)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.Size() != tree.Size() {
+		t.Errorf("round trip: %d != %d nodes", back.Size(), tree.Size())
+	}
+	if err := ftsched.VerifyTree(back); err != nil {
+		t.Errorf("round trip failed verification: %v", err)
 	}
 
 	// Trace one faulty cycle and render it.
-	rng := rand.New(rand.NewSource(6))
-	sc, err := ftsched.SampleScenario(app, rng, 1, nil)
+	sc, err := ftsched.SampleScenario(app, 6, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +102,10 @@ func TestAPITreeLifecycle(t *testing.T) {
 
 	// The idealised online rescheduler bounds the tree from above (up to
 	// simulation noise) and reports its synthesis cost.
-	var rr ftsched.RescheduleResult = ftsched.RunOnlineReschedule(app, s, sc)
+	var rr ftsched.RescheduleResult
+	if rr, err = ftsched.RunOnlineReschedule(app, s, sc); err != nil {
+		t.Fatal(err)
+	}
 	if rr.Reschedules == 0 {
 		t.Error("online comparator never resynthesised")
 	}

@@ -182,11 +182,10 @@ func BenchmarkOnlineScheduler(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(5))
 	scs := make([]ftsched.Scenario, 64)
 	for i := range scs {
 		var err error
-		if scs[i], err = ftsched.SampleScenario(app, rng, i%3, nil); err != nil {
+		if scs[i], err = ftsched.SampleScenario(app, int64(i), i%3, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -251,7 +251,7 @@ func TestHeteroCLIEndToEnd(t *testing.T) {
 
 	run(ftgen, "-n", "12", "-seed", "5", "-core-spec", "lp:1:1:0.05,hp:2:3:0.15", "-o", "het.json")
 	out := run(ftsched, "-app", "het.json", "-algo", "ftqs", "-m", "8", "-verify",
-		"-tree-format", "compact", "-tree-out", "het-tree.json")
+		"-tree-out", "het-tree.json")
 	if !strings.Contains(out, "tree verified") {
 		t.Errorf("hetero synthesis output: %q", out)
 	}
@@ -322,7 +322,7 @@ func TestRecoveryCLIEndToEnd(t *testing.T) {
 		t.Errorf("generated application carries no checkpoint model:\n%.300s", app)
 	}
 	out := run(ftsched, "-app", "cp.json", "-algo", "ftqs", "-m", "8", "-verify",
-		"-tree-format", "compact", "-tree-out", "cp-tree.json")
+		"-tree-out", "cp-tree.json")
 	if !strings.Contains(out, "tree verified") {
 		t.Errorf("recovery synthesis output: %q", out)
 	}

@@ -39,8 +39,7 @@ func main() {
 		workers = flag.Int("workers", 0, "goroutines for the FTQS synthesis (0 = all CPUs, 1 = serial; the tree is identical for any value)")
 		verify  = flag.Bool("verify", false, "audit the synthesised tree (ftqs only)")
 		trim    = flag.Int("trim", 0, "trim arcs by paired simulation with this many scenarios per fault count (ftqs only)")
-		treeOut = flag.String("tree-out", "", "also write the synthesised tree as JSON (ftqs only)")
-		treeFmt = flag.String("tree-format", "json", "encoding for -tree-out: json (self-describing v1, single-core only) or compact (v2; v3 when the application carries a platform)")
+		treeOut = flag.String("tree-out", "", "also write the synthesised tree as compact JSON (ftqs only; v2, or v3/v4 when the application carries a platform/recovery model)")
 		stats   = flag.Bool("stats", false, "print synthesis instrumentation counters to stderr (ftqs only)")
 		doCert  = flag.Bool("certify", false, "exhaustively certify the result against <= -certify-faults faults through the compiled dispatcher")
 		certFl  = flag.Int("certify-faults", 0, "fault bound for -certify (0 = the application's k)")
@@ -110,19 +109,11 @@ func main() {
 			printStats(collector)
 		}
 		if *treeOut != "" {
-			encode := appio.EncodeTree
-			switch *treeFmt {
-			case "json":
-			case "compact":
-				encode = appio.EncodeTreeCompact
-			default:
-				fatal(fmt.Errorf("unknown tree format %q (want json or compact)", *treeFmt))
-			}
 			f, err := os.Create(*treeOut)
 			if err != nil {
 				fatal(err)
 			}
-			if err := encode(f, tree); err != nil {
+			if err := appio.EncodeTreeCompact(f, tree); err != nil {
 				f.Close()
 				fatal(err)
 			}

@@ -50,8 +50,6 @@ import (
 	"os"
 	"time"
 
-	"math/rand"
-
 	"ftsched/client"
 	"ftsched/internal/appio"
 	"ftsched/internal/baseline"
@@ -287,13 +285,17 @@ func main() {
 	}
 
 	if *trace {
-		rng := rand.New(rand.NewSource(*seed))
+		d, err := runtime.NewDispatcher(tree)
+		if err != nil {
+			fatal(err)
+		}
+		var sc sim.Scenario
 		for f := 0; f <= app.K(); f++ {
-			sc, err := sim.Sample(app, rng, f, nil)
-			if err != nil {
+			rng := sim.NewRNG(sim.ScenarioSeed(*seed, f))
+			if err := sim.SampleRNGInto(&sc, app, &rng, f, nil); err != nil {
 				fatal(err)
 			}
-			res, events, err := sim.RunTrace(tree, sc)
+			res, events, err := d.RunTrace(sc)
 			if err != nil {
 				fatal(err)
 			}

@@ -189,16 +189,16 @@ type (
 	// Scenario fixes execution times and fault victims for one cycle.
 	Scenario = sim.Scenario
 	// RunResult is the outcome of executing one scenario.
-	RunResult = sim.Result
+	RunResult = runtime.Result
 	// ProcessOutcome records how a process ended in a simulated cycle.
-	ProcessOutcome = sim.ProcessOutcome
+	ProcessOutcome = runtime.ProcessOutcome
 	// RescheduleResult is the outcome (and cost profile) of the purely
 	// online rescheduling comparator.
 	RescheduleResult = sim.RescheduleResult
 	// TraceEvent is one timestamped event of a simulated cycle.
-	TraceEvent = sim.TraceEvent
+	TraceEvent = runtime.TraceEvent
 	// TraceEventKind classifies trace events.
-	TraceEventKind = sim.TraceEventKind
+	TraceEventKind = runtime.TraceEventKind
 	// MCConfig parametrises a Monte-Carlo evaluation.
 	MCConfig = sim.MCConfig
 	// MCStats aggregates a Monte-Carlo evaluation.
@@ -216,11 +216,11 @@ const (
 // Simulated process outcomes.
 const (
 	// NotScheduled: dropped off-line or skipped after a switch.
-	NotScheduled = sim.NotScheduled
+	NotScheduled = runtime.NotScheduled
 	// Completed: ran to completion, possibly after re-execution.
-	Completed = sim.Completed
+	Completed = runtime.Completed
 	// AbandonedByFault: hit by a fault with no recovery budget left.
-	AbandonedByFault = sim.AbandonedByFault
+	AbandonedByFault = runtime.AbandonedByFault
 )
 
 // NoProcess is the sentinel for "no process".
@@ -518,17 +518,29 @@ func TimingReport(app *Application, s *FSchedule, k int) string {
 // simulated by Run/MonteCarlo.
 func StaticTree(app *Application, s *FSchedule) *Tree { return sim.StaticTree(app, s) }
 
-// SampleScenario draws random execution times and fault victims. It
+// SampleScenario draws random execution times and fault victims from the
+// evaluation engine's random stream seeded with seed: the same seed always
+// yields the same scenario, and distinct seeds yield independent ones. It
 // returns a *SampleError when faults is outside [0, app.K()] or positive
 // with an empty (non-nil) candidate pool.
-func SampleScenario(app *Application, rng *rand.Rand, faults int, candidates []ProcessID) (Scenario, error) {
-	return sim.Sample(app, rng, faults, candidates)
+func SampleScenario(app *Application, seed int64, faults int, candidates []ProcessID) (Scenario, error) {
+	var sc Scenario
+	rng := sim.NewRNG(seed)
+	err := sim.SampleRNGInto(&sc, app, &rng, faults, candidates)
+	return sc, err
 }
 
-// Run executes one scenario against a tree with the online scheduler. It
+// Run executes one scenario against a tree with the online scheduler,
+// compiling a dispatcher for the call; use NewDispatcher to run many. It
 // returns a *MalformedTreeError for a structurally broken tree and a
 // *ScenarioSizeError for mis-sized scenario slices.
-func Run(tree *Tree, sc Scenario) (RunResult, error) { return sim.Run(tree, sc) }
+func Run(tree *Tree, sc Scenario) (RunResult, error) {
+	d, err := runtime.NewDispatcher(tree)
+	if err != nil {
+		return RunResult{}, err
+	}
+	return d.Run(sc)
+}
 
 // NewDispatcher compiles a tree's switch guards into a binary-searchable
 // dispatch table and returns a reusable, allocation-free online scheduler.
@@ -608,8 +620,10 @@ func TrimTreeContext(ctx context.Context, tree *Tree, cfg TrimConfig) (int, erro
 // online scheduler the paper argues against (§1): the remaining schedule
 // is re-synthesised after every completion. It upper-bounds the utility a
 // quasi-static tree can reach and reports the synthesis overhead the tree
-// avoids.
-func RunOnlineReschedule(app *Application, root *FSchedule, sc Scenario) RescheduleResult {
+// avoids. The comparator simulates a single clock at nominal speed, so it
+// returns an error for an application mapped to any platform other than
+// one core at speed 1.
+func RunOnlineReschedule(app *Application, root *FSchedule, sc Scenario) (RescheduleResult, error) {
 	return sim.RunOnlineReschedule(app, root, sc)
 }
 
@@ -646,14 +660,13 @@ func WriteDOT(w io.Writer, app *Application) error { return appio.WriteDOT(w, ap
 // WriteTreeDOT renders a quasi-static tree in Graphviz format.
 func WriteTreeDOT(w io.Writer, tree *Tree) error { return appio.WriteTreeDOT(w, tree) }
 
-// WriteTree persists a quasi-static tree as JSON (paired with the
-// application's JSON encoding; process references are by name).
-func WriteTree(w io.Writer, tree *Tree) error { return appio.EncodeTree(w, tree) }
-
-// WriteTreeCompact persists a quasi-static tree in the compact v2 format:
-// interned process names, suffix-only schedules and a flat arc arena.
-// ReadTree loads both formats transparently.
-func WriteTreeCompact(w io.Writer, tree *Tree) error { return appio.EncodeTreeCompact(w, tree) }
+// WriteTree persists a quasi-static tree as compact JSON: interned process
+// names, suffix-only schedules and a flat arc arena. The format tag fits
+// the application — v2 for a canonical one, v3 when it carries a
+// non-canonical platform, v4 when it carries a recovery model — so an
+// older reader refuses a tree it cannot bind. ReadTree also still loads
+// the original v1 files.
+func WriteTree(w io.Writer, tree *Tree) error { return appio.EncodeTreeCompact(w, tree) }
 
 // ReadTree loads a stored quasi-static tree and rebinds it to the
 // application. Run VerifyTree on the result before trusting it.
@@ -661,7 +674,11 @@ func ReadTree(r io.Reader, app *Application) (*Tree, error) { return appio.Decod
 
 // RunTrace is Run with full event recording, for visualisation.
 func RunTrace(tree *Tree, sc Scenario) (RunResult, []TraceEvent, error) {
-	return sim.RunTrace(tree, sc)
+	d, err := runtime.NewDispatcher(tree)
+	if err != nil {
+		return RunResult{}, nil, err
+	}
+	return d.RunTrace(sc)
 }
 
 // WriteGantt renders a recorded trace as a time-scaled ASCII Gantt chart.

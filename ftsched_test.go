@@ -67,8 +67,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 
 	// Single-scenario run.
-	rng := rand.New(rand.NewSource(1))
-	sc, err := ftsched.SampleScenario(app, rng, 1, nil)
+	sc, err := ftsched.SampleScenario(app, 1, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

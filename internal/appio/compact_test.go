@@ -76,22 +76,20 @@ func TestCompactTreeRoundTrip(t *testing.T) {
 }
 
 // TestCompactTreeSmaller: the point of the format — interned names,
-// suffix-only schedules and short arc keys must beat the v1 encoding.
+// suffix-only schedules and short arc keys must beat the v1 encoding of
+// the same tree.
 func TestCompactTreeSmaller(t *testing.T) {
-	app := apps.CruiseController()
-	tree, err := core.FTQS(app, core.FTQSOptions{M: 24})
+	v1 := v1Fixture(t)
+	tree, err := DecodeTree(bytes.NewReader(v1), apps.Fig1())
 	if err != nil {
 		t.Fatal(err)
 	}
-	var v1, v2 bytes.Buffer
-	if err := EncodeTree(&v1, tree); err != nil {
-		t.Fatal(err)
-	}
+	var v2 bytes.Buffer
 	if err := EncodeTreeCompact(&v2, tree); err != nil {
 		t.Fatal(err)
 	}
-	if v2.Len()*2 >= v1.Len() {
-		t.Errorf("compact encoding %d bytes, v1 %d bytes; want at least 2x smaller", v2.Len(), v1.Len())
+	if v2.Len()*2 >= len(v1) {
+		t.Errorf("compact encoding %d bytes, v1 %d bytes; want at least 2x smaller", v2.Len(), len(v1))
 	}
 }
 
@@ -156,10 +154,7 @@ func TestDecodeTreeCompactErrors(t *testing.T) {
 // checked-in fixture was written by the pre-arena encoder, before the
 // compact format existed.
 func TestDecodeTreeV1Golden(t *testing.T) {
-	data, err := os.ReadFile("testdata/fig1_tree_v1.json")
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := v1Fixture(t)
 	app := apps.Fig1()
 	tree, err := DecodeTree(bytes.NewReader(data), app)
 	if err != nil {
@@ -178,12 +173,16 @@ func TestDecodeTreeV1Golden(t *testing.T) {
 		t.Errorf("golden tree diverged from fresh synthesis:\n--- golden ---\n%s--- fresh ---\n%s",
 			tree.Format(), fresh.Format())
 	}
-	// And re-encoding it in v1 reproduces the file byte for byte.
-	var out bytes.Buffer
-	if err := EncodeTree(&out, tree); err != nil {
+	// And the one writer re-encodes it as the v2 golden, byte for byte.
+	want, err := os.ReadFile("testdata/fig1_tree_v2.json")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(out.Bytes(), data) {
-		t.Error("v1 re-encoding of the golden tree is not byte-identical")
+	var out bytes.Buffer
+	if err := EncodeTreeCompact(&out, tree); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out.Bytes(), want) {
+		t.Errorf("compact re-encoding of the v1 golden differs from fig1_tree_v2.json:\n%s", out.Bytes())
 	}
 }

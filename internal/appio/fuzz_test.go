@@ -200,19 +200,15 @@ func FuzzParseCoreSpec(f *testing.F) {
 
 // FuzzDecodeTree: both tree decoders must never panic on arbitrary input,
 // and any accepted tree that passes the safety audit must survive a round
-// trip through either encoding unchanged.
+// trip through the compact encoding unchanged.
 func FuzzDecodeTree(f *testing.F) {
 	app := apps.Fig1()
 	tree, err := core.FTQS(app, core.FTQSOptions{M: 8})
 	if err != nil {
 		f.Fatal(err)
 	}
+	f.Add(string(v1Fixture(f)))
 	var buf bytes.Buffer
-	if err := EncodeTree(&buf, tree); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.String())
-	buf.Reset()
 	if err := EncodeTreeCompact(&buf, tree); err != nil {
 		f.Fatal(err)
 	}
@@ -267,22 +263,16 @@ func FuzzDecodeTree(f *testing.F) {
 		if core.VerifyTree(got) != nil {
 			return
 		}
-		want := got.Format()
-		var v1, v2 bytes.Buffer
-		if err := EncodeTree(&v1, got); err != nil {
-			t.Fatalf("accepted tree does not re-encode (v1): %v", err)
+		var buf bytes.Buffer
+		if err := EncodeTreeCompact(&buf, got); err != nil {
+			t.Fatalf("accepted tree does not re-encode: %v", err)
 		}
-		if err := EncodeTreeCompact(&v2, got); err != nil {
-			t.Fatalf("accepted tree does not re-encode (v2): %v", err)
+		back, err := DecodeTree(bytes.NewReader(buf.Bytes()), app)
+		if err != nil {
+			t.Fatalf("re-encoding does not decode: %v", err)
 		}
-		for name, data := range map[string][]byte{"v1": v1.Bytes(), "v2": v2.Bytes()} {
-			back, err := DecodeTree(bytes.NewReader(data), app)
-			if err != nil {
-				t.Fatalf("%s re-encoding does not decode: %v", name, err)
-			}
-			if back.Format() != want {
-				t.Fatalf("%s round trip changed the tree", name)
-			}
+		if back.Format() != got.Format() {
+			t.Fatal("round trip changed the tree")
 		}
 	})
 }

@@ -6,12 +6,12 @@ import (
 	"sort"
 
 	"ftsched/internal/model"
-	"ftsched/internal/sim"
+	"ftsched/internal/runtime"
 )
 
-// WriteGantt renders an execution trace (from sim.RunTrace) as a
-// time-scaled ASCII Gantt chart: one row per process that appears in the
-// trace, in first-start order.
+// WriteGantt renders an execution trace (from runtime.Dispatcher.RunTrace)
+// as a time-scaled ASCII Gantt chart: one row per process that appears in
+// the trace, in first-start order.
 //
 //	#   executing
 //	x   executing, attempt ends in a detected fault
@@ -21,7 +21,7 @@ import (
 //
 // width columns span [0, span]; pass span <= 0 to use the application
 // period.
-func WriteGantt(w io.Writer, app *model.Application, events []sim.TraceEvent, span model.Time, width int) error {
+func WriteGantt(w io.Writer, app *model.Application, events []runtime.TraceEvent, span model.Time, width int) error {
 	if width < 20 {
 		width = 72
 	}
@@ -53,28 +53,27 @@ func WriteGantt(w io.Writer, app *model.Application, events []sim.TraceEvent, sp
 	pendingStart := map[model.ProcessID]model.Time{}
 	var switches []model.Time
 
-	for i, ev := range events {
+	for _, ev := range events {
 		switch ev.Kind {
-		case sim.TraceStart:
+		case runtime.TraceStart:
 			pendingStart[ev.Proc] = ev.At
 			if !seen[ev.Proc] {
 				seen[ev.Proc] = true
 				order = append(order, ev.Proc)
 			}
-		case sim.TraceFault:
+		case runtime.TraceFault:
 			segs[ev.Proc] = append(segs[ev.Proc], segment{pendingStart[ev.Proc], ev.At, 'x'})
-		case sim.TraceRecovery:
+		case runtime.TraceRecovery:
 			// The recovery glyph spans the per-fault overhead of the
 			// application's recovery model (µ, restart latency, or
 			// rollback cost); the re-run starts right after it.
 			end := ev.At + app.RecoveryOverhead(ev.Proc)
-			_ = i
 			segs[ev.Proc] = append(segs[ev.Proc], segment{ev.At, end, '.'})
-		case sim.TraceComplete:
+		case runtime.TraceComplete:
 			segs[ev.Proc] = append(segs[ev.Proc], segment{pendingStart[ev.Proc], ev.At, '#'})
-		case sim.TraceAbandon:
+		case runtime.TraceAbandon:
 			segs[ev.Proc] = append(segs[ev.Proc], segment{ev.At, ev.At, '!'})
-		case sim.TraceSwitch:
+		case runtime.TraceSwitch:
 			switches = append(switches, ev.At)
 		}
 	}

@@ -8,17 +8,17 @@ import (
 	"ftsched/internal/apps"
 	"ftsched/internal/core"
 	"ftsched/internal/model"
-	"ftsched/internal/sim"
+	"ftsched/internal/runtime"
 )
 
-func traceScenario(t *testing.T, faults map[string]int, durs map[string]model.Time) (*model.Application, []sim.TraceEvent, sim.Result) {
+func traceScenario(t *testing.T, faults map[string]int, durs map[string]model.Time) (*model.Application, []runtime.TraceEvent, runtime.Result) {
 	t.Helper()
 	app := apps.Fig1()
 	tree, err := core.FTQS(app, core.FTQSOptions{M: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc := sim.Scenario{
+	sc := runtime.Scenario{
 		Durations: make([]model.Time, app.N()),
 		FaultsAt:  make([]int, app.N()),
 	}
@@ -32,7 +32,7 @@ func traceScenario(t *testing.T, faults map[string]int, durs map[string]model.Ti
 		sc.FaultsAt[app.IDByName(n)] = f
 		sc.NFaults += f
 	}
-	res, events, err := sim.RunTrace(tree, sc)
+	res, events, err := runtime.MustNewDispatcher(tree).RunTrace(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestRunTraceEvents(t *testing.T) {
 	if len(events) == 0 {
 		t.Fatal("no events recorded")
 	}
-	var kinds []sim.TraceEventKind
+	var kinds []runtime.TraceEventKind
 	for _, e := range events {
 		kinds = append(kinds, e.Kind)
 		if e.At < 0 || e.At > app.Period() {
@@ -53,7 +53,7 @@ func TestRunTraceEvents(t *testing.T) {
 	}
 	// P1 faults once: expect start, fault, recovery, start, complete as
 	// the first five events.
-	want := []sim.TraceEventKind{sim.TraceStart, sim.TraceFault, sim.TraceRecovery, sim.TraceStart, sim.TraceComplete}
+	want := []runtime.TraceEventKind{runtime.TraceStart, runtime.TraceFault, runtime.TraceRecovery, runtime.TraceStart, runtime.TraceComplete}
 	for i, k := range want {
 		if kinds[i] != k {
 			t.Fatalf("event %d = %v, want %v (all: %v)", i, kinds[i], k, kinds)
@@ -76,7 +76,7 @@ func TestRunTraceMatchesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc := sim.Scenario{
+	sc := runtime.Scenario{
 		Durations: make([]model.Time, app.N()),
 		FaultsAt:  make([]int, app.N()),
 	}
@@ -84,7 +84,7 @@ func TestRunTraceMatchesRun(t *testing.T) {
 		sc.Durations[id] = app.Proc(model.ProcessID(id)).AET
 	}
 	sc.Durations[app.IDByName("P1")] = 30
-	plain, err := sim.Run(tree, sc)
+	plain, err := runtime.MustNewDispatcher(tree).Run(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,15 +126,15 @@ func TestWriteGantt(t *testing.T) {
 }
 
 func TestTraceEventKindString(t *testing.T) {
-	kinds := []sim.TraceEventKind{sim.TraceStart, sim.TraceFault, sim.TraceRecovery,
-		sim.TraceComplete, sim.TraceAbandon, sim.TraceSwitch}
+	kinds := []runtime.TraceEventKind{runtime.TraceStart, runtime.TraceFault, runtime.TraceRecovery,
+		runtime.TraceComplete, runtime.TraceAbandon, runtime.TraceSwitch}
 	want := []string{"start", "fault", "recovery", "complete", "abandon", "switch"}
 	for i, k := range kinds {
 		if k.String() != want[i] {
 			t.Errorf("kind %d = %q, want %q", i, k.String(), want[i])
 		}
 	}
-	if sim.TraceEventKind(99).String() != "TraceEventKind(?)" {
+	if runtime.TraceEventKind(99).String() != "TraceEventKind(?)" {
 		t.Error("unknown kind string")
 	}
 }

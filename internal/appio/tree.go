@@ -17,17 +17,19 @@ import (
 // application and the caller should run core.VerifyTree afterwards for the
 // full safety audit (the ftsched CLI does).
 //
-// Four formats exist: the original self-describing JSON (EncodeTree, kept
-// byte-for-byte stable for existing files), the compact v2 encoding in
-// compact.go, which mirrors the in-memory arena, v3 — v2 plus the
-// platform and process→core mapping for heterogeneous deployments — and
-// v4, which additionally carries the recovery model. DecodeTree detects
-// the format from the leading "format" field; v1 and v2 files bind only
-// to canonically-mapped (single-core) applications, because a tree's
-// guard bounds bake in the platform's scaled timing, and only v4 files
-// bind to applications with a non-canonical recovery model, because the
-// bounds likewise bake in per-attempt and per-fault recovery costs.
+// One writer exists: EncodeTreeCompact (compact.go), which tags its output
+// v2, v3 or v4 to fit the application — v3 adds the platform and the
+// process→core mapping for heterogeneous deployments, v4 additionally the
+// recovery model. DecodeTree reads those and the original self-describing
+// v1 JSON, which nothing writes any more but existing files still use; it
+// detects the format from the leading "format" field (absent in v1). v1
+// and v2 files bind only to canonically-mapped (single-core) applications,
+// because a tree's guard bounds bake in the platform's scaled timing, and
+// only v4 files bind to applications with a non-canonical recovery model,
+// because the bounds likewise bake in per-attempt and per-fault recovery
+// costs.
 
+// jsonTree and its parts are the v1 layout, read by decodeTreeV1.
 type jsonTree struct {
 	App   string     `json:"app"`
 	K     int        `json:"k"`
@@ -59,8 +61,6 @@ type jsonArc struct {
 	Child int        `json:"child"`
 }
 
-func kindString(k core.ArcKind) string { return k.String() }
-
 func kindFromString(s string) (core.ArcKind, error) {
 	switch s {
 	case "completion":
@@ -74,54 +74,7 @@ func kindFromString(s string) (core.ArcKind, error) {
 	}
 }
 
-// EncodeTree writes a quasi-static tree as JSON. Process references are by
-// name, so the file pairs with the application's JSON encoding. The v1
-// format has no platform notion, so trees of non-canonically-mapped
-// applications must use EncodeTreeCompact (which emits v3).
-func EncodeTree(w io.Writer, tree *core.Tree) error {
-	app := tree.App
-	if app.HasPlatform() && !app.Platform().IsCanonical() {
-		return fmt.Errorf("appio: the v1 tree format cannot carry platform %s; use EncodeTreeCompact", app.Platform())
-	}
-	if app.HasRecovery() {
-		return fmt.Errorf("appio: the v1 tree format cannot carry recovery model %s; use EncodeTreeCompact", app.Recovery())
-	}
-	jt := jsonTree{App: app.Name(), K: app.K()}
-	for id := range tree.Nodes {
-		n := &tree.Nodes[id]
-		jn := jsonNode{
-			ID:        id,
-			Parent:    -1,
-			SwitchPos: n.SwitchPos,
-			KRem:      n.KRem,
-			Depth:     n.Depth,
-		}
-		if n.Parent != core.NoNode {
-			jn.Parent = int(n.Parent)
-		}
-		if n.DroppedOnFault != model.NoProcess {
-			jn.DroppedOnFault = app.Proc(n.DroppedOnFault).Name
-		}
-		for _, e := range n.Schedule.Entries {
-			jn.Entries = append(jn.Entries, jsonEntry{
-				Proc:       app.Proc(e.Proc).Name,
-				Recoveries: e.Recoveries,
-			})
-		}
-		for _, a := range tree.NodeArcs(core.NodeID(id)) {
-			jn.Arcs = append(jn.Arcs, jsonArc{
-				Pos: a.Pos, Kind: kindString(a.Kind),
-				Lo: a.Lo, Hi: a.Hi, Gain: a.Gain, Child: int(a.Child),
-			})
-		}
-		jt.Nodes = append(jt.Nodes, jn)
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(jt)
-}
-
-// DecodeTree reads a tree in either format and rebinds it to the
+// DecodeTree reads a tree in any format and rebinds it to the
 // application. Structural errors (unknown processes, dangling references,
 // ID mismatches, out-of-range times, non-finite gains) are rejected here
 // with a *DecodeError carrying the offending position; run core.VerifyTree

@@ -2,6 +2,7 @@ package appio
 
 import (
 	"bytes"
+	"os"
 	"strings"
 	"testing"
 
@@ -10,6 +11,18 @@ import (
 	"ftsched/internal/sim"
 )
 
+// v1Fixture returns the checked-in v1 tree of the Fig. 1 application
+// (FTQS, M=8). Nothing writes v1 any more, so this file is the decoder's
+// v1 input.
+func v1Fixture(t testing.TB) []byte {
+	t.Helper()
+	data, err := os.ReadFile("testdata/fig1_tree_v1.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
 func TestTreeRoundTrip(t *testing.T) {
 	app := apps.Fig8()
 	tree, err := core.FTQS(app, core.FTQSOptions{M: 12})
@@ -17,7 +30,7 @@ func TestTreeRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := EncodeTree(&buf, tree); err != nil {
+	if err := EncodeTreeCompact(&buf, tree); err != nil {
 		t.Fatal(err)
 	}
 	back, err := DecodeTree(bytes.NewReader(buf.Bytes()), app)
@@ -37,17 +50,15 @@ func TestTreeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestTreeRoundTripExecution: the stored v1 tree simulates exactly like a
+// fresh synthesis with the same options.
 func TestTreeRoundTripExecution(t *testing.T) {
 	app := apps.Fig1()
 	tree, err := core.FTQS(app, core.FTQSOptions{M: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := EncodeTree(&buf, tree); err != nil {
-		t.Fatal(err)
-	}
-	back, err := DecodeTree(bytes.NewReader(buf.Bytes()), app)
+	back, err := DecodeTree(bytes.NewReader(v1Fixture(t)), app)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,15 +77,7 @@ func TestTreeRoundTripExecution(t *testing.T) {
 
 func TestDecodeTreeErrors(t *testing.T) {
 	app := apps.Fig1()
-	tree, err := core.FTQS(app, core.FTQSOptions{M: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := EncodeTree(&buf, tree); err != nil {
-		t.Fatal(err)
-	}
-	good := buf.String()
+	good := string(v1Fixture(t))
 
 	cases := map[string]string{
 		"bad json":      "{",

@@ -9,6 +9,7 @@ import (
 	"ftsched/internal/core"
 	"ftsched/internal/gen"
 	"ftsched/internal/obs"
+	"ftsched/internal/runtime"
 	"ftsched/internal/sim"
 	"ftsched/internal/stats"
 )
@@ -41,9 +42,9 @@ type OverheadResult struct {
 	Cfg OverheadConfig
 	// Utilities normalised to the ideal online rescheduler (= 100).
 	UtilFTSS, UtilFTQS, UtilIdeal float64
-	// TreeCycleTime is the mean wall-clock time of executing one full
-	// cycle through the quasi-static tree (simulation bookkeeping
-	// included, so it over-states the pure scheduler cost).
+	// TreeCycleTime is the mean wall-clock time of dispatching one full
+	// cycle through the tree's compiled dispatcher (compiled once per
+	// application, outside the timed region).
 	TreeCycleTime time.Duration
 	// IdealSynthesisTime is the mean wall-clock time the online
 	// rescheduler spends synthesising schedules per cycle.
@@ -60,6 +61,8 @@ func Overhead(cfg OverheadConfig) (*OverheadResult, error) {
 	res := &OverheadResult{Cfg: cfg}
 	var uS, uQ, uI []float64
 	var treeTime, synthTime time.Duration
+	var sc sim.Scenario
+	var rs, rq runtime.Result
 	cycles := 0
 	for a := 0; a < cfg.Apps; a++ {
 		app, err := generateSchedulable(rng, gen.Default(cfg.Processes), 50)
@@ -74,26 +77,37 @@ func Overhead(cfg OverheadConfig) (*OverheadResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		static := sim.StaticTree(app, root)
+		// Both dispatchers are compiled once per application, so the timed
+		// region is the per-cycle dispatch alone.
+		static, err := runtime.NewDispatcher(sim.StaticTree(app, root))
+		if err != nil {
+			return nil, err
+		}
+		quasi, err := runtime.NewDispatcher(tree)
+		if err != nil {
+			return nil, err
+		}
 		var sumS, sumQ, sumI float64
 		for i := 0; i < cfg.Scenarios; i++ {
-			sc, err := sim.Sample(app, rng, 0, nil)
-			if err != nil {
+			r := sim.NewRNG(sim.ScenarioSeed(cfg.Seed, a*cfg.Scenarios+i))
+			if err := sim.SampleRNGInto(&sc, app, &r, 0, nil); err != nil {
 				return nil, err
 			}
-			rs, err := sim.Run(static, sc)
-			if err != nil {
+			if err := static.RunInto(&rs, sc); err != nil {
 				return nil, err
 			}
 			sumS += rs.Utility
 			t0 := time.Now()
-			rq, err := sim.Run(tree, sc)
+			err := quasi.RunInto(&rq, sc)
+			treeTime += time.Since(t0)
 			if err != nil {
 				return nil, err
 			}
-			treeTime += time.Since(t0)
 			sumQ += rq.Utility
-			ri := sim.RunOnlineReschedule(app, root, sc)
+			ri, err := sim.RunOnlineReschedule(app, root, sc)
+			if err != nil {
+				return nil, err
+			}
 			synthTime += ri.SynthesisTime
 			sumI += ri.Utility
 			if len(rq.HardViolations)+len(ri.HardViolations) > 0 {

@@ -24,7 +24,7 @@ func BenchmarkDispatch(b *testing.B) {
 	tree := synthesize(b, app, 20)
 	d := runtime.MustNewDispatcher(tree)
 	rng := rand.New(rand.NewSource(1))
-	sc := sim.MustSample(app, rng, 2, nil)
+	sc := mustSample(app, rng, 2)
 	var res runtime.Result
 	d.RunInto(&res, sc)
 	b.ReportAllocs()
@@ -54,7 +54,7 @@ func benchDispatchSink(b *testing.B, s obs.Sink) {
 	tree := synthesize(b, app, 20)
 	d := runtime.MustNewDispatcher(tree, runtime.WithSink(s))
 	rng := rand.New(rand.NewSource(1))
-	sc := sim.MustSample(app, rng, 2, nil)
+	sc := mustSample(app, rng, 2)
 	var res runtime.Result
 	d.RunInto(&res, sc)
 	b.ReportAllocs()
@@ -72,8 +72,8 @@ func benchDispatchSink(b *testing.B, s obs.Sink) {
 func BenchmarkDispatchEnvelope(b *testing.B) {
 	app := apps.CruiseController()
 	rng := rand.New(rand.NewSource(1))
-	inSc := sim.MustSample(app, rng, 2, nil)
-	outSc := sim.MustSample(app, rng, 0, nil)
+	inSc := mustSample(app, rng, 2)
+	outSc := mustSample(app, rng, 0)
 	soft := app.SoftIDs()
 	outSc.Durations[soft[0]] = app.Proc(soft[0]).WCET + 50
 	for _, tc := range []struct {
@@ -163,7 +163,7 @@ func BenchmarkDispatchMapped(b *testing.B) {
 	tree := synthesize(b, app, 20)
 	d := runtime.MustNewDispatcher(tree)
 	rng := rand.New(rand.NewSource(1))
-	sc := sim.MustSample(app, rng, 2, nil)
+	sc := mustSample(app, rng, 2)
 	var res runtime.Result
 	d.RunInto(&res, sc)
 	b.ReportAllocs()

@@ -10,7 +10,6 @@ import (
 	"ftsched/internal/model"
 	"ftsched/internal/obs"
 	"ftsched/internal/runtime"
-	"ftsched/internal/sim"
 )
 
 // TestNewDispatcherRejectsMalformedTrees: every class of arena corruption
@@ -97,7 +96,7 @@ func TestDispatcherRootFallback(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	fellBack := 0
 	for i := 0; i < 200; i++ {
-		sc := sim.MustSample(app, rng, i%(app.K()+1), nil)
+		sc := mustSample(app, rng, i%(app.K()+1))
 		res, err := d.Run(sc)
 		if err != nil {
 			t.Fatal(err)

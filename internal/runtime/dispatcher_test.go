@@ -13,6 +13,19 @@ import (
 	"ftsched/internal/sim"
 )
 
+// mustSample draws one scenario (victims from all processes) with
+// sim.SampleRNGInto from a stream seeded by rng, so a test's *rand.Rand
+// still drives everything it randomises. It panics on a *sim.SampleError,
+// which in-bounds requests cannot produce.
+func mustSample(app *model.Application, rng *rand.Rand, nFaults int) runtime.Scenario {
+	var sc runtime.Scenario
+	r := sim.NewRNG(rng.Int63())
+	if err := sim.SampleRNGInto(&sc, app, &r, nFaults, nil); err != nil {
+		panic(err)
+	}
+	return sc
+}
+
 // synthesize builds a quasi-static tree or fails the test.
 func synthesize(t testing.TB, app *model.Application, m int) *core.Tree {
 	t.Helper()
@@ -147,7 +160,7 @@ func TestRunIntoMatchesRun(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	var reused runtime.Result
 	for i := 0; i < 500; i++ {
-		sc := sim.MustSample(app, rng, i%(app.K()+1), nil)
+		sc := mustSample(app, rng, i%(app.K()+1))
 		d.RunInto(&reused, sc)
 		fresh := mustRun(t, d, sc)
 		if !resultsEqual(&reused, &fresh) {
@@ -164,7 +177,7 @@ func TestRunTraceMatchesRun(t *testing.T) {
 	d := runtime.MustNewDispatcher(tree)
 	rng := rand.New(rand.NewSource(17))
 	for i := 0; i < 100; i++ {
-		sc := sim.MustSample(app, rng, i%(app.K()+1), nil)
+		sc := mustSample(app, rng, i%(app.K()+1))
 		plain := mustRun(t, d, sc)
 		traced, events, err := d.RunTrace(sc)
 		if err != nil {
@@ -194,7 +207,7 @@ func TestDispatcherConcurrent(t *testing.T) {
 	want := make([]runtime.Result, len(scenarios))
 	rng := rand.New(rand.NewSource(23))
 	for i := range scenarios {
-		scenarios[i] = sim.MustSample(app, rng, i%(app.K()+1), nil)
+		scenarios[i] = mustSample(app, rng, i%(app.K()+1))
 		want[i] = mustRun(t, d, scenarios[i])
 	}
 
@@ -230,7 +243,7 @@ func TestRunIntoAllocFree(t *testing.T) {
 	tree := synthesize(t, app, 20)
 	d := runtime.MustNewDispatcher(tree)
 	rng := rand.New(rand.NewSource(29))
-	sc := sim.MustSample(app, rng, 2, nil)
+	sc := mustSample(app, rng, 2)
 	var res runtime.Result
 	d.RunInto(&res, sc) // warm up the result buffers and the cycle pool
 	allocs := testing.AllocsPerRun(200, func() {
@@ -251,7 +264,7 @@ func TestRunIntoAllocFreeWithSinks(t *testing.T) {
 	app := apps.CruiseController()
 	tree := synthesize(t, app, 20)
 	rng := rand.New(rand.NewSource(29))
-	sc := sim.MustSample(app, rng, 2, nil)
+	sc := mustSample(app, rng, 2)
 	for _, tc := range []struct {
 		name string
 		sink obs.Sink
@@ -289,7 +302,7 @@ func TestDispatcherSinkEvents(t *testing.T) {
 	const cycles = 300
 	var switches, recoveries, abandoned, hardDone int64
 	for i := 0; i < cycles; i++ {
-		sc := sim.MustSample(app, rng, i%(app.K()+1), nil)
+		sc := mustSample(app, rng, i%(app.K()+1))
 		got := mustRun(t, d, sc)
 		want := mustRun(t, plain, sc)
 		if !resultsEqual(&got, &want) {
@@ -339,7 +352,7 @@ func TestDispatcherSinkEvents(t *testing.T) {
 func TestScenarioValidate(t *testing.T) {
 	app := apps.Fig1()
 	rng := rand.New(rand.NewSource(31))
-	sc := sim.MustSample(app, rng, 1, nil)
+	sc := mustSample(app, rng, 1)
 	if err := sc.Validate(app); err != nil {
 		t.Fatalf("sampled scenario invalid: %v", err)
 	}

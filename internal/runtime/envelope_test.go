@@ -11,14 +11,13 @@ import (
 	"ftsched/internal/model"
 	"ftsched/internal/obs"
 	"ftsched/internal/runtime"
-	"ftsched/internal/sim"
 )
 
 // inModel samples a scenario within the fault model (durations in
 // [BCET, WCET], at most k faults).
 func inModel(t testing.TB, app *model.Application, rng *rand.Rand, faults int) runtime.Scenario {
 	t.Helper()
-	return sim.MustSample(app, rng, faults, nil)
+	return mustSample(app, rng, faults)
 }
 
 // countKind tallies the violation events of one kind.
@@ -527,10 +526,10 @@ func TestEnvelopeAllocFree(t *testing.T) {
 	app := apps.CruiseController()
 	tree := synthesize(t, app, 20)
 	rng := rand.New(rand.NewSource(113))
-	inSc := sim.MustSample(app, rng, 2, nil)
+	inSc := mustSample(app, rng, 2)
 
 	// Out-of-model: one soft overrun plus a fault burst past k.
-	outSc := sim.MustSample(app, rng, 0, nil)
+	outSc := mustSample(app, rng, 0)
 	soft := app.SoftIDs()
 	outSc.Durations[soft[0]] = app.Proc(soft[0]).WCET + 50
 	outSc.FaultsAt[soft[1]] = app.K() + 1
@@ -582,7 +581,7 @@ func TestEnvelopeSinkCounters(t *testing.T) {
 	var res runtime.Result
 	var overruns, extra, regressions, budget, sheds int64
 	for i := 0; i < 200; i++ {
-		sc := sim.MustSample(app, rng, rng.Intn(app.K()+1), nil)
+		sc := mustSample(app, rng, rng.Intn(app.K()+1))
 		switch i % 4 {
 		case 0:
 			p := soft[rng.Intn(len(soft))]

@@ -146,7 +146,7 @@ func TestDispatchMappedAllocFree(t *testing.T) {
 	} {
 		d := runtime.MustNewDispatcher(tree, runtime.WithSink(tc.sink))
 		rng := rand.New(rand.NewSource(29))
-		sc := sim.MustSample(app, rng, 2, nil)
+		sc := mustSample(app, rng, 2)
 		var res runtime.Result
 		d.RunInto(&res, sc) // warm up the result buffers and the cycle pool
 		allocs := testing.AllocsPerRun(200, func() {
@@ -175,7 +175,7 @@ func TestDispatchMappedHonoursDeadlines(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	var res, sres runtime.Result
 	for i := 0; i < 500; i++ {
-		sc := sim.MustSample(base, rng, min(1, base.K()), nil)
+		sc := mustSample(base, rng, min(1, base.K()))
 		if err := d.RunInto(&res, sc); err != nil {
 			t.Fatal(err)
 		}

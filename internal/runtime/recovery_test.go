@@ -205,7 +205,7 @@ func TestDispatchRecoveryAllocFree(t *testing.T) {
 			tree := synthesize(t, app, 20)
 			d := runtime.MustNewDispatcher(tree)
 			rng := rand.New(rand.NewSource(31))
-			sc := sim.MustSample(app, rng, 2, nil)
+			sc := mustSample(app, rng, 2)
 			var res runtime.Result
 			d.RunInto(&res, sc) // warm up the result buffers and the cycle pool
 			allocs := testing.AllocsPerRun(200, func() {
@@ -242,7 +242,7 @@ func BenchmarkDispatchRecovery(b *testing.B) {
 			tree := synthesize(b, app, 20)
 			d := runtime.MustNewDispatcher(tree)
 			rng := rand.New(rand.NewSource(31))
-			sc := sim.MustSample(app, rng, 2, nil)
+			sc := mustSample(app, rng, 2)
 			var res runtime.Result
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"time"
 
 	"ftsched/internal/core"
@@ -14,7 +15,7 @@ import (
 // which computes a new schedule every time a process fails or completes,
 // incurs an unacceptable overhead").
 type RescheduleResult struct {
-	Result
+	runtime.Result
 	// Reschedules counts the synthesis invocations performed during the
 	// cycle (one after every completion or abandonment).
 	Reschedules int
@@ -22,6 +23,19 @@ type RescheduleResult struct {
 	// schedules — on the paper's embedded target this work would execute
 	// on the node itself, between processes.
 	SynthesisTime time.Duration
+}
+
+// ReschedulePlatformError reports a RunOnlineReschedule request for an
+// application mapped to a platform other than the default single core at
+// speed 1, which the single-clock comparator cannot simulate faithfully.
+type ReschedulePlatformError struct {
+	// Platform renders the offending platform.
+	Platform string
+}
+
+// Error implements error.
+func (e *ReschedulePlatformError) Error() string {
+	return fmt.Sprintf("sim: online rescheduling models only the default platform, not %s", e.Platform)
 }
 
 // RunOnlineReschedule executes one scenario with an idealised online
@@ -35,10 +49,18 @@ type RescheduleResult struct {
 // schedulable from the current time with the remaining fault budget; if
 // the synthesis fails (or would be unsafe), the scheduler keeps the
 // previous — still guaranteed — remainder.
-func RunOnlineReschedule(app *model.Application, root *schedule.FSchedule, sc Scenario) RescheduleResult {
+//
+// The comparator runs every attempt at nominal speed on a single clock, so
+// it models only the default platform (one core at speed 1); for any other
+// platform it returns a *ReschedulePlatformError, because the suffixes it
+// synthesises are checked against per-core timelines it does not simulate.
+func RunOnlineReschedule(app *model.Application, root *schedule.FSchedule, sc Scenario) (RescheduleResult, error) {
+	if plat := app.Platform(); !plat.IsDefault() {
+		return RescheduleResult{}, &ReschedulePlatformError{Platform: plat.String()}
+	}
 	res := RescheduleResult{
-		Result: Result{
-			Outcomes:        make([]ProcessOutcome, app.N()),
+		Result: runtime.Result{
+			Outcomes:        make([]runtime.ProcessOutcome, app.N()),
 			CompletionTimes: make([]model.Time, app.N()),
 		},
 	}
@@ -100,7 +122,7 @@ func RunOnlineReschedule(app *model.Application, root *schedule.FSchedule, sc Sc
 		res.Makespan = now
 
 		if completed {
-			res.Outcomes[e.Proc] = Completed
+			res.Outcomes[e.Proc] = runtime.Completed
 			res.CompletionTimes[e.Proc] = now
 			executedIDs = append(executedIDs, e.Proc)
 			exSet[e.Proc] = true
@@ -108,7 +130,7 @@ func RunOnlineReschedule(app *model.Application, root *schedule.FSchedule, sc Sc
 				res.HardViolations = append(res.HardViolations, e.Proc)
 			}
 		} else {
-			res.Outcomes[e.Proc] = AbandonedByFault
+			res.Outcomes[e.Proc] = runtime.AbandonedByFault
 			droppedIDs = append(droppedIDs, e.Proc)
 			if p.Kind == model.Hard {
 				res.HardViolations = append(res.HardViolations, e.Proc)
@@ -129,7 +151,7 @@ func RunOnlineReschedule(app *model.Application, root *schedule.FSchedule, sc Sc
 		drop := append(dropBuf[:0], droppedIDs...)
 		for id := 0; id < app.N(); id++ {
 			pid := model.ProcessID(id)
-			if exSet[id] || res.Outcomes[id] == AbandonedByFault {
+			if exSet[id] || res.Outcomes[id] == runtime.AbandonedByFault {
 				continue
 			}
 			for _, s := range app.Succs(pid) {
@@ -154,7 +176,7 @@ func RunOnlineReschedule(app *model.Application, root *schedule.FSchedule, sc Sc
 	res.FinalNode = -1 // no tree node: schedules are synthesised live
 
 	for _, h := range app.HardIDs() {
-		if res.Outcomes[h] != Completed {
+		if res.Outcomes[h] != runtime.Completed {
 			already := false
 			for _, v := range res.HardViolations {
 				if v == h {
@@ -168,5 +190,5 @@ func RunOnlineReschedule(app *model.Application, root *schedule.FSchedule, sc Sc
 		}
 	}
 	res.Utility = runtime.TotalUtility(app, res.Outcomes, res.CompletionTimes)
-	return res
+	return res, nil
 }

@@ -20,7 +20,7 @@ func TestOnlineRescheduleNoFault(t *testing.T) {
 		t.Fatal(err)
 	}
 	sc := fixedScenario(app, nil, nil)
-	r := RunOnlineReschedule(app, root, sc)
+	r := testReschedule(t, app, root, sc)
 	if len(r.HardViolations) != 0 {
 		t.Fatalf("violations: %v", r.HardViolations)
 	}
@@ -48,7 +48,7 @@ func TestOnlineRescheduleAdaptsLikeTheTree(t *testing.T) {
 	// P1 finishes at BCET 30: the ideal rescheduler must realise the
 	// P2-first ordering worth 70 (like the quasi-static switch).
 	sc := fixedScenario(app, map[string]model.Time{"P1": 30}, nil)
-	r := RunOnlineReschedule(app, root, sc)
+	r := testReschedule(t, app, root, sc)
 	if r.Utility != 70 {
 		t.Errorf("utility = %g, want 70", r.Utility)
 	}
@@ -72,10 +72,10 @@ func TestOnlineRescheduleUpperBound(t *testing.T) {
 	const n = 2000
 	static := StaticTree(app, root)
 	for i := 0; i < n; i++ {
-		sc := MustSample(app, rng, 0, nil)
+		sc := mustSample(app, rng, 0, nil)
 		uStatic += testRun(t, static, sc).Utility
 		uTree += testRun(t, tree, sc).Utility
-		ideal := RunOnlineReschedule(app, root, sc)
+		ideal := testReschedule(t, app, root, sc)
 		if len(ideal.HardViolations) != 0 {
 			t.Fatalf("ideal scheduler violated a deadline: %v", ideal.HardViolations)
 		}
@@ -104,8 +104,8 @@ func TestOnlineRescheduleSafetyProperty(t *testing.T) {
 			return true
 		}
 		for trial := 0; trial < 15; trial++ {
-			sc := MustSample(app, rng, rng.Intn(app.K()+1), nil)
-			r := RunOnlineReschedule(app, root, sc)
+			sc := mustSample(app, rng, rng.Intn(app.K()+1), nil)
+			r := testReschedule(t, app, root, sc)
 			if len(r.HardViolations) > 0 {
 				t.Logf("seed %d trial %d: violations %v", seed, trial, r.HardViolations)
 				return false
@@ -131,8 +131,8 @@ func TestOnlineRescheduleSafetyProperty(t *testing.T) {
 // rewrite changed nothing observable.
 func referenceOnlineReschedule(app *model.Application, root *schedule.FSchedule, sc Scenario) RescheduleResult {
 	res := RescheduleResult{
-		Result: Result{
-			Outcomes:        make([]ProcessOutcome, app.N()),
+		Result: runtime.Result{
+			Outcomes:        make([]runtime.ProcessOutcome, app.N()),
 			CompletionTimes: make([]model.Time, app.N()),
 		},
 	}
@@ -176,14 +176,14 @@ func referenceOnlineReschedule(app *model.Application, root *schedule.FSchedule,
 		res.Makespan = now
 
 		if completed {
-			res.Outcomes[e.Proc] = Completed
+			res.Outcomes[e.Proc] = runtime.Completed
 			res.CompletionTimes[e.Proc] = now
 			executedIDs = append(executedIDs, e.Proc)
 			if p.Kind == model.Hard && now > p.Deadline {
 				res.HardViolations = append(res.HardViolations, e.Proc)
 			}
 		} else {
-			res.Outcomes[e.Proc] = AbandonedByFault
+			res.Outcomes[e.Proc] = runtime.AbandonedByFault
 			droppedIDs = append(droppedIDs, e.Proc)
 			if p.Kind == model.Hard {
 				res.HardViolations = append(res.HardViolations, e.Proc)
@@ -203,7 +203,7 @@ func referenceOnlineReschedule(app *model.Application, root *schedule.FSchedule,
 		drop := append([]model.ProcessID(nil), droppedIDs...)
 		for id := 0; id < app.N(); id++ {
 			pid := model.ProcessID(id)
-			if exSet[pid] || res.Outcomes[id] == AbandonedByFault {
+			if exSet[pid] || res.Outcomes[id] == runtime.AbandonedByFault {
 				continue
 			}
 			for _, s := range app.Succs(pid) {
@@ -222,7 +222,7 @@ func referenceOnlineReschedule(app *model.Application, root *schedule.FSchedule,
 	res.FinalNode = -1
 
 	for _, h := range app.HardIDs() {
-		if res.Outcomes[h] != Completed {
+		if res.Outcomes[h] != runtime.Completed {
 			already := false
 			for _, v := range res.HardViolations {
 				if v == h {
@@ -251,8 +251,8 @@ func TestOnlineRescheduleMatchesReference(t *testing.T) {
 		}
 		rng := rand.New(rand.NewSource(13))
 		for i := 0; i < 200; i++ {
-			sc := MustSample(app, rng, i%(app.K()+1), nil)
-			got := RunOnlineReschedule(app, root, sc)
+			sc := mustSample(app, rng, i%(app.K()+1), nil)
+			got := testReschedule(t, app, root, sc)
 			want := referenceOnlineReschedule(app, root, sc)
 			got.SynthesisTime, want.SynthesisTime = 0, 0
 			if !reflect.DeepEqual(got, want) {
@@ -271,7 +271,7 @@ func TestOnlineRescheduleFaultHandling(t *testing.T) {
 	}
 	// Fault on P1: recovered in place; soft processes still run.
 	sc := fixedScenario(app, nil, map[string]int{"P1": 1})
-	r := RunOnlineReschedule(app, root, sc)
+	r := testReschedule(t, app, root, sc)
 	if len(r.HardViolations) != 0 {
 		t.Fatalf("violations: %v", r.HardViolations)
 	}
@@ -281,11 +281,11 @@ func TestOnlineRescheduleFaultHandling(t *testing.T) {
 	// Fault on P3 (no recovery budget in the root): abandoned, the
 	// rescheduler carries on with P2.
 	sc2 := fixedScenario(app, nil, map[string]int{"P3": 1})
-	r2 := RunOnlineReschedule(app, root, sc2)
-	if r2.Outcomes[app.IDByName("P3")] != AbandonedByFault {
+	r2 := testReschedule(t, app, root, sc2)
+	if r2.Outcomes[app.IDByName("P3")] != runtime.AbandonedByFault {
 		t.Error("P3 must be abandoned")
 	}
-	if r2.Outcomes[app.IDByName("P2")] != Completed {
+	if r2.Outcomes[app.IDByName("P2")] != runtime.Completed {
 		t.Error("P2 must still complete")
 	}
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -26,6 +27,22 @@ func mappedTree(t *testing.T, app *model.Application, m int) *core.Tree {
 		t.Fatal(err)
 	}
 	return tree
+}
+
+// TestOnlineRescheduleRejectsMappedPlatform: the single-clock comparator
+// cannot simulate per-core timelines, so a mapped application is a typed
+// error rather than a result timed at nominal speed.
+func TestOnlineRescheduleRejectsMappedPlatform(t *testing.T) {
+	tree := mappedTree(t, apps.CruiseController(), 1)
+	app := tree.App
+	sc := fixedScenario(app, nil, nil)
+	var pe *ReschedulePlatformError
+	if _, err := RunOnlineReschedule(app, tree.Root().Schedule, sc); !errors.As(err, &pe) {
+		t.Fatalf("RunOnlineReschedule on a mapped platform = %v, want *ReschedulePlatformError", err)
+	}
+	if pe.Platform != app.Platform().String() {
+		t.Errorf("error names platform %q, want %q", pe.Platform, app.Platform())
+	}
 }
 
 // TestMonteCarloMappedWorkerInvariance: the acceptance contract for the

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"math/rand"
 
 	"ftsched/internal/core"
 	"ftsched/internal/model"
@@ -16,8 +15,8 @@ type Scenario = runtime.Scenario
 
 // SampleError reports a sampling request the application cannot satisfy:
 // a fault count outside [0, k], or faults requested with an empty victim
-// pool. Before this check, an empty pool panicked inside math/rand and an
-// over-bound count silently produced scenarios the trees carry no
+// pool. Without this check an empty pool would panic inside RNG.Intn and
+// an over-bound count would silently produce scenarios the trees carry no
 // guarantee for.
 type SampleError struct {
 	// NFaults is the requested fault count; Bound is the application's k.
@@ -35,89 +34,20 @@ func (e *SampleError) Error() string {
 	return fmt.Sprintf("sim: fault count %d outside the application bound [0,%d]", e.NFaults, e.Bound)
 }
 
-// Sample draws a scenario for the application: uniform execution times and
-// nFaults faults aimed at uniformly chosen victims (with replacement) among
-// the candidate processes. Candidates are typically the processes of the
-// root schedule; pass nil to draw victims from all processes. It returns a
+// SampleRNGInto draws a scenario for the application into sc, reusing its
+// buffers: uniform execution times in process-ID order, then nFaults
+// faults aimed at uniformly chosen victims (with replacement) among the
+// candidate processes. Candidates are typically the processes of the root
+// schedule; pass nil to draw victims from all processes. It returns a
 // *SampleError when nFaults is outside [0, app.K()] or positive with an
-// empty candidate pool.
-func Sample(app *model.Application, rng *rand.Rand, nFaults int, candidates []model.ProcessID) (Scenario, error) {
-	var sc Scenario
-	err := SampleInto(&sc, app, rng, nFaults, candidates)
-	return sc, err
-}
-
-// MustSample is Sample for requests known to be in bounds; it panics on a
-// *SampleError.
-func MustSample(app *model.Application, rng *rand.Rand, nFaults int, candidates []model.ProcessID) Scenario {
-	sc, err := Sample(app, rng, nFaults, candidates)
-	if err != nil {
-		panic(err)
-	}
-	return sc
-}
-
-// SampleInto is Sample reusing the buffers of sc, for bulk evaluation. The
-// random-number stream it consumes is identical to Sample's, so the two
-// are interchangeable scenario for scenario. On error, sc is unchanged and
-// the random stream is untouched.
-func SampleInto(sc *Scenario, app *model.Application, rng *rand.Rand, nFaults int, candidates []model.ProcessID) error {
-	if nFaults < 0 || nFaults > app.K() {
-		return &SampleError{NFaults: nFaults, Bound: app.K()}
-	}
-	if nFaults > 0 && candidates != nil && len(candidates) == 0 {
-		return &SampleError{NFaults: nFaults, EmptyPool: true}
-	}
-	n := app.N()
-	if cap(sc.Durations) < n {
-		sc.Durations = make([]model.Time, n)
-	} else {
-		sc.Durations = sc.Durations[:n]
-	}
-	if cap(sc.FaultsAt) < n {
-		sc.FaultsAt = make([]int, n)
-	} else {
-		sc.FaultsAt = sc.FaultsAt[:n]
-		for i := range sc.FaultsAt {
-			sc.FaultsAt[i] = 0
-		}
-	}
-	sc.NFaults = nFaults
-	for id := 0; id < n; id++ {
-		p := app.Proc(model.ProcessID(id))
-		span := int64(p.WCET - p.BCET)
-		d := p.BCET
-		if span > 0 {
-			d += model.Time(rng.Int63n(span + 1))
-		}
-		sc.Durations[id] = d
-	}
-	if nFaults > 0 {
-		pool := candidates
-		if pool == nil {
-			pool = make([]model.ProcessID, n)
-			for id := 0; id < n; id++ {
-				pool[id] = model.ProcessID(id)
-			}
-		}
-		for i := 0; i < nFaults; i++ {
-			victim := pool[rng.Intn(len(pool))]
-			sc.FaultsAt[victim]++
-		}
-	}
-	return nil
-}
-
-// SampleRNGInto is SampleInto over the engine's fast RNG: the same
-// bound checks, the same draw order (durations in process-ID order, then
-// fault victims), the same buffer reuse — but drawing from a splitmix64
-// stream instead of math/rand. It is the scalar reference for the batch
-// sampler: filling a block of scenarios through batch planes and sampling
-// each scenario individually with SampleRNGInto from the same per-scenario
+// empty candidate pool; on error, sc is unchanged and rng is untouched.
+//
+// It is the one scalar sampler and the reference for the batch sampler:
+// filling a block of scenarios through batch planes and sampling each
+// scenario individually with SampleRNGInto from the same per-scenario
 // seeds produce identical scenarios (asserted by
-// TestBatchSamplerMatchesScalar). The math/rand-based SampleInto remains
-// for one-off sampling against an externally owned *rand.Rand; the two
-// streams are unrelated.
+// TestBatchSamplerMatchesScalar). One-off callers draw scenario j from
+// NewRNG(ScenarioSeed(seed, j)), the discipline the engine uses.
 func SampleRNGInto(sc *Scenario, app *model.Application, rng *RNG, nFaults int, candidates []model.ProcessID) error {
 	if nFaults < 0 || nFaults > app.K() {
 		return &SampleError{NFaults: nFaults, Bound: app.K()}

@@ -10,6 +10,7 @@ import (
 	"ftsched/internal/baseline"
 	"ftsched/internal/core"
 	"ftsched/internal/model"
+	"ftsched/internal/runtime"
 	"ftsched/internal/utility"
 )
 
@@ -79,7 +80,7 @@ func TestRunFaultRecovery(t *testing.T) {
 	if got := r.CompletionTimes[app.IDByName("P1")]; got != 110 {
 		t.Errorf("P1 completed at %d, want 110", got)
 	}
-	if r.Outcomes[app.IDByName("P1")] != Completed {
+	if r.Outcomes[app.IDByName("P1")] != runtime.Completed {
 		t.Error("P1 must complete")
 	}
 }
@@ -95,14 +96,14 @@ func TestRunSoftDroppedOnFault(t *testing.T) {
 	tree := StaticTree(app, s)
 	sc := fixedScenario(app, nil, map[string]int{"P3": 1})
 	r := testRun(t, tree, sc)
-	if r.Outcomes[app.IDByName("P3")] != AbandonedByFault {
+	if r.Outcomes[app.IDByName("P3")] != runtime.AbandonedByFault {
 		t.Errorf("P3 outcome = %v, want AbandonedByFault", r.Outcomes[app.IDByName("P3")])
 	}
 	if len(r.HardViolations) != 0 {
 		t.Errorf("hard violations: %v", r.HardViolations)
 	}
 	// P2 still runs and earns utility; P3 contributes nothing.
-	if r.Outcomes[app.IDByName("P2")] != Completed {
+	if r.Outcomes[app.IDByName("P2")] != runtime.Completed {
 		t.Error("P2 must complete")
 	}
 	if r.Utility <= 0 {
@@ -241,7 +242,7 @@ func TestSampleDistribution(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	cand := []model.ProcessID{app.IDByName("P1"), app.IDByName("P2")}
 	for i := 0; i < 200; i++ {
-		sc := MustSample(app, rng, 2, cand)
+		sc := mustSample(app, rng, 2, cand)
 		if err := sc.Validate(app); err != nil {
 			t.Fatal(err)
 		}
@@ -255,7 +256,7 @@ func TestSampleDistribution(t *testing.T) {
 		}
 	}
 	// nil candidates → all processes eligible.
-	sc := MustSample(app, rng, 1, nil)
+	sc := mustSample(app, rng, 1, nil)
 	if sc.NFaults != 1 {
 		t.Error("NFaults mismatch")
 	}
@@ -343,7 +344,7 @@ func TestHardDeadlinesNeverViolatedProperty(t *testing.T) {
 		}
 		for trial := 0; trial < 30; trial++ {
 			f := rng.Intn(k + 1)
-			sc := MustSample(app, rng, f, nil)
+			sc := mustSample(app, rng, f, nil)
 			r := testRun(t, tree, sc)
 			if len(r.HardViolations) > 0 {
 				t.Logf("seed %d trial %d: violations %v (faults=%d)\n%s",
@@ -379,7 +380,7 @@ func TestUtilityBoundsProperty(t *testing.T) {
 			ceiling += app.UtilityOf(id).Value(0)
 		}
 		for trial := 0; trial < 20; trial++ {
-			sc := MustSample(app, rng, rng.Intn(app.K()+1), nil)
+			sc := mustSample(app, rng, rng.Intn(app.K()+1), nil)
 			r := testRun(t, tree, sc)
 			if r.Utility < 0 || r.Utility > ceiling+1e-9 {
 				t.Logf("seed %d: utility %g outside [0,%g]", seed, r.Utility, ceiling)

@@ -3,7 +3,6 @@ package sim
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"sort"
 
 	"ftsched/internal/core"
@@ -70,21 +69,18 @@ func TrimContext(ctx context.Context, tree *core.Tree, cfg TrimConfig) (int, err
 		}
 	}
 
-	// Fixed paired scenario set.
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	// Fixed paired scenario set: scenario j is drawn from its own
+	// ScenarioSeed stream, like every other evaluation in this package.
 	rootEntries := tree.Root().Schedule.Entries
 	candidates := make([]model.ProcessID, 0, len(rootEntries))
 	for _, e := range rootEntries {
 		candidates = append(candidates, e.Proc)
 	}
-	var scenarios []Scenario
-	for _, f := range faults {
-		for i := 0; i < cfg.Scenarios; i++ {
-			sc, err := Sample(app, rng, f, candidates)
-			if err != nil {
-				return 0, err
-			}
-			scenarios = append(scenarios, sc)
+	scenarios := make([]Scenario, len(faults)*cfg.Scenarios)
+	for j := range scenarios {
+		rng := NewRNG(ScenarioSeed(cfg.Seed, j))
+		if err := SampleRNGInto(&scenarios[j], app, &rng, faults[j/cfg.Scenarios], candidates); err != nil {
+			return 0, err
 		}
 	}
 	var sink obs.Sink
@@ -92,7 +88,7 @@ func TrimContext(ctx context.Context, tree *core.Tree, cfg TrimConfig) (int, err
 		sink = cfg.Sink
 	}
 	done := ctx.Done()
-	var res Result
+	var res runtime.Result
 	// eval replays the fixed scenario set through a freshly compiled
 	// dispatcher; it returns ctx.Err() when cancelled mid-replay (the
 	// partial mean is meaningless then) or the dispatcher's typed error

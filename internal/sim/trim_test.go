@@ -96,7 +96,7 @@ func TestTrimCompactsUnreachableNodes(t *testing.T) {
 	// The tree still runs.
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 50; i++ {
-		r := testRun(t, tree, MustSample(app, rng, i%(app.K()+1), nil))
+		r := testRun(t, tree, mustSample(app, rng, i%(app.K()+1), nil))
 		if len(r.HardViolations) != 0 {
 			t.Fatal("violation after trim")
 		}

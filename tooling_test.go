@@ -8,8 +8,9 @@ import (
 	"testing"
 )
 
-// TestTooling folds `go vet ./...` and a gofmt check into the tier-1 gate
-// (`go test ./...`), so vet regressions and formatting drift fail CI
+// TestTooling folds `go vet ./...` (for this module and the perfbench
+// module) and a gofmt check into the tier-1 gate (`go test ./...`), so vet
+// regressions, a broken benchmark build and formatting drift fail CI
 // without a separate pipeline step. Skipped with -short.
 func TestTooling(t *testing.T) {
 	if testing.Short() {
@@ -19,6 +20,15 @@ func TestTooling(t *testing.T) {
 		cmd := exec.Command("go", "vet", "./...")
 		if b, err := cmd.CombinedOutput(); err != nil {
 			t.Errorf("go vet ./...: %v\n%s", err, b)
+		}
+	})
+	// perfbench is its own module, so `go vet ./...` above never builds it;
+	// vetting it here catches a change that deletes a symbol it imports.
+	t.Run("perfbench", func(t *testing.T) {
+		cmd := exec.Command("go", "vet", "./...")
+		cmd.Dir = "perfbench"
+		if b, err := cmd.CombinedOutput(); err != nil {
+			t.Errorf("go vet ./... in perfbench: %v\n%s", err, b)
 		}
 	})
 	t.Run("gofmt", func(t *testing.T) {
