@@ -9,6 +9,8 @@
 // draining, unknown_tree, ...) exactly like the admission contract
 // documents. Failures below the contract — connection resets, truncated
 // or corrupted bodies, per-attempt timeouts — surface as *TransportError.
+// A response body longer than serveapi.MaxResponseBytes is not read past
+// the bound and fails with *ResponseTooLargeError.
 //
 // With a RetryPolicy (see WithRetryPolicy / DefaultRetryPolicy) the
 // client heals transient failures itself: capped exponential backoff
@@ -97,22 +99,49 @@ func New(base string, opts ...Option) *Client {
 	return c
 }
 
+// ResponseTooLargeError reports a response body longer than
+// serveapi.MaxResponseBytes. The client stops reading at the bound, so a
+// hostile or broken server cannot make it allocate without limit. It is
+// not retried: the server would send the same body again.
+type ResponseTooLargeError struct {
+	// Path is the API path the call targeted.
+	Path string
+	// Limit is the bound the body exceeded, serveapi.MaxResponseBytes.
+	Limit int64
+}
+
+// Error implements error.
+func (e *ResponseTooLargeError) Error() string {
+	return fmt.Sprintf("client: %s: response body exceeds %d bytes (serveapi.MaxResponseBytes)", e.Path, e.Limit)
+}
+
+// limitBody caps a response body at serveapi.MaxResponseBytes; the
+// reader's N reaching 0 means the body went past the bound.
+func limitBody(body io.Reader) *io.LimitedReader {
+	return &io.LimitedReader{R: body, N: serveapi.MaxResponseBytes + 1}
+}
+
+// jsonInto is the response decoder of every endpoint but dispatch.
+func jsonInto(resp any) func([]byte) error {
+	return func(data []byte) error { return json.Unmarshal(data, resp) }
+}
+
 // post issues one API call under the retry policy: marshal once, then
 // attempt (send, decode) as often as the policy allows — non-2xx bodies
 // decode into the typed wire error, everything below the contract
 // becomes a *TransportError.
-func (c *Client) post(ctx context.Context, path string, req, resp any) error {
+func (c *Client) post(ctx context.Context, path string, req any, decode func([]byte) error) error {
 	body, err := json.Marshal(req)
 	if err != nil {
 		return fmt.Errorf("client: encoding %s request: %w", path, err)
 	}
 	return c.doRetry(ctx, path, func() error {
-		return c.attempt(ctx, path, body, resp)
+		return c.attempt(ctx, path, body, decode)
 	})
 }
 
 // attempt performs one try of an API call against a fresh body reader.
-func (c *Client) attempt(ctx context.Context, path string, body []byte, resp any) error {
+func (c *Client) attempt(ctx context.Context, path string, body []byte, decode func([]byte) error) error {
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(body))
 	if err != nil {
 		return fmt.Errorf("client: %s: %w", path, err)
@@ -140,13 +169,17 @@ func (c *Client) attempt(ctx context.Context, path string, body []byte, resp any
 		return &TransportError{Path: path, Err: err}
 	}
 	defer hresp.Body.Close()
-	data, err := io.ReadAll(hresp.Body)
+	lr := limitBody(hresp.Body)
+	data, err := io.ReadAll(lr)
 	if err != nil {
 		if ctx.Err() != nil {
 			return fmt.Errorf("client: reading %s response: %w", path, ctx.Err())
 		}
 		// Connection reset mid-body.
 		return &TransportError{Path: path, Err: fmt.Errorf("reading response: %w", err)}
+	}
+	if lr.N == 0 {
+		return &ResponseTooLargeError{Path: path, Limit: serveapi.MaxResponseBytes}
 	}
 	if hresp.StatusCode/100 != 2 {
 		var er serveapi.ErrorResponse
@@ -160,7 +193,7 @@ func (c *Client) attempt(ctx context.Context, path string, body []byte, resp any
 		werr := er.Err
 		return &werr
 	}
-	if err := json.Unmarshal(data, resp); err != nil {
+	if err := decode(data); err != nil {
 		// Truncated or corrupted 2xx body: the response is lost but the
 		// SHA-256 tree cache makes the re-ask idempotent.
 		return &TransportError{Path: path, Err: fmt.Errorf("decoding response: %w", err)}
@@ -173,7 +206,7 @@ func (c *Client) attempt(ctx context.Context, path string, body []byte, resp any
 func (c *Client) Synthesize(ctx context.Context, req serveapi.SynthesizeRequest) (*serveapi.SynthesizeResponse, error) {
 	req.Format = serveapi.FormatV1
 	var resp serveapi.SynthesizeResponse
-	if err := c.post(ctx, "/v1/synthesize", req, &resp); err != nil {
+	if err := c.post(ctx, "/v1/synthesize", req, jsonInto(&resp)); err != nil {
 		return nil, err
 	}
 	return &resp, nil
@@ -183,7 +216,7 @@ func (c *Client) Synthesize(ctx context.Context, req serveapi.SynthesizeRequest)
 func (c *Client) Eval(ctx context.Context, req serveapi.EvalRequest) (*serveapi.EvalResponse, error) {
 	req.Format = serveapi.FormatV1
 	var resp serveapi.EvalResponse
-	if err := c.post(ctx, "/v1/eval", req, &resp); err != nil {
+	if err := c.post(ctx, "/v1/eval", req, jsonInto(&resp)); err != nil {
 		return nil, err
 	}
 	return &resp, nil
@@ -194,7 +227,7 @@ func (c *Client) Eval(ctx context.Context, req serveapi.EvalRequest) (*serveapi.
 func (c *Client) Certify(ctx context.Context, req serveapi.CertifyRequest) (*serveapi.CertifyResponse, error) {
 	req.Format = serveapi.FormatV1
 	var resp serveapi.CertifyResponse
-	if err := c.post(ctx, "/v1/certify", req, &resp); err != nil {
+	if err := c.post(ctx, "/v1/certify", req, jsonInto(&resp)); err != nil {
 		return nil, err
 	}
 	return &resp, nil
@@ -204,28 +237,33 @@ func (c *Client) Certify(ctx context.Context, req serveapi.CertifyRequest) (*ser
 func (c *Client) Chaos(ctx context.Context, req serveapi.ChaosRequest) (*serveapi.ChaosResponse, error) {
 	req.Format = serveapi.FormatV1
 	var resp serveapi.ChaosResponse
-	if err := c.post(ctx, "/v1/chaos", req, &resp); err != nil {
+	if err := c.post(ctx, "/v1/chaos", req, jsonInto(&resp)); err != nil {
 		return nil, err
 	}
 	return &resp, nil
 }
 
 // Dispatch executes a batch of operation cycles through the compiled
-// dispatcher and returns the positional per-cycle outcomes.
+// dispatcher and returns the positional per-cycle outcomes. The response
+// goes through serveapi.DecodeDispatchResponse, the single-pass batch
+// decoder.
 func (c *Client) Dispatch(ctx context.Context, req serveapi.DispatchRequest) (*serveapi.DispatchResponse, error) {
 	req.Format = serveapi.FormatV1
-	var resp serveapi.DispatchResponse
-	if err := c.post(ctx, "/v1/dispatch", req, &resp); err != nil {
+	var resp *serveapi.DispatchResponse
+	if err := c.post(ctx, "/v1/dispatch", req, func(data []byte) (err error) {
+		resp, err = serveapi.DecodeDispatchResponse(data)
+		return err
+	}); err != nil {
 		return nil, err
 	}
-	return &resp, nil
+	return resp, nil
 }
 
 // Reload hot-recompiles the tree behind a key and swaps it in atomically.
 func (c *Client) Reload(ctx context.Context, req serveapi.ReloadRequest) (*serveapi.ReloadResponse, error) {
 	req.Format = serveapi.FormatV1
 	var resp serveapi.ReloadResponse
-	if err := c.post(ctx, "/v1/reload", req, &resp); err != nil {
+	if err := c.post(ctx, "/v1/reload", req, jsonInto(&resp)); err != nil {
 		return nil, err
 	}
 	return &resp, nil
@@ -242,8 +280,12 @@ func (c *Client) Health(ctx context.Context) (*serveapi.HealthResponse, error) {
 		return nil, fmt.Errorf("client: healthz: %w", err)
 	}
 	defer hresp.Body.Close()
+	lr := limitBody(hresp.Body)
 	var resp serveapi.HealthResponse
-	if err := json.NewDecoder(hresp.Body).Decode(&resp); err != nil {
+	if err := json.NewDecoder(lr).Decode(&resp); err != nil {
+		if lr.N == 0 {
+			return nil, &ResponseTooLargeError{Path: "/v1/healthz", Limit: serveapi.MaxResponseBytes}
+		}
 		return nil, fmt.Errorf("client: decoding healthz: %w", err)
 	}
 	return &resp, nil

@@ -28,17 +28,25 @@ func body(t *testing.T, v any) []byte {
 
 func TestSniffFormat(t *testing.T) {
 	cases := []struct {
-		name string
-		data string
-		kind string // "" = accepted
+		name   string
+		data   string
+		kind   string // sniffFormat verdict; "" = accepted
+		decode string // decodeInto verdict; "" = accepted
 	}{
-		{"v1", `{"format":"ftsched-api/v1"}`, ""},
-		{"missing", `{"app":{}}`, KindUnknownFormat},
-		{"wrong", `{"format":"ftsched-api/v2"}`, KindUnknownFormat},
-		{"tree format", `{"format":"ftsched-tree/v3"}`, KindUnknownFormat},
-		{"broken", `{"format":`, KindBadRequest},
-		{"array", `[1,2,3]`, KindBadRequest},
-		{"null format", `{"format":null}`, KindUnknownFormat},
+		{"v1", `{"format":"ftsched-api/v1"}`, "", ""},
+		{"missing", `{"app":{}}`, KindUnknownFormat, KindUnknownFormat},
+		{"wrong", `{"format":"ftsched-api/v2"}`, KindUnknownFormat, KindUnknownFormat},
+		{"tree format", `{"format":"ftsched-tree/v3"}`, KindUnknownFormat, KindUnknownFormat},
+		{"broken", `{"format":`, KindBadRequest, KindBadRequest},
+		{"array", `[1,2,3]`, KindBadRequest, KindBadRequest},
+		{"null format", `{"format":null}`, KindUnknownFormat, KindUnknownFormat},
+		{"empty format", `{"format":""}`, KindUnknownFormat, KindUnknownFormat},
+		{"v1, malformed payload", `{"format":"ftsched-api/v1","options":{"m":"eight"}}`, "", KindBadRequest},
+		// The body is decoded once, but unknown_format still wins over a
+		// payload that does not fit the request type.
+		{"wrong format, malformed payload", `{"format":"ftsched-api/v2","options":{"m":"eight"},"cycles":"none"}`,
+			KindUnknownFormat, KindUnknownFormat},
+		{"no format, malformed payload", `{"options":[]}`, KindUnknownFormat, KindUnknownFormat},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -53,6 +61,21 @@ func TestSniffFormat(t *testing.T) {
 			}
 			if werr != nil && werr.Code != http.StatusBadRequest {
 				t.Fatalf("code = %d, want 400", werr.Code)
+			}
+			var syn SynthesizeRequest
+			var disp DispatchRequest
+			for i, werr := range []*Error{
+				decodeInto([]byte(tc.data), &syn, &syn.Format),
+				decodeInto([]byte(tc.data), &disp, &disp.Format),
+			} {
+				switch {
+				case tc.decode == "" && werr != nil:
+					t.Fatalf("decodeInto #%d rejected %s: %v", i, tc.data, werr)
+				case tc.decode != "" && werr == nil:
+					t.Fatalf("decodeInto #%d accepted %s", i, tc.data)
+				case tc.decode != "" && werr.Kind != tc.decode:
+					t.Fatalf("decodeInto #%d kind = %q, want %q: %v", i, werr.Kind, tc.decode, werr)
+				}
 			}
 		})
 	}

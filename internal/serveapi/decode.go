@@ -19,6 +19,13 @@ import (
 // enough that a hostile body cannot exhaust memory.
 const MaxRequestBytes = 32 << 20
 
+// MaxResponseBytes bounds the response bodies the client reads. A
+// dispatch result takes about 125 bytes on the wire for the cruise
+// controller, so the ~12 MB response to a 100k-cycle batch fits with
+// room to spare, while a hostile or broken server cannot make a client
+// allocate without limit.
+const MaxResponseBytes = 32 << 20
+
 // MaxTreeSize bounds the per-request synthesis size (FTQSOptions.M) a
 // server accepts, so one request cannot monopolise a shared process with
 // an absurd tree.
@@ -49,17 +56,21 @@ func sniffFormat(data []byte) *Error {
 	return nil
 }
 
-// decodeInto sniffs the format and unmarshals the body. Unknown fields
-// are tolerated (forward compatibility within v1); unknown formats are
-// not.
-func decodeInto(data []byte, dst any) *Error {
+// decodeInto unmarshals the body into dst, whose format member format
+// points at, and applies the format discipline. Unknown fields are
+// tolerated (forward compatibility within v1); unknown formats are not.
+// The body is decoded once; sniffFormat runs only when that decode fails
+// or finds another format, so its verdict — unknown_format wins over a
+// malformed payload — and its messages stay those of sniffing first.
+func decodeInto(data []byte, dst any, format *string) *Error {
+	err := json.Unmarshal(data, dst)
+	if err == nil && *format == FormatV1 {
+		return nil
+	}
 	if werr := sniffFormat(data); werr != nil {
 		return werr
 	}
-	if err := json.Unmarshal(data, dst); err != nil {
-		return badRequest(KindBadRequest, "decoding request: %v", err)
-	}
-	return nil
+	return badRequest(KindBadRequest, "decoding request: %v", err)
 }
 
 // emptyRaw reports an absent embedded document (missing field or JSON
@@ -92,7 +103,7 @@ func checkOptions(o FTQSOptionsJSON) *Error {
 // DecodeSynthesizeRequest decodes and validates a synthesis request.
 func DecodeSynthesizeRequest(data []byte) (*SynthesizeRequest, *Error) {
 	var req SynthesizeRequest
-	if werr := decodeInto(data, &req); werr != nil {
+	if werr := decodeInto(data, &req, &req.Format); werr != nil {
 		return nil, werr
 	}
 	if emptyRaw(req.App) {
@@ -109,7 +120,7 @@ func DecodeSynthesizeRequest(data []byte) (*SynthesizeRequest, *Error) {
 // normalised config, so the server runs exactly what the library would.
 func DecodeEvalRequest(data []byte) (*EvalRequest, sim.MCConfig, *Error) {
 	var req EvalRequest
-	if werr := decodeInto(data, &req); werr != nil {
+	if werr := decodeInto(data, &req, &req.Format); werr != nil {
 		return nil, sim.MCConfig{}, werr
 	}
 	if werr := checkRef(req.TreeRef); werr != nil {
@@ -131,7 +142,7 @@ func DecodeEvalRequest(data []byte) (*EvalRequest, sim.MCConfig, *Error) {
 // config through certify.Config.Validate.
 func DecodeCertifyRequest(data []byte) (*CertifyRequest, certify.Config, *Error) {
 	var req CertifyRequest
-	if werr := decodeInto(data, &req); werr != nil {
+	if werr := decodeInto(data, &req, &req.Format); werr != nil {
 		return nil, certify.Config{}, werr
 	}
 	if werr := checkRef(req.TreeRef); werr != nil {
@@ -153,7 +164,7 @@ func DecodeCertifyRequest(data []byte) (*CertifyRequest, certify.Config, *Error)
 // config through chaos.Config.Validate.
 func DecodeChaosRequest(data []byte) (*ChaosRequest, chaos.Config, *Error) {
 	var req ChaosRequest
-	if werr := decodeInto(data, &req); werr != nil {
+	if werr := decodeInto(data, &req, &req.Format); werr != nil {
 		return nil, chaos.Config{}, werr
 	}
 	if werr := checkRef(req.TreeRef); werr != nil {
@@ -171,45 +182,58 @@ func DecodeChaosRequest(data []byte) (*ChaosRequest, chaos.Config, *Error) {
 	return &req, cfg, nil
 }
 
-// DecodeDispatchRequest decodes a batch dispatch request. Per-cycle
-// model validation needs the application and happens in the server once
-// the tree is resolved.
+// DecodeDispatchRequest decodes a batch dispatch request: one scanner
+// pass over the body (scanDispatchRequest), or decodeInto when the
+// scanner declines. Per-cycle model validation needs the application and
+// happens in the server once the tree is resolved.
 func DecodeDispatchRequest(data []byte) (*DispatchRequest, *Error) {
-	var req DispatchRequest
-	if werr := decodeInto(data, &req); werr != nil {
-		return nil, werr
-	}
-	if werr := checkRef(req.TreeRef); werr != nil {
-		return nil, werr
-	}
-	if req.Options != nil {
-		if werr := checkOptions(*req.Options); werr != nil {
+	req := scanDispatchRequest(data)
+	if req == nil {
+		req = new(DispatchRequest)
+		if werr := decodeInto(data, req, &req.Format); werr != nil {
 			return nil, werr
 		}
 	}
+	if werr := checkDispatch(req); werr != nil {
+		return nil, werr
+	}
+	return req, nil
+}
+
+// checkDispatch validates a decoded dispatch request, whichever decoder
+// produced it.
+func checkDispatch(req *DispatchRequest) *Error {
+	if werr := checkRef(req.TreeRef); werr != nil {
+		return werr
+	}
+	if req.Options != nil {
+		if werr := checkOptions(*req.Options); werr != nil {
+			return werr
+		}
+	}
 	if len(req.Cycles) == 0 {
-		return nil, badRequest(KindBadRequest, "dispatch request carries no cycles")
+		return badRequest(KindBadRequest, "dispatch request carries no cycles")
 	}
 	if req.Workers < 0 {
-		return nil, &Error{Code: http.StatusBadRequest, Kind: KindInvalidConfig, Field: "Workers",
+		return &Error{Code: http.StatusBadRequest, Kind: KindInvalidConfig, Field: "Workers",
 			Message: fmt.Sprintf("Workers must be non-negative (got %d)", req.Workers)}
 	}
 	for i, c := range req.Cycles {
 		if len(c.Durations) == 0 {
-			return nil, badRequest(KindBadRequest, "cycle %d carries no durations", i)
+			return badRequest(KindBadRequest, "cycle %d carries no durations", i)
 		}
 		if c.FaultsAt != nil && len(c.FaultsAt) != len(c.Durations) {
-			return nil, badRequest(KindBadRequest, "cycle %d: %d fault counts for %d durations",
+			return badRequest(KindBadRequest, "cycle %d: %d fault counts for %d durations",
 				i, len(c.FaultsAt), len(c.Durations))
 		}
 	}
-	return &req, nil
+	return nil
 }
 
 // DecodeReloadRequest decodes a hot-reload request.
 func DecodeReloadRequest(data []byte) (*ReloadRequest, *Error) {
 	var req ReloadRequest
-	if werr := decodeInto(data, &req); werr != nil {
+	if werr := decodeInto(data, &req, &req.Format); werr != nil {
 		return nil, werr
 	}
 	if req.TreeKey == "" {

@@ -7,11 +7,17 @@
 //
 // Every request body carries a "format" field tagged FormatV1
 // ("ftsched-api/v1") — the same format-sniffing discipline as the tree
-// encodings (ftsched-tree/v2, /v3): decoders sniff the format first and
-// reject anything else with a typed *Error, so a future v2 can change any
-// layout while v1 bodies keep decoding forever. Responses echo the format.
-// Unknown fields are ignored (forward compatibility within a version);
-// unknown formats are not.
+// encodings (ftsched-tree/v2, /v3): decoders reject any other format with
+// a typed *Error whose unknown_format kind wins over any problem in the
+// payload, so a future v2 can change any layout while v1 bodies keep
+// decoding forever. Responses echo the format. Unknown fields are ignored
+// (forward compatibility within a version); unknown formats are not.
+//
+// # Dispatch codec
+//
+// The dispatch batch request and response are decoded by a single-pass
+// scanner (codec.go) that either returns exactly what encoding/json would
+// or declines the body, which then goes through encoding/json unchanged.
 //
 // # Validation discipline
 //
