@@ -2,7 +2,6 @@ package runtime
 
 import (
 	"fmt"
-	"math"
 	"sync"
 
 	"ftsched/internal/core"
@@ -32,38 +31,6 @@ type groupRange struct {
 	start, end int32
 }
 
-// depthBuckets caps the guard binary-search depths tracked per cycle; the
-// last slot absorbs deeper searches (unreachable below 2^14 dispatch
-// groups per node).
-const depthBuckets = 16
-
-// cycleBufs is the per-cycle scratch the interpreter needs beyond the
-// caller's Result: fault budgets, stale statuses and α coefficients, plus
-// the per-cycle guard-depth tally a live sink is flushed from. They are
-// pooled so concurrent cycles on one Dispatcher stay allocation-free.
-type cycleBufs struct {
-	faultsLeft []int
-	status     []utility.StaleStatus
-	alpha      []float64
-	// ready[c] is core c's next free time; busy[c] accumulates its active
-	// time (attempts plus recovery overheads). Sized to the platform's
-	// core count; the single-core fast path uses busy[0] only.
-	ready, busy []model.Time
-	// depthCounts[d] counts guard lookups that binary-searched d steps
-	// this cycle; batched here and flushed with ObserveN once per cycle so
-	// instrumentation costs O(distinct depths), not O(lookups), in atomic
-	// operations.
-	depthCounts [depthBuckets]int32
-}
-
-// recordDepth tallies one guard lookup of the given search depth.
-func (b *cycleBufs) recordDepth(depth int) {
-	if depth >= depthBuckets {
-		depth = depthBuckets - 1
-	}
-	b.depthCounts[depth]++
-}
-
 // Dispatcher is the compiled, immutable online-scheduler state for one
 // quasi-static tree. Construction resolves the tree's overlapping guard
 // arcs into disjoint segments and caches the application topology the
@@ -72,7 +39,6 @@ func (b *cycleBufs) recordDepth(depth int) {
 // Dispatcher is safe for concurrent use by multiple goroutines.
 type Dispatcher struct {
 	tree *core.Tree
-	app  *model.Application
 
 	nodeGroups []groupRange
 	groups     []group
@@ -91,51 +57,20 @@ type Dispatcher struct {
 	// pays one branch per cycle.
 	sink obs.Sink
 
-	// Envelope configuration (WithEnvelope): when envelope is set, the run
-	// loop detects out-of-model events and applies envPolicy at the first
-	// one. emergency holds the precomputed hard-only suffix schedules
-	// PolicyShedSoft falls back to; k caches the application fault bound.
-	envelope  bool
-	envPolicy DegradePolicy
-	envClamp  bool
+	// env is the WithEnvelope configuration, nil without one: each
+	// entry's duration is checked against the fault model and the policy
+	// is applied at the first out-of-model event. emergency holds the
+	// precomputed hard-only suffix schedules PolicyShedSoft falls back to.
+	env       *EnvelopeConfig
 	emergency *core.EmergencyPlan
-	k         int
 
-	// Platform caches. multi is false on a single-core speed-1 platform,
-	// and the hot loop then never touches the per-core state: the scalar
-	// clock of the paper's model is the fast path. primCore/recCore map
-	// each process to the core of its first attempt / its re-executions;
-	// speed, powerA and powerI mirror the platform's core parameters.
-	multi    bool
-	ncores   int
-	primCore []int32
-	recCore  []int32
-	speed    []float64
-	powerA   []float64
-	powerI   []float64
-	period   model.Time
-
-	// Recovery-model caches. rec holds the application's recovery model;
-	// recOverheadOf[p] is the fixed per-fault overhead of process p under
-	// it (µ for re-execution, the restart latency, or the rollback cost),
-	// precomputed so the attempt loop pays one slice index. checkpointing
-	// short-circuits the per-attempt segment arithmetic for the two
-	// models that do not need it.
-	rec           model.RecoveryModel
-	checkpointing bool
-	recOverheadOf []model.Time
+	// kern is the attempt kernel; loop is the cycle loop NewDispatcher
+	// selected from the platform: loopCanonical on the paper's single
+	// core at speed 1, loopMapped on any other.
+	kern kernel
+	loop func(*Dispatcher, *cycleState)
 
 	bufs sync.Pool
-}
-
-// scaleOn converts a nominal duration to wall-clock time on one core,
-// matching model.Platform.Scale exactly (identity at speed 1).
-func (d *Dispatcher) scaleOn(c int32, t model.Time) model.Time {
-	s := d.speed[c]
-	if s == 1 || t <= 0 {
-		return t
-	}
-	return model.Time(math.Ceil(float64(t) / s))
 }
 
 // Option configures a Dispatcher at construction.
@@ -177,69 +112,46 @@ func NewDispatcher(tree *core.Tree, opts ...Option) (*Dispatcher, error) {
 	n := app.N()
 	d := &Dispatcher{
 		tree:    tree,
-		app:     app,
 		procs:   make([]model.Process, n),
 		order:   make([]int, n),
 		preds:   make([][]int, n),
 		hardIDs: app.HardIDs(),
-		k:       app.K(),
+		kern:    newKernel(app),
 	}
 	for _, opt := range opts {
 		opt(d)
 	}
-	if d.envelope {
-		if d.envPolicy < PolicyStrict || d.envPolicy > PolicyBestEffort {
-			return nil, fmt.Errorf("runtime: unknown DegradePolicy %d", int(d.envPolicy))
+	if d.env != nil {
+		if d.env.Policy < PolicyStrict || d.env.Policy > PolicyBestEffort {
+			return nil, fmt.Errorf("runtime: unknown DegradePolicy %d", int(d.env.Policy))
 		}
-		if d.envPolicy == PolicyShedSoft {
+		d.kern.bound, d.kern.policy = app.K(), d.env.Policy
+		if d.env.Policy == PolicyShedSoft {
 			d.emergency = core.BuildEmergencyPlan(tree)
 		}
-	}
-	for id := 0; id < n; id++ {
-		d.procs[id] = app.Proc(model.ProcessID(id))
 	}
 	for i, id := range app.Topo() {
 		d.order[i] = int(id)
 	}
 	for id := 0; id < n; id++ {
-		ps := app.Preds(model.ProcessID(id))
-		row := make([]int, len(ps))
+		pid := model.ProcessID(id)
+		d.procs[id] = app.Proc(pid)
+		ps := app.Preds(pid)
+		d.preds[id] = make([]int, len(ps))
 		for i, p := range ps {
-			row[i] = int(p)
+			d.preds[id][i] = int(p)
 		}
-		d.preds[id] = row
 	}
-	plat := app.Platform()
-	d.ncores = plat.NCores()
-	d.multi = !plat.IsDefault()
-	d.period = app.Period()
-	d.primCore = make([]int32, n)
-	d.recCore = make([]int32, n)
-	for id := 0; id < n; id++ {
-		d.primCore[id] = int32(app.CoreOf(model.ProcessID(id)))
-		d.recCore[id] = int32(app.RecoveryCoreOf(model.ProcessID(id)))
+	d.loop = (*Dispatcher).loopMapped
+	if app.Platform().IsDefault() {
+		d.loop = (*Dispatcher).loopCanonical
 	}
-	d.speed = make([]float64, d.ncores)
-	d.powerA = make([]float64, d.ncores)
-	d.powerI = make([]float64, d.ncores)
-	for c := 0; c < d.ncores; c++ {
-		cc := plat.Core(model.CoreID(c))
-		d.speed[c] = cc.Speed
-		d.powerA[c] = cc.PowerActive
-		d.powerI[c] = cc.PowerIdle
-	}
-	d.rec = app.Recovery()
-	if err := d.rec.Validate(); err != nil {
+	ncores := len(d.kern.cores)
+	if err := d.kern.rec.Validate(); err != nil {
 		return nil, &MalformedTreeError{Err: err}
 	}
-	d.checkpointing = d.rec.Kind == model.RecoverCheckpoint
-	d.recOverheadOf = make([]model.Time, n)
-	for id := 0; id < n; id++ {
-		d.recOverheadOf[id] = app.RecoveryOverhead(model.ProcessID(id))
-	}
-	ncores := d.ncores
 	d.bufs.New = func() any {
-		return &cycleBufs{
+		return &cycleState{
 			faultsLeft: make([]int, n),
 			status:     make([]utility.StaleStatus, n),
 			alpha:      make([]float64, n),
@@ -380,24 +292,24 @@ func (d *Dispatcher) Tree() *core.Tree { return d.tree }
 
 // next resolves the schedule switch after entry pos of node id completed
 // (or was abandoned) at time tc — the compiled equivalent of
-// core.Tree.Next, with identical semantics. With a live sink (bufs
-// non-nil), every guard lookup's binary-search depth is tallied into the
-// cycle scratch.
-func (d *Dispatcher) next(id core.NodeID, pos int, tc model.Time, outcome core.EntryOutcome, bufs *cycleBufs) core.NodeID {
+// core.Tree.Next, with identical semantics. With a live sink, every
+// guard lookup's binary-search depth is tallied into the cycle state st
+// (nil outside a cycle).
+func (d *Dispatcher) next(id core.NodeID, pos int, tc model.Time, outcome core.EntryOutcome, st *cycleState) core.NodeID {
 	switch outcome {
 	case core.CompletedOK:
-		if c := d.lookup(id, pos, core.Completion, tc, bufs); c != core.NoNode {
+		if c := d.lookup(id, pos, core.Completion, tc, st); c != core.NoNode {
 			return c
 		}
 	case core.CompletedRecovered:
-		if c := d.lookup(id, pos, core.FaultRecovered, tc, bufs); c != core.NoNode {
+		if c := d.lookup(id, pos, core.FaultRecovered, tc, st); c != core.NoNode {
 			return c
 		}
-		if c := d.lookup(id, pos, core.Completion, tc, bufs); c != core.NoNode {
+		if c := d.lookup(id, pos, core.Completion, tc, st); c != core.NoNode {
 			return c
 		}
 	case core.DroppedByFault:
-		if c := d.lookup(id, pos, core.FaultDropped, tc, bufs); c != core.NoNode {
+		if c := d.lookup(id, pos, core.FaultDropped, tc, st); c != core.NoNode {
 			return c
 		}
 	}
@@ -405,9 +317,9 @@ func (d *Dispatcher) next(id core.NodeID, pos int, tc model.Time, outcome core.E
 }
 
 // lookup binary-searches the node's compiled groups for (pos, kind), then
-// the group's disjoint segments for tc. stats (nil when instrumentation is
-// off) receives the total search depth.
-func (d *Dispatcher) lookup(id core.NodeID, pos int, kind core.ArcKind, tc model.Time, stats *cycleBufs) core.NodeID {
+// the group's disjoint segments for tc, tallying the total search depth
+// into st.
+func (d *Dispatcher) lookup(id core.NodeID, pos int, kind core.ArcKind, tc model.Time, st *cycleState) core.NodeID {
 	depth := 0
 	gr := d.nodeGroups[id]
 	gs := d.groups[gr.start:gr.end]
@@ -423,9 +335,7 @@ func (d *Dispatcher) lookup(id core.NodeID, pos int, kind core.ArcKind, tc model
 		}
 	}
 	if lo >= len(gs) || int(gs[lo].pos) != pos || gs[lo].kind != kind {
-		if stats != nil {
-			stats.recordDepth(depth)
-		}
+		d.tally(st, depth)
 		return core.NoNode
 	}
 	segs := d.segs[gs[lo].segStart:gs[lo].segEnd]
@@ -439,9 +349,7 @@ func (d *Dispatcher) lookup(id core.NodeID, pos int, kind core.ArcKind, tc model
 			b = mid
 		}
 	}
-	if stats != nil {
-		stats.recordDepth(depth)
-	}
+	d.tally(st, depth)
 	if a < len(segs) && segs[a].lo <= tc && tc <= segs[a].hi {
 		return segs[a].child
 	}
@@ -452,7 +360,7 @@ func (d *Dispatcher) lookup(id core.NodeID, pos int, kind core.ArcKind, tc model
 // cannot fault; it deliberately does not duplicate Scenario.Validate (out
 // of the hot path — validate untrusted scenarios explicitly).
 func (d *Dispatcher) checkScenario(sc Scenario) error {
-	if n := d.app.N(); len(sc.Durations) != n || len(sc.FaultsAt) != n {
+	if n := len(d.procs); len(sc.Durations) != n || len(sc.FaultsAt) != n {
 		return &ScenarioSizeError{Durations: len(sc.Durations), Faults: len(sc.FaultsAt), Want: n}
 	}
 	return nil
@@ -497,502 +405,13 @@ func (d *Dispatcher) RunTrace(sc Scenario) (Result, []TraceEvent, error) {
 	return res, events, err
 }
 
-// resizeInt/resizeTime/resizeOutcome reuse a slice when it has capacity.
-func resizeOutcome(s []ProcessOutcome, n int) []ProcessOutcome {
+// resize returns s resized to n zero elements, reusing its array when
+// the capacity allows (the zero ProcessOutcome is NotScheduled).
+func resize[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]ProcessOutcome, n)
+		return make([]T, n)
 	}
 	s = s[:n]
-	for i := range s {
-		s[i] = NotScheduled
-	}
+	clear(s)
 	return s
-}
-
-func resizeTime(s []model.Time, n int) []model.Time {
-	if cap(s) < n {
-		return make([]model.Time, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
-	return s
-}
-
-func resizeFloat(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
-	return s
-}
-
-// run is the interpreter: entries of the active schedule run in order;
-// faults trigger in-slack re-execution (or run-time dropping for soft
-// processes out of recovery budget); after every entry the compiled guard
-// table is consulted and the best matching switch is taken. With an
-// envelope attached, out-of-model events (WCET overruns, faults beyond k,
-// time regressions) are detected at the completion of the affected
-// execution and the configured DegradePolicy is applied at the first one;
-// the non-nil error is a *EnvelopeError (PolicyStrict only).
-func (d *Dispatcher) run(res *Result, sc Scenario, events *[]TraceEvent) error {
-	app := d.app
-	n := app.N()
-	res.Utility = 0
-	res.Outcomes = resizeOutcome(res.Outcomes, n)
-	res.CompletionTimes = resizeTime(res.CompletionTimes, n)
-	res.HardViolations = res.HardViolations[:0]
-	res.Violations = res.Violations[:0]
-	res.Makespan = 0
-	res.Switches = 0
-	res.FaultsConsumed = 0
-	res.Recoveries = 0
-	res.Fallbacks = 0
-	res.Degraded = false
-	res.ShedSlack = 0
-	res.OverrunTotal = 0
-
-	bufs := d.bufs.Get().(*cycleBufs)
-	faultsLeft := bufs.faultsLeft
-	copy(faultsLeft, sc.FaultsAt)
-
-	// Per-core timelines. On the canonical single-core platform only
-	// busy[0] is touched (energy accounting); the scalar clock below is
-	// the paper's sequential model, byte-identical to the pre-platform
-	// dispatcher.
-	multi := d.multi
-	ready := bufs.ready
-	busy := bufs.busy
-	if multi {
-		for c := range ready {
-			ready[c] = 0
-			busy[c] = 0
-		}
-	} else {
-		busy[0] = 0
-	}
-
-	// One branch decides the whole cycle's instrumentation: with no sink,
-	// stats stays nil and the hot path below never touches it.
-	sink := d.sink
-	var stats *cycleBufs
-	if sink != nil {
-		stats = bufs
-	}
-	var abandoned, budgetExhausted int64
-	var overruns, extraFaults, regressions int64
-	// tripped: an out-of-model event was recorded (envelope only).
-	// shedding: PolicyShedSoft tripped — hard entries re-execute without
-	// budget, soft victims of extra faults are abandoned immediately.
-	// onEmergency: entries points at the emergency hard-only suffix, so
-	// positions no longer match the tree node and guard dispatch is off.
-	tripped, shedding, onEmergency := false, false, false
-
-	node := core.NodeID(0)
-	entries := d.tree.Nodes[node].Schedule.Entries
-	now := model.Time(0)
-	for pos := 0; pos < len(entries); pos++ {
-		e := entries[pos]
-		p := &d.procs[e.Proc]
-		var start model.Time
-		var pc int32
-		if multi {
-			// Mapped start: the primary core's ready time, the release,
-			// and cross-core precedence — completed predecessors may have
-			// finished later on another core. Abandoned or dropped
-			// predecessors impose nothing (stale value).
-			pc = d.primCore[e.Proc]
-			start = ready[pc]
-			if p.Release > start {
-				start = p.Release
-			}
-			for _, q := range d.preds[e.Proc] {
-				if res.Outcomes[q] == Completed && res.CompletionTimes[q] > start {
-					start = res.CompletionTimes[q]
-				}
-			}
-		} else {
-			start = now
-			if p.Release > start {
-				start = p.Release
-			}
-		}
-
-		// The sampled duration is a property of the cycle (re-executions
-		// take the same time), so envelope detection on it happens once
-		// per entry; clamping truncates every attempt alike. The excess
-		// beyond WCET still materialises once per attempt, which is what
-		// OverrunTotal accumulates below.
-		dur := sc.Durations[e.Proc]
-		var excess model.Time
-		if d.envelope {
-			if dur < 0 {
-				res.Violations = append(res.Violations, ViolationEvent{Kind: TimeRegression, Proc: e.Proc, At: start, Magnitude: -dur})
-				regressions++
-				tripped = true
-				shedding = shedding || d.envPolicy == PolicyShedSoft
-				if d.envClamp {
-					dur = 0
-				}
-			} else if dur > p.WCET {
-				res.Violations = append(res.Violations, ViolationEvent{Kind: WCETOverrun, Proc: e.Proc, At: start + dur, Magnitude: dur - p.WCET})
-				overruns++
-				if sink != nil {
-					sink.Observe(obs.EnvelopeOverrunMagnitude, int64(dur-p.WCET))
-				}
-				tripped = true
-				shedding = shedding || d.envPolicy == PolicyShedSoft
-				if d.envClamp {
-					dur = p.WCET
-				} else {
-					excess = dur - p.WCET
-				}
-			}
-		}
-
-		// Execute with in-slack re-execution.
-		outcome := core.CompletedOK
-		faulted := false
-		completed := false
-		budgetOut := false
-		t := start
-		ac := pc // core of the current attempt (multi only)
-		for attempt := 0; ; attempt++ {
-			if events != nil {
-				*events = append(*events, TraceEvent{Kind: TraceStart, At: t, Proc: e.Proc, Attempt: attempt})
-			}
-			// Wall-clock time of this attempt on the attempt core. Under
-			// checkpointing the first attempt pays its checkpoint
-			// overheads; every later attempt re-runs only the final
-			// segment after the last checkpoint (the rollback point is
-			// determined by the sampled duration's segment geometry).
-			var w model.Time
-			if multi {
-				w = d.scaleOn(ac, dur)
-			} else {
-				w = dur
-			}
-			if d.checkpointing {
-				if attempt == 0 {
-					w = d.rec.AttemptTime(w)
-				} else {
-					w = d.rec.ResumeTime(w)
-				}
-			}
-			t += w
-			if multi {
-				busy[ac] += w
-				ready[ac] = t
-			} else {
-				busy[0] += w
-			}
-			// An injected overrun materialises in full on the first
-			// attempt; a checkpoint re-run repeats only its final segment,
-			// so at most that much of the excess recurs.
-			ex := excess
-			if attempt > 0 && d.checkpointing && ex > w {
-				ex = w
-			}
-			res.OverrunTotal += ex
-			if faultsLeft[e.Proc] > 0 {
-				// This attempt is hit by a transient fault,
-				// detected at the end of the execution.
-				faultsLeft[e.Proc]--
-				res.FaultsConsumed++
-				faulted = true
-				if events != nil {
-					*events = append(*events, TraceEvent{Kind: TraceFault, At: t, Proc: e.Proc, Attempt: attempt})
-				}
-				if d.envelope && res.FaultsConsumed > d.k {
-					res.Violations = append(res.Violations, ViolationEvent{Kind: ExtraFault, Proc: e.Proc, At: t, Magnitude: model.Time(res.FaultsConsumed - d.k)})
-					extraFaults++
-					tripped = true
-					if d.envPolicy == PolicyShedSoft {
-						shedding = true
-						if p.Kind == model.Soft {
-							// Abandon the soft victim without re-executing:
-							// recovery time spent on it would eat into the
-							// slack the emergency suffix is about to need.
-							break
-						}
-					}
-				}
-				if attempt < e.Recoveries || (shedding && p.Kind == model.Hard) {
-					// Resume after the per-fault overhead of the recovery
-					// model (µ, restart latency, or rollback cost). In shed
-					// mode hard processes re-execute without budget: the
-					// envelope's promise is to finish them if time allows.
-					if events != nil {
-						*events = append(*events, TraceEvent{Kind: TraceRecovery, At: t, Proc: e.Proc, Attempt: attempt})
-					}
-					oh := d.recOverheadOf[e.Proc]
-					t += oh
-					res.Recoveries++
-					if multi {
-						if d.checkpointing {
-							// A rollback restores local checkpoint state:
-							// the re-run stays on the primary core.
-							busy[ac] += oh
-						} else {
-							// The recovery overhead runs on the recovery
-							// core; the re-execution additionally waits
-							// for that core to come free.
-							rc := d.recCore[e.Proc]
-							busy[rc] += oh
-							if ready[rc] > t {
-								t = ready[rc]
-							}
-							ac = rc
-						}
-					} else {
-						busy[0] += oh
-					}
-					continue
-				}
-				// Recovery budget exhausted: abandon.
-				budgetOut = true
-				break
-			}
-			completed = true
-			break
-		}
-		now = t
-
-		if completed {
-			res.Outcomes[e.Proc] = Completed
-			res.CompletionTimes[e.Proc] = now
-			if events != nil {
-				*events = append(*events, TraceEvent{Kind: TraceComplete, At: now, Proc: e.Proc})
-			}
-			if faulted {
-				outcome = core.CompletedRecovered
-			}
-			if p.Kind == model.Hard {
-				if sink != nil {
-					sink.Observe(obs.DispatchHardSlack, int64(p.Deadline-now))
-				}
-				if now > p.Deadline {
-					res.HardViolations = append(res.HardViolations, e.Proc)
-				}
-			}
-		} else {
-			res.Outcomes[e.Proc] = AbandonedByFault
-			outcome = core.DroppedByFault
-			abandoned++
-			if budgetOut {
-				// Exactly Recoveries+1 attempts ran, each hit by a fault.
-				res.Violations = append(res.Violations, ViolationEvent{Kind: BudgetExhausted, Proc: e.Proc, At: now, Magnitude: model.Time(e.Recoveries + 1)})
-				budgetExhausted++
-			}
-			if events != nil {
-				*events = append(*events, TraceEvent{Kind: TraceAbandon, At: now, Proc: e.Proc})
-			}
-			if p.Kind == model.Hard {
-				// Cannot happen for NFaults <= k: hard entries
-				// carry k recoveries. Record as violation.
-				res.HardViolations = append(res.HardViolations, e.Proc)
-			}
-		}
-		if now > res.Makespan {
-			// Running maximum: on a single core now is monotone so this
-			// equals the plain assignment; on a mapped platform a later
-			// entry can finish earlier on another core.
-			res.Makespan = now
-		}
-
-		if shedding && !onEmergency {
-			// First out-of-model event under PolicyShedSoft: drop every
-			// remaining soft process and finish the hard ones on the
-			// precomputed emergency suffix. ShedSlack conservatively
-			// accounts only the soft WCETs recovered before the first
-			// remaining hard entry — time guaranteed returned before the
-			// next hard deadline is at stake.
-			for i := pos + 1; i < len(entries); i++ {
-				sp := &d.procs[entries[i].Proc]
-				if sp.Kind == model.Hard {
-					break
-				}
-				// A shed soft entry returns its whole fault-free attempt,
-				// checkpoint overheads included (identity off checkpointing).
-				res.ShedSlack += d.rec.AttemptTime(sp.WCET)
-			}
-			entries = d.emergency.Suffix(node, pos+1)
-			onEmergency = true
-			res.Degraded = true
-			if sink != nil {
-				sink.Add(obs.EnvelopeSheds, 1)
-			}
-			pos = -1
-			continue
-		}
-		if tripped && d.envPolicy == PolicyStrict {
-			// Strict containment: stop dispatching after accounting the
-			// violating entry. Hard processes that never ran are recorded
-			// by the final pass below.
-			break
-		}
-		if onEmergency {
-			// Guard dispatch is off: positions index the emergency
-			// suffix, not the tree node's schedule, and the guards price
-			// soft utility that was just shed.
-			continue
-		}
-		if multi {
-			// A guard switch is taken only when every core has caught up
-			// to the decision time: switch points are synchronisation
-			// points, so the child schedule's verified start state (all
-			// cores free at the guard time) soundly over-approximates the
-			// actual state. Staying on the current node is always
-			// deadline-safe. Trivially true on a single core.
-			synced := true
-			for c := 0; c < d.ncores; c++ {
-				if ready[c] > now {
-					synced = false
-					break
-				}
-			}
-			if !synced {
-				continue
-			}
-		}
-
-		next := d.next(node, pos, now, outcome, stats)
-		if next != node {
-			// Graceful degradation: the construction audit guarantees every
-			// compiled segment targets a usable node, so an unusable target
-			// here means the table (or the tree behind it) was corrupted
-			// after construction. Fall back to the root f-schedule — safe
-			// for any ≤ k scenario by the paper's root guarantee — rather
-			// than dereferencing a broken node.
-			if next < 0 || int(next) >= len(d.tree.Nodes) || d.tree.Nodes[next].Schedule == nil {
-				res.Fallbacks++
-				if sink != nil {
-					sink.Add(obs.DispatchGuardFallbacks, 1)
-				}
-				next = 0
-			}
-		}
-		if next != node {
-			if sink != nil {
-				sink.Observe(obs.DispatchSwitchNode, int64(next))
-			}
-			node = next
-			entries = d.tree.Nodes[node].Schedule.Entries
-			res.Switches++
-			if events != nil {
-				*events = append(*events, TraceEvent{Kind: TraceSwitch, At: now, Proc: e.Proc, Node: int(node)})
-			}
-		}
-	}
-	res.FinalNode = int(node)
-
-	// Hard processes that never ran are violations too.
-	for _, h := range d.hardIDs {
-		if res.Outcomes[h] != Completed {
-			already := false
-			for _, v := range res.HardViolations {
-				if v == h {
-					already = true
-					break
-				}
-			}
-			if !already {
-				res.HardViolations = append(res.HardViolations, h)
-			}
-		}
-	}
-
-	res.Utility = d.totalUtility(res.Outcomes, res.CompletionTimes, bufs)
-
-	// Energy accounting: active energy is per-core busy time × active
-	// power; idle energy is the remainder of the operation cycle × idle
-	// power (clamped at zero for out-of-model cycles that overran the
-	// period). On the canonical platform (power 1/0) Energy equals the
-	// core's busy time.
-	res.CoreBusy = resizeTime(res.CoreBusy, d.ncores)
-	res.CoreEnergy = resizeFloat(res.CoreEnergy, d.ncores)
-	var eact, eidl float64
-	for c := 0; c < d.ncores; c++ {
-		b := busy[c]
-		idle := d.period - b
-		if idle < 0 {
-			idle = 0
-		}
-		ea := float64(b) * d.powerA[c]
-		ei := float64(idle) * d.powerI[c]
-		res.CoreBusy[c] = b
-		res.CoreEnergy[c] = ea + ei
-		eact += ea
-		eidl += ei
-	}
-	res.EnergyActive = eact
-	res.EnergyIdle = eidl
-	res.Energy = eact + eidl
-
-	if sink != nil {
-		sink.Add(obs.DispatchCycles, 1)
-		sink.Add(obs.DispatchEnergy, int64(res.Energy))
-		sink.Observe(obs.DispatchCycleEnergy, int64(res.Energy))
-		sink.Add(obs.DispatchSwitches, int64(res.Switches))
-		sink.Add(obs.DispatchFaultsAbsorbed, int64(res.Recoveries))
-		sink.Add(obs.DispatchFaultsAbandoned, abandoned)
-		if overruns != 0 {
-			sink.Add(obs.EnvelopeOverruns, overruns)
-		}
-		if extraFaults != 0 {
-			sink.Add(obs.EnvelopeExtraFaults, extraFaults)
-		}
-		if regressions != 0 {
-			sink.Add(obs.EnvelopeTimeRegressions, regressions)
-		}
-		if budgetExhausted != 0 {
-			sink.Add(obs.EnvelopeBudgetExhausted, budgetExhausted)
-		}
-		// Flush (and zero — pooled scratch must come back clean) the
-		// guard-depth tally: one ObserveN per distinct depth.
-		for i, c := range bufs.depthCounts {
-			if c != 0 {
-				sink.ObserveN(obs.DispatchGuardDepth, int64(i), int64(c))
-				bufs.depthCounts[i] = 0
-			}
-		}
-	}
-	d.bufs.Put(bufs)
-
-	if tripped && d.envPolicy == PolicyStrict {
-		// Error path: copying the event record allocates, but strict
-		// callers are aborting the cycle anyway — the 0-alloc guarantee
-		// covers in-model cycles.
-		evs := make([]ViolationEvent, len(res.Violations))
-		copy(evs, res.Violations)
-		return &EnvelopeError{Policy: PolicyStrict, Events: evs}
-	}
-	return nil
-}
-
-// totalUtility applies the stale-value model to the realised outcomes,
-// using the cached topology and pooled coefficient buffers. The arithmetic
-// matches app.StaleCoefficients exactly (same order, same operations).
-func (d *Dispatcher) totalUtility(outcomes []ProcessOutcome, done []model.Time, bufs *cycleBufs) float64 {
-	status := bufs.status
-	for id := range status {
-		if outcomes[id] == Completed {
-			status[id] = utility.Executed
-		} else {
-			status[id] = utility.Dropped
-		}
-	}
-	utility.CoefficientsInto(bufs.alpha, d.order, d.preds, status)
-	var total float64
-	for id := range d.procs {
-		if d.procs[id].Kind != model.Soft || outcomes[id] != Completed {
-			continue
-		}
-		total += bufs.alpha[id] * d.app.UtilityOf(model.ProcessID(id)).Value(done[id])
-	}
-	return total
 }

@@ -14,6 +14,18 @@
 // — one for the (position, outcome-kind) group, one for the completion
 // time — with no per-arc gain comparison left at run time.
 //
+// A cycle is four parts. An explicit cycleState holds what the cycle
+// changes: the active node, position and entries, the per-core ready and
+// busy times, the fault budgets, the envelope flags and the counters. The
+// attempt kernel runs one entry's attempts and alone knows the recovery
+// semantics; a per-entry step wraps it with envelope detection, outcome
+// booking, shedding and guard dispatch; a finish pass records hard
+// processes that never ran and computes utility and energy. NewDispatcher
+// picks the cycle loop once from the platform: the paper's single clock,
+// or per-core timelines with cross-core precedence and synchronised
+// switch points. Kernel lends the attempt kernel to the online
+// rescheduler in internal/sim.
+//
 // A Dispatcher is immutable after construction and safe for concurrent
 // use. The execution entry points are allocation-free on the hot path:
 // RunInto reuses the caller's Result buffers and per-cycle scratch

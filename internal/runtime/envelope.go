@@ -136,7 +136,11 @@ func (k *ViolationKind) UnmarshalText(text []byte) error {
 // the kind: the time beyond WCET for WCETOverrun, how far the consumed
 // fault count exceeds k for ExtraFault (1 for the k+1-th fault), the
 // number of faults that hit the abandoned process for BudgetExhausted,
-// and the amount time ran backwards for TimeRegression.
+// and the amount time ran backwards for TimeRegression. At is the
+// detection time: for WCETOverrun the end of the entry's first attempt as
+// executed (after Clamp, core-speed scaling and checkpoint overheads),
+// for ExtraFault the end of the faulted attempt, for BudgetExhausted the
+// abandonment, and for TimeRegression the entry's start.
 type ViolationEvent struct {
 	Kind      ViolationKind   `json:"kind"`
 	Proc      model.ProcessID `json:"proc"`
@@ -169,9 +173,7 @@ type EnvelopeConfig struct {
 // per cycle.
 func WithEnvelope(cfg EnvelopeConfig) Option {
 	return func(d *Dispatcher) {
-		d.envelope = true
-		d.envPolicy = cfg.Policy
-		d.envClamp = cfg.Clamp
+		d.env = &cfg
 	}
 }
 

@@ -254,3 +254,60 @@ func BenchmarkDispatchRecovery(b *testing.B) {
 		})
 	}
 }
+
+// TestWCETOverrunDetectedAtFirstCompletion: a WCETOverrun is detected at
+// the completion of the affected entry's first attempt as executed, so At
+// is that attempt's end after clamping, core-speed scaling and checkpoint
+// overheads. One hard process (WCET 30) runs a 50-unit duration, no fault,
+// under best-effort.
+func TestWCETOverrunDetectedAtFirstCompletion(t *testing.T) {
+	cases := []struct {
+		name  string
+		m     model.RecoveryModel
+		hp    bool // primary on the speed-2 core of lpHP
+		clamp bool
+		at    model.Time
+	}{
+		{"reexec", model.ReExecutionModel(), false, false, 50},
+		{"restart", model.RestartModel(7), false, false, 50},
+		// 50 + (50-1)/10·2 checkpoint overheads = 58.
+		{"checkpoint", model.CheckpointModel(10, 2, 3), false, false, 58},
+		// ceil(50/2) on the speed-2 core.
+		{"speed-2", model.ReExecutionModel(), true, false, 25},
+		// The watchdog cuts the attempt at WCET.
+		{"clamp", model.ReExecutionModel(), false, true, 30},
+		// Clamped to 30, plus (30-1)/10·2 overheads = 34.
+		{"checkpoint clamp", model.CheckpointModel(10, 2, 3), false, true, 34},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tree := recFixture(t, tc.m)
+			if tc.hp {
+				app, err := tree.App.WithPlatform(lpHP(t), model.Mapping{
+					Primary:  []model.CoreID{1},
+					Recovery: []model.CoreID{1},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				tree = sim.StaticTree(app, tree.Nodes[0].Schedule)
+			}
+			d := runtime.MustNewDispatcher(tree, runtime.WithEnvelope(runtime.EnvelopeConfig{
+				Policy: runtime.PolicyBestEffort, Clamp: tc.clamp,
+			}))
+			res, err := d.Run(runtime.Scenario{Durations: []model.Time{50}, FaultsAt: []int{0}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Violations) != 1 || res.Violations[0].Kind != runtime.WCETOverrun {
+				t.Fatalf("violations %+v, want one WCETOverrun", res.Violations)
+			}
+			if ev := res.Violations[0]; ev.At != tc.at || ev.Magnitude != 20 {
+				t.Errorf("event at %d magnitude %d, want at %d magnitude 20", ev.At, ev.Magnitude, tc.at)
+			}
+			if res.CompletionTimes[0] != tc.at {
+				t.Errorf("completion %d, want %d (no fault: detection is at completion)", res.CompletionTimes[0], tc.at)
+			}
+		})
+	}
+}

@@ -110,9 +110,11 @@ type Result struct {
 	// was dropped and the cycle finished on the emergency hard-only
 	// suffix schedule.
 	Degraded bool
-	// ShedSlack is the conservative slack recovered by shedding: the
-	// summed WCET of the soft entries skipped between the shed point and
-	// the first remaining hard entry. Zero unless Degraded.
+	// ShedSlack is the conservative slack recovered by shedding: the sum
+	// of AttemptTime(WCET) under the recovery model (the fault-free
+	// attempt, checkpoint overheads included) over the soft entries
+	// skipped between the shed point and the first remaining hard entry.
+	// Zero unless Degraded.
 	ShedSlack model.Time
 	// OverrunTotal is the materialised out-of-model execution excess: for
 	// every attempt that ran longer than its process WCET, the excess

@@ -58,92 +58,34 @@ func RunOnlineReschedule(app *model.Application, root *schedule.FSchedule, sc Sc
 	if plat := app.Platform(); !plat.IsDefault() {
 		return RescheduleResult{}, &ReschedulePlatformError{Platform: plat.String()}
 	}
-	res := RescheduleResult{
-		Result: runtime.Result{
-			Outcomes:        make([]runtime.ProcessOutcome, app.N()),
-			CompletionTimes: make([]model.Time, app.N()),
-		},
-	}
-	faultsLeft := make([]int, app.N())
-	copy(faultsLeft, sc.FaultsAt)
-
+	var res RescheduleResult
+	kern := runtime.NewKernel(app, &res.Result, sc)
 	executedIDs := make([]model.ProcessID, 0, app.N())
 	droppedIDs := make([]model.ProcessID, 0, app.N())
-	kRem := app.K()
-	now := model.Time(0)
 	// The active remainder is consumed by index: root.Entries is never
 	// mutated, and every accepted re-synthesis replaces the slice
-	// wholesale, so no per-cycle defensive copy is needed. exSet and the
-	// drop scratch are likewise reused across iterations instead of being
-	// rebuilt per processed entry.
+	// wholesale, so no per-cycle defensive copy is needed. The drop
+	// scratch is likewise reused across iterations.
 	remaining := root.Entries
 	idx := 0
-	exSet := make([]bool, app.N())
 	dropBuf := make([]model.ProcessID, 0, app.N())
 
 	for idx < len(remaining) {
 		e := remaining[idx]
 		idx++
-		p := app.Proc(e.Proc)
-		start := now
-		if p.Release > start {
-			start = p.Release
-		}
-
-		completed := false
-		t := start
-		rec := app.Recovery()
-		dur := sc.Durations[e.Proc]
-		for attempt := 0; ; attempt++ {
-			// First attempt pays the recovery model's per-attempt cost
-			// (checkpoint overheads); later attempts re-run only what the
-			// model requires (the full duration, or the final checkpoint
-			// segment). Identity under canonical re-execution.
-			if attempt == 0 {
-				t += rec.AttemptTime(dur)
-			} else {
-				t += rec.ResumeTime(dur)
-			}
-			if faultsLeft[e.Proc] > 0 {
-				faultsLeft[e.Proc]--
-				res.FaultsConsumed++
-				kRem--
-				if attempt < e.Recoveries {
-					t += app.RecoveryOverhead(e.Proc)
-					res.Recoveries++
-					continue
-				}
-				break
-			}
-			completed = true
-			break
-		}
-		now = t
+		now, completed := kern.Run(e)
 		res.Makespan = now
-
 		if completed {
-			res.Outcomes[e.Proc] = runtime.Completed
-			res.CompletionTimes[e.Proc] = now
 			executedIDs = append(executedIDs, e.Proc)
-			exSet[e.Proc] = true
-			if p.Kind == model.Hard && now > p.Deadline {
-				res.HardViolations = append(res.HardViolations, e.Proc)
-			}
 		} else {
-			res.Outcomes[e.Proc] = runtime.AbandonedByFault
 			droppedIDs = append(droppedIDs, e.Proc)
-			if p.Kind == model.Hard {
-				res.HardViolations = append(res.HardViolations, e.Proc)
-			}
 		}
 
 		if idx >= len(remaining) {
 			break
 		}
 		// Recompute the remainder for the observed state.
-		if kRem < 0 {
-			kRem = 0
-		}
+		kRem := max(app.K()-res.FaultsConsumed, 0)
 		// A process that was passed over while one of its successors
 		// executed must stay out of future schedules: its consumer
 		// already ran on the stale value (same soundness rule as FTQS
@@ -151,11 +93,11 @@ func RunOnlineReschedule(app *model.Application, root *schedule.FSchedule, sc Sc
 		drop := append(dropBuf[:0], droppedIDs...)
 		for id := 0; id < app.N(); id++ {
 			pid := model.ProcessID(id)
-			if exSet[id] || res.Outcomes[id] == runtime.AbandonedByFault {
+			if res.Outcomes[id] != runtime.NotScheduled {
 				continue
 			}
 			for _, s := range app.Succs(pid) {
-				if exSet[s] {
+				if res.Outcomes[s] == runtime.Completed {
 					drop = append(drop, pid)
 					break
 				}
@@ -174,21 +116,6 @@ func RunOnlineReschedule(app *model.Application, root *schedule.FSchedule, sc Sc
 		// sized for the faults that can still occur.
 	}
 	res.FinalNode = -1 // no tree node: schedules are synthesised live
-
-	for _, h := range app.HardIDs() {
-		if res.Outcomes[h] != runtime.Completed {
-			already := false
-			for _, v := range res.HardViolations {
-				if v == h {
-					already = true
-					break
-				}
-			}
-			if !already {
-				res.HardViolations = append(res.HardViolations, h)
-			}
-		}
-	}
-	res.Utility = runtime.TotalUtility(app, res.Outcomes, res.CompletionTimes)
+	kern.Finish()
 	return res, nil
 }
