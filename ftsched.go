@@ -460,17 +460,18 @@ func LinearDropUtility(v0 float64, tStart, tEnd Time) (UtilityFunction, error) {
 func FTSS(app *Application) (*FSchedule, error) { return core.FTSS(app) }
 
 // FTQS synthesises a quasi-static tree of at most opts.M schedules (§5.1).
-// The synthesis fans candidate sub-schedule generation out over
-// opts.Workers goroutines (default: one per CPU) and memoises identical
+// The synthesis fans each node's candidate positions out over
+// opts.Workers goroutines (default: GOMAXPROCS) and memoises identical
 // suffix syntheses across the tree; the resulting tree is identical for
 // every worker count. It is FTQSContext with a background context.
 func FTQS(app *Application, opts FTQSOptions) (*Tree, error) {
 	return FTQSContext(context.Background(), app, opts)
 }
 
-// FTQSContext is FTQS honouring cancellation: the coordinator checks ctx
-// before each node expansion, so synthesis aborts within one expansion and
-// returns ctx.Err() with all worker goroutines reaped.
+// FTQSContext is FTQS honouring cancellation: ctx is checked before each
+// node expansion and each candidate position, so synthesis aborts within
+// one position per worker and returns ctx.Err() with all worker goroutines
+// reaped.
 func FTQSContext(ctx context.Context, app *Application, opts FTQSOptions) (*Tree, error) {
 	return core.FTQSContext(ctx, app, opts)
 }

@@ -38,9 +38,10 @@
 //
 // # Determinism
 //
-// Patterns are distributed over a worker pool with the same strided
-// assignment the Monte-Carlo evaluator uses; per-pattern exploration is
-// sequential and outcomes are folded in pattern order, so the report — and
+// Patterns are distributed over Config.Workers goroutines through the same
+// index-parallel loop (par.For) the Monte-Carlo evaluator uses; per-pattern
+// exploration is sequential and outcomes are folded in pattern order, so
+// the report — and
 // the counterexample, chosen as the lowest (pattern, scenario) index — is
 // identical for any worker count.
 package certify

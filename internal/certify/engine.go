@@ -4,11 +4,11 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync"
 
 	"ftsched/internal/core"
 	"ftsched/internal/model"
 	"ftsched/internal/obs"
+	"ftsched/internal/par"
 	"ftsched/internal/runtime"
 )
 
@@ -28,8 +28,9 @@ type Config struct {
 	// MaxFaults is the largest fault-pattern size explored; 0 means the
 	// application bound k. Values above k are rejected.
 	MaxFaults int
-	// Workers is the worker-pool size; 0 means GOMAXPROCS. The report and
-	// any counterexample are identical for every worker count.
+	// Workers bounds the goroutines exploring fault patterns; 0 means
+	// GOMAXPROCS. The report and any counterexample are identical for
+	// every worker count.
 	Workers int
 	// Budget caps the scenarios exhaustive mode may plan; above it the
 	// engine switches to frontier mode (never silently truncates). 0 means
@@ -74,8 +75,8 @@ type Report struct {
 }
 
 // patternOutcome is one worker's summary of one fault pattern, folded
-// sequentially (in pattern order) after the pool drains so the result is
-// independent of worker count.
+// sequentially (in pattern order) after the fan-out returns so the result
+// is independent of worker count.
 type patternOutcome struct {
 	scenarios  int64
 	haveSlack  bool
@@ -115,7 +116,6 @@ func CertifyContext(ctx context.Context, tree *core.Tree, cfg Config) (Report, e
 	if maxFaults > app.K() {
 		return Report{}, fmt.Errorf("certify: MaxFaults %d outside [0, k=%d]", cfg.MaxFaults, app.K())
 	}
-	workers := cfg.Workers
 	budget := cfg.Budget
 	maxBoundaries := cfg.MaxBoundaries
 	var sink obs.Sink
@@ -153,32 +153,14 @@ func CertifyContext(ctx context.Context, tree *core.Tree, cfg Config) (Report, e
 	}
 
 	outcomes := make([]patternOutcome, len(patterns))
-	var (
-		wg        sync.WaitGroup
-		errOnce   sync.Once
-		workerErr error
-	)
-	fail := func(err error) { errOnce.Do(func() { workerErr = err }) }
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			ex := newExplorer(d, app, corners, exhaustive)
-			for pi := w; pi < len(patterns); pi += workers {
-				if err := ctx.Err(); err != nil {
-					fail(err)
-					return
-				}
-				if err := ex.explore(ctx, &patterns[pi], &outcomes[pi]); err != nil {
-					fail(err)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	if workerErr != nil {
-		return Report{}, workerErr
+	err = par.For(ctx, len(patterns), cfg.Workers, func(int) func(int) error {
+		ex := newExplorer(d, app, corners, exhaustive)
+		return func(pi int) error {
+			return ex.explore(ctx, &patterns[pi], &outcomes[pi])
+		}
+	})
+	if err != nil {
+		return Report{}, err
 	}
 
 	// Sequential fold in pattern order: worker count cannot change the

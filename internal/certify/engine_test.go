@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	goruntime "runtime"
 	"testing"
 
 	"ftsched/internal/apps"
@@ -167,7 +168,8 @@ func TestCertifyMalformedTree(t *testing.T) {
 }
 
 // TestCertifyConfigBounds: fault bounds outside [0, k] are rejected;
-// explicit bounds below k narrow the exploration.
+// explicit bounds below k narrow the exploration; zero workers resolve to
+// GOMAXPROCS.
 func TestCertifyConfigBounds(t *testing.T) {
 	tree := synthesize(t, apps.Fig8(), 16) // k = 2
 	if _, err := Certify(tree, Config{MaxFaults: tree.App.K() + 1}); err == nil {
@@ -189,6 +191,13 @@ func TestCertifyConfigBounds(t *testing.T) {
 	}
 	if one.Patterns >= full.Patterns {
 		t.Errorf("patterns %d at k=1 not below %d at k=%d", one.Patterns, full.Patterns, tree.App.K())
+	}
+	// Workers 0 resolves to GOMAXPROCS, like every other engine.
+	prev := goruntime.GOMAXPROCS(1)
+	cfg, err := Config{}.Validate()
+	goruntime.GOMAXPROCS(prev)
+	if err != nil || cfg.Workers != 1 {
+		t.Errorf("under GOMAXPROCS(1): Workers = %d, err = %v; want 1", cfg.Workers, err)
 	}
 }
 

@@ -23,7 +23,7 @@ type Config struct {
 	Seed int64
 	// Workers spreads cycle blocks over goroutines through the same
 	// sharded block driver Monte-Carlo evaluation uses (sim.RunBlocks).
-	// 0 selects runtime.NumCPU(); 1 forces sequential execution. Reports
+	// 0 selects runtime.GOMAXPROCS(0); 1 forces sequential execution. Reports
 	// are bit-identical for any worker count.
 	Workers int
 	// Policy is the DegradePolicy under test; Clamp selects the
@@ -96,7 +96,7 @@ func (c Config) Validate() (Config, error) {
 		return c, &ConfigError{Field: "Workers", Value: float64(c.Workers), Constraint: "must be non-negative"}
 	}
 	if c.Workers == 0 {
-		c.Workers = goruntime.NumCPU()
+		c.Workers = goruntime.GOMAXPROCS(0)
 	}
 	if c.BaseFaults < 0 {
 		return c, &ConfigError{Field: "BaseFaults", Value: float64(c.BaseFaults), Constraint: "must be non-negative"}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"reflect"
+	goruntime "runtime"
 	"testing"
 
 	"ftsched/internal/apps"
@@ -317,7 +318,8 @@ func TestScenarioReplayFidelity(t *testing.T) {
 	}
 }
 
-// TestConfigValidation rejects impossible campaign parameters.
+// TestConfigValidation rejects impossible campaign parameters and resolves
+// zero workers to GOMAXPROCS.
 func TestConfigValidation(t *testing.T) {
 	tree := synthesize(t, apps.Fig8(), 16)
 	base := fullChaos(runtime.PolicyShedSoft, 100)
@@ -336,6 +338,13 @@ func TestConfigValidation(t *testing.T) {
 		if _, err := chaos.New(tree, cfg); err == nil {
 			t.Errorf("%s: New accepted invalid config", name)
 		}
+	}
+	// Workers 0 resolves to GOMAXPROCS, like every other engine.
+	prev := goruntime.GOMAXPROCS(1)
+	got, err := base.Validate()
+	goruntime.GOMAXPROCS(prev)
+	if err != nil || got.Workers != 1 {
+		t.Errorf("under GOMAXPROCS(1): Workers = %d, err = %v; want 1", got.Workers, err)
 	}
 }
 

@@ -24,10 +24,12 @@
 //
 // # Concurrency and determinism
 //
-// FTQS fans candidate sub-schedule generation out over a bounded worker
-// pool (FTQSOptions.Workers) and memoises suffix syntheses that differ only
-// in the order history was accumulated. Candidate generation is
-// side-effect-free; a single coordinator goroutine attaches results to the
-// tree in the serial expansion order, so the synthesised tree is identical
-// — entry for entry, guard for guard — for every worker count.
+// FTQS expands one node at a time. The positions of that node are fanned
+// out over FTQSOptions.Workers goroutines through the shared index-parallel
+// loop (par.For), and suffix syntheses that differ only in the order
+// history was accumulated are memoised. Candidate generation is
+// side-effect-free; the coordinator collects each node's candidates in
+// position order and attaches them in the serial expansion order, so the
+// synthesised tree is identical — entry for entry, guard for guard — for
+// every worker count.
 package core

@@ -5,11 +5,11 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
 	"time"
 
 	"ftsched/internal/model"
 	"ftsched/internal/obs"
+	"ftsched/internal/par"
 	"ftsched/internal/schedule"
 )
 
@@ -43,16 +43,17 @@ type FTQSOptions struct {
 	// utility gain (see DESIGN.md); disabling it isolates the
 	// contribution of pure reordering.
 	DisableRevival bool
-	// Workers bounds the goroutines generating candidate sub-schedules.
-	// 0 selects runtime.GOMAXPROCS(0); 1 forces fully serial synthesis.
-	// The tree is identical for every worker count: candidate generation
-	// is side-effect-free and runs on a bounded worker pool, while a
-	// single coordinator goroutine attaches results in the serial order.
+	// Workers bounds the goroutines generating one node's candidate
+	// sub-schedules (one per position after the switch point). 0 selects
+	// runtime.GOMAXPROCS(0); 1 forces fully serial synthesis. The tree is
+	// identical for every worker count: candidate generation is
+	// side-effect-free, and a single coordinator collects the candidates
+	// in position order and attaches them in the serial order.
 	Workers int
-	// Sink receives synthesis events (nodes expanded, memoisation and
-	// prefetch hits/misses, candidates kept/rejected, worker busy time). A
-	// nil sink or obs.NopSink disables instrumentation. Instrumentation
-	// never alters the synthesised tree.
+	// Sink receives synthesis events (nodes expanded, memoisation
+	// hits/misses, candidates kept/rejected, worker busy time). A nil sink
+	// or obs.NopSink disables instrumentation. Instrumentation never
+	// alters the synthesised tree.
 	Sink obs.Sink
 }
 
@@ -107,9 +108,9 @@ func FTQS(app *model.Application, opts FTQSOptions) (*Tree, error) {
 	return FTQSContext(context.Background(), app, opts)
 }
 
-// FTQSContext is FTQS honouring cancellation: the coordinator checks ctx
-// before every node expansion and returns ctx.Err() once it is done,
-// after waiting out any in-flight speculative synthesis (no goroutines are
+// FTQSContext is FTQS honouring cancellation: ctx is checked before every
+// node expansion and before every candidate position, and ctx.Err() is
+// returned once the in-flight positions have finished (no goroutines are
 // leaked). The tree built so far is discarded.
 func FTQSContext(ctx context.Context, app *model.Application, opts FTQSOptions) (*Tree, error) {
 	root, err := FTSS(app)
@@ -149,7 +150,7 @@ func FTQSFromRootContext(ctx context.Context, app *model.Application, root *sche
 		Parent:         NoNode,
 	}})
 	syn := newSynthesizer(app, opts)
-	defer syn.close()
+	defer syn.flushMemoStats()
 	for len(b.nodes) < opts.M {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -158,8 +159,10 @@ func FTQSFromRootContext(ctx context.Context, app *model.Application, root *sche
 		if n == nil {
 			break // every reachable sub-schedule is already in the tree
 		}
-		syn.prefetch(b)
-		cands := syn.candidates(n)
+		cands, err := syn.generate(ctx, n)
+		if err != nil {
+			return nil, err
+		}
 		n.expanded = true
 		syn.count(obs.FTQSNodesExpanded, 1)
 		for _, c := range cands {
@@ -249,41 +252,24 @@ func (b *treeBuilder) build() *Tree {
 	return t
 }
 
-// nextToExpand returns up to k unexpanded nodes in expansion order: the
-// shallowest first, and among equals the one most similar to its parent
-// (smallest Kendall distance between the suffix orders), ties broken
-// towards the earliest-attached node. Refining near-duplicates first
-// steers the tree towards "the most different sub-schedules" overall (see
-// DESIGN.md on FindMostSimilarSubschedule).
-func (b *treeBuilder) nextToExpand(k int) []*bNode {
-	var out []*bNode
-	taken := make(map[*bNode]bool, k)
-	for len(out) < k {
-		var best *bNode
-		for _, n := range b.nodes {
-			if n.expanded || taken[n] {
-				continue
-			}
-			if best == nil || n.Depth < best.Depth ||
-				(n.Depth == best.Depth && n.simDist() < best.simDist()) {
-				best = n
-			}
-		}
-		if best == nil {
-			break
-		}
-		taken[best] = true
-		out = append(out, best)
-	}
-	return out
-}
-
-// pickNext selects the next node to expand.
+// pickNext selects the next node to expand, or nil when every node is
+// expanded: the shallowest unexpanded node, and among equals the one most
+// similar to its parent (smallest Kendall distance between the suffix
+// orders), ties broken towards the earliest-attached node. Refining
+// near-duplicates first steers the tree towards "the most different
+// sub-schedules" overall (see DESIGN.md on FindMostSimilarSubschedule).
 func (b *treeBuilder) pickNext() *bNode {
-	if next := b.nextToExpand(1); len(next) > 0 {
-		return next[0]
+	var best *bNode
+	for _, n := range b.nodes {
+		if n.expanded {
+			continue
+		}
+		if best == nil || n.Depth < best.Depth ||
+			(n.Depth == best.Depth && n.simDist() < best.simDist()) {
+			best = n
+		}
 	}
-	return nil
+	return best
 }
 
 // simDist is the node's Kendall distance to its parent, computed lazily
@@ -337,25 +323,20 @@ type candidate struct {
 	gain      float64
 }
 
-// synthesizer owns the concurrency machinery of one FTQS run: the worker
-// pool, the SuffixFTSS memoization cache, and the speculative per-node
-// candidate futures. Candidate generation (generate/candidatesAt/
-// makeCandidate) is a pure function of the immutable application, the node
-// and the options, so any number of nodes can be generated concurrently;
-// only the coordinator loop in FTQSFromRoot mutates the builder.
+// synthesizer holds the per-run state of one FTQS synthesis: the options,
+// the SuffixFTSS memoization cache and the sink. Candidate generation
+// (generate/candidatesAt/makeCandidate) is a pure function of the
+// immutable application, the node and the options, so the positions of one
+// node are generated concurrently; only the coordinator loop in
+// FTQSFromRootContext mutates the builder.
 type synthesizer struct {
 	app  *model.Application
 	opts FTQSOptions
-	pool *pool       // nil when opts.Workers == 1 (fully serial)
 	memo *suffixMemo // shared across the whole tree
 	// sink receives synthesis events; nil when observability is disabled.
 	// Emitting is always sound from worker goroutines (sinks are
 	// concurrency-safe by contract) and never influences the tree.
 	sink obs.Sink
-	// futures maps a not-yet-expanded node to its in-flight candidate
-	// generation. Coordinator-only.
-	futures map[*bNode]*candFuture
-	fwg     sync.WaitGroup
 }
 
 // count emits one counter increment if a sink is installed.
@@ -365,79 +346,21 @@ func (s *synthesizer) count(c obs.Counter, delta int64) {
 	}
 }
 
-// candFuture is the promise of a node's candidate list.
-type candFuture struct {
-	done  chan struct{}
-	cands []candidate
-}
-
 func newSynthesizer(app *model.Application, opts FTQSOptions) *synthesizer {
-	s := &synthesizer{
-		app:     app,
-		opts:    opts,
-		memo:    newSuffixMemo(),
-		futures: make(map[*bNode]*candFuture),
-	}
+	s := &synthesizer{app: app, opts: opts, memo: newSuffixMemo()}
 	if obs.Live(opts.Sink) {
 		s.sink = opts.Sink
-	}
-	if opts.Workers > 1 {
-		s.pool = newPool(opts.Workers)
 	}
 	return s
 }
 
-// close waits for outstanding speculative futures, shuts the pool down and
-// flushes the memoisation statistics to the sink.
-func (s *synthesizer) close() {
-	s.fwg.Wait()
-	if s.pool != nil {
-		s.pool.close()
-	}
+// flushMemoStats reports the memoisation statistics to the sink.
+func (s *synthesizer) flushMemoStats() {
 	if s.sink != nil {
 		hits, misses := s.memo.stats()
 		s.sink.Add(obs.FTQSMemoHits, int64(hits))
 		s.sink.Add(obs.FTQSMemoMisses, int64(misses))
 	}
-}
-
-// prefetch starts speculative candidate generation for the nodes most
-// likely to be expanded next (the first opts.Workers in expansion order),
-// so their sub-schedule synthesis overlaps with the coordinator consuming
-// the current node. Speculation never changes the result — the coordinator
-// attaches candidates strictly in pickNext order — it only wastes bounded
-// work when the M cutoff hits first.
-func (s *synthesizer) prefetch(b *treeBuilder) {
-	if s.pool == nil {
-		return
-	}
-	for _, n := range b.nextToExpand(s.opts.Workers) {
-		if s.futures[n] != nil {
-			continue
-		}
-		f := &candFuture{done: make(chan struct{})}
-		s.futures[n] = f
-		s.fwg.Add(1)
-		n := n
-		go func() {
-			defer s.fwg.Done()
-			f.cands = s.generate(n)
-			close(f.done)
-		}()
-	}
-}
-
-// candidates returns the node's candidate children, waiting for a
-// prefetched future or computing them on the spot.
-func (s *synthesizer) candidates(n *bNode) []candidate {
-	if f := s.futures[n]; f != nil {
-		<-f.done
-		delete(s.futures, n)
-		s.count(obs.FTQSPrefetchHits, 1)
-		return f.cands
-	}
-	s.count(obs.FTQSPrefetchMisses, 1)
-	return s.generate(n)
 }
 
 // generate implements CreateSubschedules for one parent (paper Fig. 7,
@@ -447,10 +370,11 @@ func (s *synthesizer) candidates(n *bNode) []candidate {
 // hit and recovered, and (c) for soft entries without recovery budget, a
 // fault sub-schedule assuming the entry is dropped. Interval partitioning
 // against the parent prices each candidate. Positions are independent and
-// are fanned out over the worker pool; the per-position results are
-// collected in position order, so the flattened list — and therefore the
-// tree — is identical to a serial run.
-func (s *synthesizer) generate(n *bNode) []candidate {
+// are fanned out over opts.Workers goroutines (par.For); the per-position
+// results are collected in position order, so the flattened list — and
+// therefore the tree — is identical to a serial run. The error is ctx.Err()
+// on cancellation.
+func (s *synthesizer) generate(ctx context.Context, n *bNode) ([]candidate, error) {
 	entries := n.Schedule.Entries
 	droppedBase := droppedSet(s.app, n.Schedule)
 	if n.DroppedOnFault != model.NoProcess {
@@ -458,35 +382,25 @@ func (s *synthesizer) generate(n *bNode) []candidate {
 	}
 	nPos := len(entries) - 1 - n.SwitchPos
 	if nPos <= 0 {
-		return nil
+		return nil, nil
 	}
 	perPos := make([][]candidate, nPos)
-	// work synthesises one position, timing itself when a sink is live so
-	// worker utilisation (busy time vs wall clock) can be derived.
-	work := func(i int) {
-		if s.sink == nil {
+	err := par.For(ctx, nPos, s.opts.Workers, func(int) func(int) error {
+		// Each position times itself when a sink is live so worker
+		// utilisation (busy time vs wall clock) can be derived.
+		return func(i int) error {
+			if s.sink == nil {
+				perPos[i] = s.candidatesAt(n, n.SwitchPos+i, droppedBase)
+				return nil
+			}
+			t0 := time.Now()
 			perPos[i] = s.candidatesAt(n, n.SwitchPos+i, droppedBase)
-			return
+			s.sink.Add(obs.FTQSWorkerBusyNanos, time.Since(t0).Nanoseconds())
+			return nil
 		}
-		t0 := time.Now()
-		perPos[i] = s.candidatesAt(n, n.SwitchPos+i, droppedBase)
-		s.sink.Add(obs.FTQSWorkerBusyNanos, time.Since(t0).Nanoseconds())
-	}
-	if s.pool == nil {
-		for i := range perPos {
-			work(i)
-		}
-	} else {
-		var wg sync.WaitGroup
-		wg.Add(nPos)
-		for i := range perPos {
-			i := i
-			s.pool.submit(func() {
-				defer wg.Done()
-				work(i)
-			})
-		}
-		wg.Wait()
+	})
+	if err != nil {
+		return nil, err
 	}
 	var cands []candidate
 	for _, cs := range perPos {
@@ -502,7 +416,7 @@ func (s *synthesizer) generate(n *bNode) []candidate {
 			}
 		}
 	}
-	return cands
+	return cands, nil
 }
 
 // candidatesAt synthesises the candidate children guarded by entry pos of

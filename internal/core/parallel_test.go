@@ -1,9 +1,8 @@
 package core
 
 import (
+	"context"
 	"math/rand"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"ftsched/internal/apps"
@@ -51,7 +50,7 @@ func requireTreesEqual(t *testing.T, label string, a, b *Tree) {
 // TestFTQSParallelDeterminism: the parallel synthesis (Workers > 1) must
 // produce a tree entry-for-entry identical to the serial one (Workers = 1)
 // — on the paper's fixtures and on generated applications. Run under
-// -race this also audits the worker pool and the memoization cache.
+// -race this also audits the position fan-out and the memoization cache.
 func TestFTQSParallelDeterminism(t *testing.T) {
 	type testApp struct {
 		name string
@@ -126,7 +125,6 @@ func procSetOf(n int, ids ...model.ProcessID) model.ProcSet {
 func TestSuffixMemo(t *testing.T) {
 	app := apps.Fig8()
 	s := newSynthesizer(app, FTQSOptions{M: 4}.withDefaults())
-	defer s.close()
 
 	n := app.N()
 	p0 := model.ProcessID(0)
@@ -184,7 +182,6 @@ func TestSuffixMemoHitsDuringSynthesis(t *testing.T) {
 	app := apps.Fig8()
 	opts := FTQSOptions{M: 40}.withDefaults()
 	s := newSynthesizer(app, opts)
-	defer s.close()
 	root, err := FTSS(app)
 	if err != nil {
 		t.Fatal(err)
@@ -199,7 +196,10 @@ func TestSuffixMemoHitsDuringSynthesis(t *testing.T) {
 		if n == nil {
 			break
 		}
-		cands := s.candidates(n)
+		cands, err := s.generate(context.Background(), n)
+		if err != nil {
+			t.Fatal(err)
+		}
 		n.expanded = true
 		for _, c := range cands {
 			if len(b.nodes) >= opts.M {
@@ -215,25 +215,5 @@ func TestSuffixMemoHitsDuringSynthesis(t *testing.T) {
 	}
 	if hits == 0 {
 		t.Error("memo never hit during a 40-node synthesis")
-	}
-}
-
-// TestPool: every submitted task runs exactly once and close drains.
-func TestPool(t *testing.T) {
-	p := newPool(4)
-	var n atomic.Int64
-	var wg sync.WaitGroup
-	const tasks = 100
-	wg.Add(tasks)
-	for i := 0; i < tasks; i++ {
-		p.submit(func() {
-			defer wg.Done()
-			n.Add(1)
-		})
-	}
-	wg.Wait()
-	p.close()
-	if n.Load() != tasks {
-		t.Errorf("ran %d tasks, want %d", n.Load(), tasks)
 	}
 }

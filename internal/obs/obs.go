@@ -20,10 +20,10 @@ const (
 	// infeasible, identical to the parent's continuation, or below the
 	// minimum utility gain.
 	FTQSCandidatesRejected
-	// FTQSPrefetchHits counts node expansions served from a speculative
-	// prefetched future; FTQSPrefetchMisses counts expansions computed on
-	// the spot. Their ratio measures how well speculation tracks the
-	// coordinator's expansion order.
+	// FTQSPrefetchHits and FTQSPrefetchMisses are retired: FTQS no longer
+	// speculates on the next nodes to expand, so nothing emits them and
+	// they always read 0. The declarations stay so that existing readers
+	// (and the exported metric names) keep working.
 	FTQSPrefetchHits
 	FTQSPrefetchMisses
 	// FTQSWorkerBusyNanos accumulates nanoseconds spent inside candidate
@@ -215,8 +215,8 @@ var counterHelp = [numCounters]string{
 	FTQSMemoMisses:          "Suffix-synthesis memoisation cache misses.",
 	FTQSCandidatesKept:      "Candidate sub-schedules kept after interval partitioning.",
 	FTQSCandidatesRejected:  "Candidate sub-schedules rejected (infeasible, duplicate, or below the gain threshold).",
-	FTQSPrefetchHits:        "Node expansions served from a speculative prefetched future.",
-	FTQSPrefetchMisses:      "Node expansions computed on demand (no prefetched future).",
+	FTQSPrefetchHits:        "Retired: FTQS no longer prefetches speculatively; nothing emits this counter.",
+	FTQSPrefetchMisses:      "Retired: FTQS no longer prefetches speculatively; nothing emits this counter.",
 	FTQSWorkerBusyNanos:     "Nanoseconds spent in candidate generation across synthesis workers.",
 	DispatchCycles:          "Operation cycles executed by the online dispatcher.",
 	DispatchSwitches:        "Quasi-static schedule switches taken.",

@@ -109,7 +109,7 @@ func (k *kernel) attempts(st *cycleState, e schedule.Entry, hard bool, ac int32,
 		st.ready[ac] = t
 		ex := excess
 		if attempt > 0 && k.rollback && ex > w {
-			ex = w
+			ex = max(w, 0)
 		}
 		res.OverrunTotal += ex
 		if st.faultsLeft[e.Proc] == 0 {

@@ -176,6 +176,16 @@ func TestDispatchRecoveryOverrunRollback(t *testing.T) {
 	if res.OverrunTotal != 30 {
 		t.Errorf("checkpoint OverrunTotal = %d, want 30", res.OverrunTotal)
 	}
+	// A negative sampled duration has no excess, and its negative resume
+	// segment must not be charged as a negative overrun.
+	neg := runtime.Scenario{Durations: []model.Time{-5}, FaultsAt: []int{1}, NFaults: 1}
+	res, err = mk(model.CheckpointModel(10, 2, 3)).Run(neg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.OverrunTotal != 0 {
+		t.Errorf("checkpoint OverrunTotal for duration -5 = %d, want 0", res.OverrunTotal)
+	}
 }
 
 // TestDispatchRecoveryAllocFree: the 0 allocs/cycle contract must hold

@@ -165,7 +165,7 @@ func referenceRun(tree *core.Tree, env *EnvelopeConfig, res *Result, sc Scenario
 			}
 			ex := excess
 			if attempt > 0 && checkpointing && ex > w {
-				ex = w
+				ex = max(w, 0)
 			}
 			res.OverrunTotal += ex
 			if faultsLeft[e.Proc] > 0 {

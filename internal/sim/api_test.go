@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	goruntime "runtime"
 	"testing"
 
 	"ftsched/internal/apps"
@@ -21,15 +22,21 @@ func buildTree(t *testing.T, m int) *core.Tree {
 	return tree
 }
 
-// TestMCConfigValidate: zero workers default to the CPU count; impossible
+// TestMCConfigValidate: zero workers default to GOMAXPROCS; impossible
 // values are rejected.
 func TestMCConfigValidate(t *testing.T) {
 	got, err := MCConfig{Scenarios: 10}.Validate()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Workers <= 0 {
-		t.Errorf("Workers not defaulted: %d", got.Workers)
+	if got.Workers != goruntime.GOMAXPROCS(0) {
+		t.Errorf("Workers = %d, want GOMAXPROCS %d", got.Workers, goruntime.GOMAXPROCS(0))
+	}
+	prev := goruntime.GOMAXPROCS(1)
+	got, err = MCConfig{Scenarios: 10}.Validate()
+	goruntime.GOMAXPROCS(prev)
+	if err != nil || got.Workers != 1 {
+		t.Errorf("under GOMAXPROCS(1): Workers = %d, err = %v; want 1", got.Workers, err)
 	}
 	for name, c := range map[string]MCConfig{
 		"no scenarios":      {},

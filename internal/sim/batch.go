@@ -7,8 +7,9 @@
 //     count — and each block is evaluated sequentially by exactly one
 //     worker, so every per-block accumulator is a pure function of
 //     (seed, block index).
-//   - Workers stride over blocks; the fold over per-block partials runs
-//     sequentially in block order on the coordinating goroutine.
+//   - Workers claim blocks through the shared index-parallel loop
+//     (par.For); the fold over per-block partials runs sequentially in
+//     block order on the coordinating goroutine.
 //     Floating-point sums therefore always reduce in the same order, which
 //     is what makes MCStats bit-identical for 1, 2 or 64 workers — the
 //     same determinism discipline certify and chaos enforce.
@@ -34,10 +35,10 @@ package sim
 import (
 	"context"
 	"math"
-	"sync"
 
 	"ftsched/internal/model"
 	"ftsched/internal/obs"
+	"ftsched/internal/par"
 	"ftsched/internal/runtime"
 )
 
@@ -51,63 +52,29 @@ import (
 const BlockSize = 256
 
 // RunBlocks partitions the index range [0, n) into fixed BlockSize blocks
-// and executes them on min(workers, blocks) goroutines. newRunner is
-// called once per worker (allocate reusable scratch there); the returned
-// function is then called with (block, lo, hi) for every block the worker
-// owns, sequentially and in increasing block order per worker. Blocks are
-// assigned by stride, so which worker runs a block depends on the worker
-// count — anything a block writes must therefore depend only on the block
-// index, never on the worker index (per-worker state may be reused as
-// scratch but must not leak between blocks in index-dependent ways).
+// and runs them through the shared index-parallel loop (par.For) on
+// min(workers, blocks) goroutines. newRunner is called once per worker
+// (allocate reusable scratch there); the returned function is then called
+// with (block, lo, hi) for every block the worker claims, sequentially and
+// in increasing block order per worker. Workers claim blocks dynamically,
+// so which worker runs a block varies from run to run — anything a block
+// writes must therefore depend only on the block index, never on the
+// worker index (per-worker state may be reused as scratch but must not
+// leak between blocks in index-dependent ways).
 //
 // Cancellation is checked before every block: on ctx expiry workers stop
 // within one block and RunBlocks returns ctx.Err(). A block error stops
 // the whole run; the first error in block order is not guaranteed — first
 // failure wins — so treat errors as fatal, not per-block data.
 func RunBlocks(ctx context.Context, n, workers int, newRunner func(worker int) func(block, lo, hi int) error) error {
-	if n <= 0 {
-		return nil
-	}
 	blocks := (n + BlockSize - 1) / BlockSize
-	if workers > blocks {
-		workers = blocks
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	done := ctx.Done()
-	var errOnce sync.Once
-	var workerErr error
-	fail := func(err error) { errOnce.Do(func() { workerErr = err }) }
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			run := newRunner(w)
-			for b := w; b < blocks; b += workers {
-				select {
-				case <-done:
-					return
-				default:
-				}
-				lo := b * BlockSize
-				hi := lo + BlockSize
-				if hi > n {
-					hi = n
-				}
-				if err := run(b, lo, hi); err != nil {
-					fail(err)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	if workerErr != nil {
-		return workerErr
-	}
-	return ctx.Err()
+	return par.For(ctx, blocks, workers, func(w int) func(int) error {
+		run := newRunner(w)
+		return func(b int) error {
+			lo := b * BlockSize
+			return run(b, lo, min(lo+BlockSize, n))
+		}
+	})
 }
 
 // blockStats is the streaming accumulator of one scenario block. All

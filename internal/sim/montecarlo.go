@@ -22,7 +22,7 @@ type MCConfig struct {
 	// Seed makes the evaluation reproducible.
 	Seed int64
 	// Workers spreads the scenario blocks over goroutines. 0 selects
-	// runtime.NumCPU(); 1 forces sequential evaluation. Results are
+	// runtime.GOMAXPROCS(0); 1 forces sequential evaluation. Results are
 	// bit-identical for any worker count: scenario i always derives from
 	// (Seed, i) and statistics fold in fixed block order.
 	Workers int
@@ -62,7 +62,7 @@ func (e *ConfigError) Error() string {
 
 // Validate normalises the configuration and rejects impossible values with
 // a *ConfigError: a non-positive scenario count, a negative fault count or
-// a negative worker count. Workers 0 is replaced by the CPU count. The
+// a negative worker count. Workers 0 is replaced by GOMAXPROCS. The
 // fault upper bound depends on the application and is checked by
 // MonteCarlo itself. Every evaluation entry point applies Validate, so CLI
 // flags and library callers get the same diagnostics.
@@ -77,7 +77,7 @@ func (c MCConfig) Validate() (MCConfig, error) {
 		return c, &ConfigError{Field: "Workers", Value: c.Workers}
 	}
 	if c.Workers == 0 {
-		c.Workers = goruntime.NumCPU()
+		c.Workers = goruntime.GOMAXPROCS(0)
 	}
 	return c, nil
 }
@@ -143,7 +143,7 @@ func ScenarioSeed(seed int64, i int) int64 {
 // f-schedule) over cfg.Scenarios random execution scenarios with
 // cfg.Faults injected faults each, and returns the aggregate statistics.
 // Evaluation runs on the batch engine (see batch.go): scenario blocks are
-// spread over cfg.Workers goroutines (default: one per CPU), each scenario
+// spread over cfg.Workers goroutines (default: GOMAXPROCS), each scenario
 // reseeds a per-scenario RNG from ScenarioSeed, and statistics stream into
 // fixed accumulators folded in block order — so the result is bit-identical
 // for any worker count and the steady state simulates without allocation

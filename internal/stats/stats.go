@@ -1,12 +1,8 @@
 // Package stats provides the small statistical toolkit the experiment
-// harness needs: means, standard deviations, normalisation and normal-
-// approximation confidence intervals.
+// harness needs: means, standard deviations and percentage ratios.
 package stats
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Mean returns the arithmetic mean, or 0 for an empty slice.
 func Mean(xs []float64) float64 {
@@ -36,38 +32,10 @@ func StdDev(xs []float64) float64 {
 	return math.Sqrt(ss / float64(n-1))
 }
 
-// CI95 returns the half-width of the 95% confidence interval of the mean
-// under the normal approximation (z = 1.96).
-func CI95(xs []float64) float64 {
-	n := len(xs)
-	if n < 2 {
-		return 0
-	}
-	return 1.96 * StdDev(xs) / math.Sqrt(float64(n))
-}
-
-// Normalize returns xs scaled so that base maps to 100 (percent). A zero
-// base yields zeros, avoiding NaNs for degenerate workloads.
-func Normalize(xs []float64, base float64) []float64 {
-	out := make([]float64, len(xs))
-	if base == 0 {
-		return out
-	}
-	for i, x := range xs {
-		out[i] = 100 * x / base
-	}
-	return out
-}
-
 // Ratio returns 100·x/base, or 0 when base is 0.
 func Ratio(x, base float64) float64 {
 	if base == 0 {
 		return 0
 	}
 	return 100 * x / base
-}
-
-// FormatPct renders a percentage with one decimal, e.g. "112.5%".
-func FormatPct(x float64) string {
-	return fmt.Sprintf("%.1f%%", x)
 }
