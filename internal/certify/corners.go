@@ -38,24 +38,23 @@ func sigOf(res *runtime.Result) pathSig {
 // scenario and result buffer.
 type prober struct {
 	d    *runtime.Dispatcher
+	wcet []model.Time
 	sc   runtime.Scenario
 	res  runtime.Result
 	runs int64
 }
 
-func newProber(d *runtime.Dispatcher, n int) *prober {
-	p := &prober{d: d}
-	p.sc.Durations = make([]model.Time, n)
-	p.sc.FaultsAt = make([]int, n)
+func newProber(d *runtime.Dispatcher, wcet []model.Time) *prober {
+	p := &prober{d: d, wcet: wcet}
+	p.sc.Durations = make([]model.Time, len(wcet))
+	p.sc.FaultsAt = make([]int, len(wcet))
 	return p
 }
 
 // probe executes one zero-fault scenario with process p at duration t and
 // every other process at WCET, and returns the signature.
-func (pr *prober) probe(app *model.Application, p int, t model.Time) (pathSig, error) {
-	for id := 0; id < len(pr.sc.Durations); id++ {
-		pr.sc.Durations[id] = app.Proc(model.ProcessID(id)).WCET
-	}
+func (pr *prober) probe(p int, t model.Time) (pathSig, error) {
+	copy(pr.sc.Durations, pr.wcet)
 	pr.sc.Durations[p] = t
 	if err := pr.d.RunInto(&pr.res, pr.sc); err != nil {
 		return pathSig{}, err
@@ -68,29 +67,29 @@ func (pr *prober) probe(app *model.Application, p int, t model.Time) (pathSig, e
 // WCET always, plus both sides of every behaviour change point bisection
 // finds (up to maxBoundaries change points per process). Lists are sorted
 // ascending and deduplicated; enumeration order is deterministic.
-func cornerSets(ctx context.Context, d *runtime.Dispatcher, app *model.Application, maxBoundaries int) ([][]model.Time, int64, error) {
+func cornerSets(ctx context.Context, d *runtime.Dispatcher, app *model.Application, b bounds, maxBoundaries int) ([][]model.Time, int64, error) {
 	n := app.N()
 	corners := make([][]model.Time, n)
-	pr := newProber(d, n)
+	pr := newProber(d, b.wcet)
 	rec := app.Recovery()
 	for p := 0; p < n; p++ {
 		if err := ctx.Err(); err != nil {
 			return nil, pr.runs, err
 		}
-		proc := app.Proc(model.ProcessID(p))
-		set := []model.Time{proc.BCET, proc.WCET}
-		if maxBoundaries > 0 && proc.WCET > proc.BCET {
-			sLo, err := pr.probe(app, p, proc.BCET)
+		bcet, wcet := b.bcet[p], b.wcet[p]
+		set := []model.Time{bcet, wcet}
+		if maxBoundaries > 0 && wcet > bcet {
+			sLo, err := pr.probe(p, bcet)
 			if err != nil {
 				return nil, pr.runs, err
 			}
-			sHi, err := pr.probe(app, p, proc.WCET)
+			sHi, err := pr.probe(p, wcet)
 			if err != nil {
 				return nil, pr.runs, err
 			}
 			found := 0
-			var rec func(lo, hi model.Time, a, b pathSig) error
-			rec = func(lo, hi model.Time, a, b pathSig) error {
+			var bisect func(lo, hi model.Time, a, b pathSig) error
+			bisect = func(lo, hi model.Time, a, b pathSig) error {
 				if a == b || found >= maxBoundaries {
 					return nil
 				}
@@ -102,16 +101,16 @@ func cornerSets(ctx context.Context, d *runtime.Dispatcher, app *model.Applicati
 					return nil
 				}
 				mid := lo + (hi-lo)/2
-				sMid, err := pr.probe(app, p, mid)
+				sMid, err := pr.probe(p, mid)
 				if err != nil {
 					return err
 				}
-				if err := rec(lo, mid, a, sMid); err != nil {
+				if err := bisect(lo, mid, a, sMid); err != nil {
 					return err
 				}
-				return rec(mid, hi, sMid, b)
+				return bisect(mid, hi, sMid, b)
 			}
-			if err := rec(proc.BCET, proc.WCET, sLo, sHi); err != nil {
+			if err := bisect(bcet, wcet, sLo, sHi); err != nil {
 				return nil, pr.runs, err
 			}
 		}
@@ -126,15 +125,15 @@ func cornerSets(ctx context.Context, d *runtime.Dispatcher, app *model.Applicati
 		if rec.Kind == model.RecoverCheckpoint && maxBoundaries > 0 {
 			s := rec.Spacing
 			added := 0
-			for m := (proc.WCET - 1) / s; m >= 1 && added < maxBoundaries; m-- {
-				b := m * s
-				if b <= proc.BCET {
+			for m := (wcet - 1) / s; m >= 1 && added < maxBoundaries; m-- {
+				t := m * s
+				if t <= bcet {
 					break
 				}
-				if b >= proc.WCET {
+				if t >= wcet {
 					continue
 				}
-				set = append(set, b, b+1)
+				set = append(set, t, t+1)
 				added++
 			}
 		}

@@ -2,7 +2,8 @@
 // real online dispatcher: it enumerates every fault pattern with up to k
 // transient faults, crosses each pattern with extreme execution-time
 // corners, executes every resulting scenario through runtime.Dispatcher —
-// the deployed interpreter, not a re-implementation — and either reports
+// the deployed interpreter, not a re-implementation, resuming recorded
+// cycles where scenarios share a prefix — and either reports
 // that no explored execution misses a hard deadline or returns a typed
 // *CounterexampleError carrying the offending scenario, ready for replay
 // with ftsim -replay.
@@ -34,7 +35,29 @@
 // explicitly, to "frontier" mode: for every pattern it runs the all-BCET
 // and all-WCET profiles plus every single-process corner deviation against
 // both backgrounds. The report says which mode ran; there is no silent
-// truncation.
+// truncation. Applications beyond the paper's sizes certify in frontier
+// mode: the cruise controller and every application of the repo
+// benchmark's design workload do.
+//
+// # Resumption
+//
+// Scenarios run through runtime.Replayer rather than from the root. A
+// cycle reads only the duration and fault count of each process whose
+// entry runs, so a scenario that agrees with a recorded cycle on the
+// processes of its first i entries reaches entry i in the recorded state;
+// the replayer restores that state and executes the rest. Each worker
+// holds two replayers, one per frontier background: the all-BCET and
+// all-WCET profiles record, and every single-process deviation resumes
+// its background's record at that process's first entry, as a leaf that
+// leaves the record intact. The backgrounds stay recorded across a
+// worker's patterns, so the next pattern's background resumes at the
+// first process whose fault count changed. In exhaustive mode the
+// odometer steps that carried record, and the steps that move only the
+// last process resume that record as leaves. The scenario order is
+// unchanged, so the report and the counterexample are those of a sweep
+// that runs every scenario from the root, which the tests keep as their
+// oracle. A live sink sees every dispatch counter as that sweep would;
+// the per-entry histograms count only the entries executed.
 //
 // # Determinism
 //

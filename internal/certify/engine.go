@@ -40,7 +40,10 @@ type Config struct {
 	// process; 0 means the default (4), negative disables bisection.
 	MaxBoundaries int
 	// Sink receives certification counters and histograms, and is routed
-	// into the dispatcher the scenarios execute on.
+	// into the dispatcher the scenarios execute on. Every dispatch counter
+	// reads what running each scenario from the root would emit; the
+	// per-entry histograms (guard depth, hard slack, switch node) count
+	// only the entries that executed after a scenario's resume point.
 	Sink obs.Sink
 }
 
@@ -56,8 +59,9 @@ type Report struct {
 	// counts raw patterns collapsed into them by canonicalisation.
 	Patterns       int
 	PatternsPruned int
-	// Scenarios counts dispatcher executions performed (excluding the
-	// bisection probes, reported separately as BisectionRuns).
+	// Scenarios counts scenarios explored (each resumed from a recorded
+	// prefix where it matches), excluding the bisection probes, reported
+	// separately as BisectionRuns.
 	Scenarios     int64
 	BisectionRuns int64
 	// WorstSlack is the minimum hard-deadline slack observed over every
@@ -98,6 +102,19 @@ func Certify(tree *core.Tree, cfg Config) (Report, error) {
 // CertifyContext is Certify with cancellation: the context is checked
 // before every scenario and the context error is returned on cancellation.
 func CertifyContext(ctx context.Context, tree *core.Tree, cfg Config) (Report, error) {
+	return certify(ctx, tree, cfg, func(d *runtime.Dispatcher) runner { return d.NewReplayer() })
+}
+
+// runner executes the explorer's scenarios: a runtime.Replayer, which
+// resumes the cycle it last recorded. The tests substitute a run from the
+// root as their oracle.
+type runner interface {
+	Run(sc runtime.Scenario, record bool) (*runtime.Result, error)
+}
+
+// certify is CertifyContext with the explorers' runners built by
+// newRunner.
+func certify(ctx context.Context, tree *core.Tree, cfg Config, newRunner func(*runtime.Dispatcher) runner) (Report, error) {
 	cfg, err := cfg.Validate()
 	if err != nil {
 		return Report{}, err
@@ -123,7 +140,8 @@ func CertifyContext(ctx context.Context, tree *core.Tree, cfg Config) (Report, e
 		sink = cfg.Sink
 	}
 
-	corners, bisRuns, err := cornerSets(ctx, d, app, maxBoundaries)
+	b := boundsOf(app)
+	corners, bisRuns, err := cornerSets(ctx, d, app, b, maxBoundaries)
 	if err != nil {
 		return Report{}, err
 	}
@@ -154,7 +172,11 @@ func CertifyContext(ctx context.Context, tree *core.Tree, cfg Config) (Report, e
 
 	outcomes := make([]patternOutcome, len(patterns))
 	err = par.For(ctx, len(patterns), cfg.Workers, func(int) func(int) error {
-		ex := newExplorer(d, app, corners, exhaustive)
+		bg := [2]runner{newRunner(d)}
+		if !exhaustive {
+			bg[1] = newRunner(d)
+		}
+		ex := newExplorer(bg, b, app.HardIDs(), corners, exhaustive)
 		return func(pi int) error {
 			return ex.explore(ctx, &patterns[pi], &outcomes[pi])
 		}
@@ -224,28 +246,47 @@ func CertifyContext(ctx context.Context, tree *core.Tree, cfg Config) (Report, e
 	return rep, nil
 }
 
-// explorer is one worker's reusable scenario state.
+// bounds caches each process's BCET, WCET and deadline by process ID:
+// Application.Proc copies a whole Process per call.
+type bounds struct {
+	bcet, wcet, deadline []model.Time
+}
+
+func boundsOf(app *model.Application) bounds {
+	n := app.N()
+	b := bounds{make([]model.Time, n), make([]model.Time, n), make([]model.Time, n)}
+	for id := 0; id < n; id++ {
+		p := app.Proc(model.ProcessID(id))
+		b.bcet[id], b.wcet[id], b.deadline[id] = p.BCET, p.WCET, p.Deadline
+	}
+	return b
+}
+
+// explorer is one worker's reusable scenario state. bg[0] and bg[1]
+// resume the all-BCET and all-WCET backgrounds of frontier mode; they
+// stay recorded across the worker's patterns, so a pattern's background
+// resumes the previous one's at the first process whose fault count
+// changed. Exhaustive mode runs on bg[0] alone.
 type explorer struct {
-	d          *runtime.Dispatcher
-	app        *model.Application
+	bg         [2]runner
+	b          bounds
+	hardIDs    []model.ProcessID
 	corners    [][]model.Time
 	exhaustive bool
 	sc         runtime.Scenario
-	res        runtime.Result
 	idx        []int
-	hardIDs    []model.ProcessID
 }
 
-func newExplorer(d *runtime.Dispatcher, app *model.Application, corners [][]model.Time, exhaustive bool) *explorer {
-	n := app.N()
+func newExplorer(bg [2]runner, b bounds, hardIDs []model.ProcessID, corners [][]model.Time, exhaustive bool) *explorer {
+	n := len(corners)
 	return &explorer{
-		d:          d,
-		app:        app,
+		bg:         bg,
+		b:          b,
+		hardIDs:    hardIDs,
 		corners:    corners,
 		exhaustive: exhaustive,
 		sc:         runtime.Scenario{Durations: make([]model.Time, n)},
 		idx:        make([]int, n),
-		hardIDs:    app.HardIDs(),
 	}
 }
 
@@ -265,35 +306,37 @@ func (ex *explorer) explore(ctx context.Context, pat *pattern, out *patternOutco
 	return ex.exploreFrontier(ctx, out)
 }
 
-// runOne executes the currently-loaded scenario and folds it into out.
-func (ex *explorer) runOne(ctx context.Context, out *patternOutcome) error {
+// runOne executes the currently-loaded scenario on r and folds it into
+// out.
+func (ex *explorer) runOne(ctx context.Context, out *patternOutcome, r runner, record bool) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 	scenarioIdx := int(out.scenarios)
-	if err := ex.d.RunInto(&ex.res, ex.sc); err != nil {
+	res, err := r.Run(ex.sc, record)
+	if err != nil {
 		return err
 	}
 	out.scenarios++
 	for _, h := range ex.hardIDs {
-		if ex.res.Outcomes[h] != runtime.Completed {
+		if res.Outcomes[h] != runtime.Completed {
 			continue
 		}
-		slack := ex.app.Proc(h).Deadline - ex.res.CompletionTimes[h]
+		slack := ex.b.deadline[h] - res.CompletionTimes[h]
 		if !out.haveSlack || slack < out.worstSlack {
 			out.haveSlack = true
 			out.worstSlack = slack
 			out.worstProc = h
 		}
 	}
-	if ex.res.Utility < out.minUtility {
-		out.minUtility = ex.res.Utility
+	if res.Utility < out.minUtility {
+		out.minUtility = res.Utility
 	}
-	if len(ex.res.HardViolations) > 0 && out.ce == nil {
-		proc := ex.res.HardViolations[0]
+	if len(res.HardViolations) > 0 && out.ce == nil {
+		proc := res.HardViolations[0]
 		var completion model.Time
-		if ex.res.Outcomes[proc] == runtime.Completed {
-			completion = ex.res.CompletionTimes[proc]
+		if res.Outcomes[proc] == runtime.Completed {
+			completion = res.CompletionTimes[proc]
 		}
 		sc := runtime.Scenario{
 			Durations: append([]model.Time(nil), ex.sc.Durations...),
@@ -303,9 +346,9 @@ func (ex *explorer) runOne(ctx context.Context, out *patternOutcome) error {
 		out.ce = &Counterexample{
 			Scenario:      sc,
 			Proc:          proc,
-			Deadline:      ex.app.Proc(proc).Deadline,
+			Deadline:      ex.b.deadline[proc],
 			Completion:    completion,
-			Utility:       ex.res.Utility,
+			Utility:       res.Utility,
 			ScenarioIndex: scenarioIdx,
 		}
 	}
@@ -314,7 +357,11 @@ func (ex *explorer) runOne(ctx context.Context, out *patternOutcome) error {
 
 // exploreExhaustive crosses the pattern with every corner combination via
 // an odometer over the per-process corner lists (last process varies
-// fastest).
+// fastest). A step records when the odometer carried, and the steps
+// that move only the last process resume that record as leaves: against
+// it they differ in the last process alone, so they resume where a
+// record of their predecessor would let them, at a fraction of the
+// recording.
 func (ex *explorer) exploreExhaustive(ctx context.Context, out *patternOutcome) error {
 	n := len(ex.corners)
 	for p := 0; p < n; p++ {
@@ -322,7 +369,7 @@ func (ex *explorer) exploreExhaustive(ctx context.Context, out *patternOutcome) 
 		ex.sc.Durations[p] = ex.corners[p][0]
 	}
 	for {
-		if err := ex.runOne(ctx, out); err != nil {
+		if err := ex.runOne(ctx, out, ex.bg[0], ex.idx[n-1] == 0); err != nil {
 			return err
 		}
 		p := n - 1
@@ -345,40 +392,25 @@ func (ex *explorer) exploreExhaustive(ctx context.Context, out *patternOutcome) 
 // exploreFrontier runs the all-BCET and all-WCET profiles plus every
 // single-process corner deviation against both backgrounds (skipping
 // deviations equal to the background, which the profiles already cover).
+// The two profiles record; each deviation resumes its background's
+// record at the deviating process's first entry.
 func (ex *explorer) exploreFrontier(ctx context.Context, out *patternOutcome) error {
-	n := ex.app.N()
-	setAll := func(wcet bool) {
-		for p := 0; p < n; p++ {
-			proc := ex.app.Proc(model.ProcessID(p))
-			if wcet {
-				ex.sc.Durations[p] = proc.WCET
-			} else {
-				ex.sc.Durations[p] = proc.BCET
-			}
+	profile := [2][]model.Time{ex.b.bcet, ex.b.wcet}
+	for bg := range profile {
+		copy(ex.sc.Durations, profile[bg])
+		if err := ex.runOne(ctx, out, ex.bg[bg], true); err != nil {
+			return err
 		}
 	}
-	setAll(false)
-	if err := ex.runOne(ctx, out); err != nil {
-		return err
-	}
-	setAll(true)
-	if err := ex.runOne(ctx, out); err != nil {
-		return err
-	}
-	for p := 0; p < n; p++ {
-		proc := ex.app.Proc(model.ProcessID(p))
-		for _, c := range ex.corners[p] {
-			if c != proc.BCET {
-				setAll(false)
-				ex.sc.Durations[p] = c
-				if err := ex.runOne(ctx, out); err != nil {
-					return err
+	for p, cs := range ex.corners {
+		for _, c := range cs {
+			for bg := range profile {
+				if c == profile[bg][p] {
+					continue
 				}
-			}
-			if c != proc.WCET {
-				setAll(true)
+				copy(ex.sc.Durations, profile[bg])
 				ex.sc.Durations[p] = c
-				if err := ex.runOne(ctx, out); err != nil {
+				if err := ex.runOne(ctx, out, ex.bg[bg], false); err != nil {
 					return err
 				}
 			}

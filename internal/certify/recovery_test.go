@@ -158,7 +158,7 @@ func TestCheckpointCornerSet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sets, _, err := cornerSets(context.Background(), d, app, defaultMaxBoundaries)
+	sets, _, err := cornerSets(context.Background(), d, app, boundsOf(app), defaultMaxBoundaries)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -58,8 +58,9 @@ const (
 	TrimArcsRemoved
 	TrimReplays
 
-	// CertifyScenarios counts adversarial scenarios executed through the
-	// dispatcher by the certification engine; CertifyPatterns counts fault
+	// CertifyScenarios counts adversarial scenarios the certification
+	// engine explored (each resumed from a recorded prefix where it
+	// matches); CertifyPatterns counts fault
 	// patterns certified; CertifyPatternsPruned counts fault patterns
 	// skipped because bitset canonicalisation proved them equivalent to an
 	// already-enumerated pattern; CertifyBisectionRuns counts the probe
@@ -228,7 +229,7 @@ var counterHelp = [numCounters]string{
 	TrimArcsEvaluated:       "Switch arcs priced by paired scenario replay during trimming.",
 	TrimArcsRemoved:         "Switch arcs removed by trimming.",
 	TrimReplays:             "Scenario replays performed while pricing arc removals.",
-	CertifyScenarios:        "Adversarial scenarios executed through the dispatcher during certification.",
+	CertifyScenarios:        "Adversarial scenarios explored during certification (each resumed from a recorded prefix where it matches).",
 	CertifyPatterns:         "Fault patterns enumerated and certified.",
 	CertifyPatternsPruned:   "Fault patterns pruned as canonically equivalent to an enumerated one.",
 	CertifyBisectionRuns:    "Probe executions spent bisecting for guard-boundary execution times.",
@@ -285,6 +286,10 @@ const (
 	DispatchHardSlack
 	// DispatchSwitchNode is the NodeID switched to when a switch arc is
 	// taken — the distribution of switch traffic across the tree.
+	//
+	// These three are per entry: a cycle resumed from a recorded prefix
+	// (runtime.Replayer, as certification runs them) observes only the
+	// entries it executed.
 	DispatchSwitchNode
 	// MCUtility is the per-scenario total utility (rounded to integer) of
 	// a Monte-Carlo evaluation.
@@ -337,9 +342,9 @@ var histogramNames = [numHistograms]string{
 }
 
 var histogramHelp = [numHistograms]string{
-	DispatchGuardDepth: "Binary-search depth per guard lookup in the compiled dispatch table.",
-	DispatchHardSlack:  "Hard-deadline slack (deadline - completion) per completed hard process; violations fall in the <=0 bucket.",
-	DispatchSwitchNode: "Target NodeID per schedule switch taken.",
+	DispatchGuardDepth: "Binary-search depth per guard lookup in the compiled dispatch table (executed entries only when a cycle resumes a recorded prefix).",
+	DispatchHardSlack:  "Hard-deadline slack (deadline - completion) per completed hard process; violations fall in the <=0 bucket (executed entries only when a cycle resumes a recorded prefix).",
+	DispatchSwitchNode: "Target NodeID per schedule switch taken (executed entries only when a cycle resumes a recorded prefix).",
 	MCUtility:          "Per-scenario total utility (rounded) observed by Monte-Carlo evaluation.",
 	CertifyWorstSlack:  "Worst hard-deadline slack observed per certified fault pattern.",
 

@@ -41,6 +41,10 @@ type cycleState struct {
 	// Scratch of the stale-value utility accounting.
 	status []utility.StaleStatus
 	alpha  []float64
+
+	// rec, when non-nil, saves the state before every entry: a Replayer
+	// recording the cycle it may later resume.
+	rec *recorder
 }
 
 // depthBuckets caps the guard binary-search depths tracked per cycle; the
@@ -90,9 +94,17 @@ func (d *Dispatcher) run(res *Result, sc Scenario, events *[]TraceEvent) error {
 	return d.finish(st)
 }
 
-// begin resets res and takes a pooled cycleState positioned before the
+// begin takes a pooled cycleState and resets it and res before the
 // root's first entry.
 func (d *Dispatcher) begin(res *Result, sc Scenario, events *[]TraceEvent) *cycleState {
+	st := d.bufs.Get().(*cycleState)
+	d.reset(st, res, sc, events)
+	return st
+}
+
+// reset positions st before the root's first entry of sc, booking onto
+// res.
+func (d *Dispatcher) reset(st *cycleState, res *Result, sc Scenario, events *[]TraceEvent) {
 	// Field by field: a composite-literal reset copies the whole Result.
 	res.Outcomes = resize(res.Outcomes, len(d.procs))
 	res.CompletionTimes = resize(res.CompletionTimes, len(d.procs))
@@ -101,7 +113,6 @@ func (d *Dispatcher) begin(res *Result, sc Scenario, events *[]TraceEvent) *cycl
 	res.Utility, res.Makespan, res.Switches, res.Fallbacks = 0, 0, 0, 0
 	res.FaultsConsumed, res.Recoveries = 0, 0
 	res.Degraded, res.ShedSlack, res.OverrunTotal = false, 0, 0
-	st := d.bufs.Get().(*cycleState)
 	st.res, st.events, st.durations = res, events, sc.Durations
 	st.node, st.pos, st.after = 0, 0, actDispatch
 	st.entries = d.tree.Nodes[0].Schedule.Entries
@@ -110,15 +121,18 @@ func (d *Dispatcher) begin(res *Result, sc Scenario, events *[]TraceEvent) *cycl
 	}
 	copy(st.faultsLeft, sc.FaultsAt)
 	st.shedding, st.abandoned = false, 0
-	return st
 }
 
 // loopCanonical is the cycle loop of the paper's platform — one core at
 // speed 1 — where entries run back to back on ready[0], the single clock.
 // Like loopMapped it runs the shared step, then does what st.after asks:
-// guard dispatch, the shed, or the strict stop.
+// guard dispatch, the shed, or the strict stop. Both loops run from
+// st.pos, so a Replayer can resume them mid-cycle.
 func (d *Dispatcher) loopCanonical(st *cycleState) {
-	for st.pos = 0; st.pos < len(st.entries); st.pos++ {
+	for ; st.pos < len(st.entries); st.pos++ {
+		if st.rec != nil {
+			st.rec.save(st)
+		}
 		e := st.entries[st.pos]
 		end, outcome := d.step(st, e, max(st.ready[0], d.procs[e.Proc].Release), 0)
 		switch st.after {
@@ -144,7 +158,10 @@ func (d *Dispatcher) loopCanonical(st *cycleState) {
 // actual one. Staying on the current node is always deadline-safe.
 func (d *Dispatcher) loopMapped(st *cycleState) {
 	res := st.res
-	for st.pos = 0; st.pos < len(st.entries); st.pos++ {
+	for ; st.pos < len(st.entries); st.pos++ {
+		if st.rec != nil {
+			st.rec.save(st)
+		}
 		e := st.entries[st.pos]
 		pc := d.kern.primCore[e.Proc]
 		start := max(st.ready[pc], d.procs[e.Proc].Release)
@@ -240,9 +257,6 @@ func (d *Dispatcher) detect(st *cycleState, proc model.ProcessID, p *model.Proce
 			excess = over
 		}
 		res.Violations = append(res.Violations, ViolationEvent{Kind: WCETOverrun, Proc: proc, At: start + d.kern.rec.AttemptTime(d.kern.scale(pc, dur)), Magnitude: over})
-		if d.sink != nil {
-			d.sink.Observe(obs.EnvelopeOverrunMagnitude, int64(over))
-		}
 	}
 	st.trip(d.env.Policy)
 	return dur, excess
@@ -269,9 +283,6 @@ func (d *Dispatcher) shed(st *cycleState) {
 	st.pos = -1
 	st.after = actNext
 	st.res.Degraded = true
-	if d.sink != nil {
-		d.sink.Add(obs.EnvelopeSheds, 1)
-	}
 }
 
 // switchTo takes the guard switch from the active node to next, chosen
@@ -285,9 +296,6 @@ func (d *Dispatcher) switchTo(st *cycleState, proc model.ProcessID, tc model.Tim
 	// a broken node.
 	if next < 0 || int(next) >= len(d.tree.Nodes) || d.tree.Nodes[next].Schedule == nil {
 		st.res.Fallbacks++
-		if d.sink != nil {
-			d.sink.Add(obs.DispatchGuardFallbacks, 1)
-		}
 		if next = 0; next == st.node {
 			return
 		}
@@ -303,10 +311,18 @@ func (d *Dispatcher) switchTo(st *cycleState, proc model.ProcessID, tc model.Tim
 	}
 }
 
-// finish closes the cycle — hard processes that never ran, utility,
-// per-core energy, the sink flush — and returns the cycle state to the
-// pool.
+// finish closes the cycle and returns the cycle state to the pool.
 func (d *Dispatcher) finish(st *cycleState) error {
+	err := d.close(st)
+	st.res, st.events, st.durations = nil, nil, nil
+	d.bufs.Put(st)
+	return err
+}
+
+// close books what follows the last entry — hard processes that never
+// ran, utility, per-core energy, the sink flush — and returns the strict
+// abort's *EnvelopeError, if the cycle stopped on one.
+func (d *Dispatcher) close(st *cycleState) error {
 	res := st.res
 	res.FinalNode = int(st.node)
 	appendUnranHard(res, d.hardIDs)
@@ -333,11 +349,7 @@ func (d *Dispatcher) finish(st *cycleState) error {
 	if d.sink != nil {
 		d.flush(st)
 	}
-	abort := st.after == actStop
-	st.res, st.events, st.durations = nil, nil, nil
-	d.bufs.Put(st)
-
-	if abort {
+	if st.after == actStop {
 		// Copying the event record allocates, but strict callers are
 		// aborting the cycle anyway — the 0-alloc guarantee covers
 		// in-model cycles.
@@ -347,12 +359,18 @@ func (d *Dispatcher) finish(st *cycleState) error {
 }
 
 // flush reports the cycle to the live sink and zeroes the guard-depth
-// tally (pooled state must come back clean).
+// tally (pooled state must come back clean). Every counter and the
+// overrun histogram derive from the Result, so a cycle a Replayer resumed
+// mid-way reports what a full run would; the per-entry histograms (guard
+// depth, hard slack, switch node) count only the entries that executed.
 func (d *Dispatcher) flush(st *cycleState) {
 	res, sink := st.res, d.sink
 	var kinds [TimeRegression + 1]int64
 	for _, v := range res.Violations {
 		kinds[v.Kind]++
+		if v.Kind == WCETOverrun {
+			sink.Observe(obs.EnvelopeOverrunMagnitude, int64(v.Magnitude))
+		}
 	}
 	sink.Add(obs.DispatchCycles, 1)
 	sink.Add(obs.DispatchEnergy, int64(res.Energy))
@@ -360,6 +378,12 @@ func (d *Dispatcher) flush(st *cycleState) {
 	sink.Add(obs.DispatchSwitches, int64(res.Switches))
 	sink.Add(obs.DispatchFaultsAbsorbed, int64(res.Recoveries))
 	sink.Add(obs.DispatchFaultsAbandoned, st.abandoned)
+	if res.Fallbacks != 0 {
+		sink.Add(obs.DispatchGuardFallbacks, int64(res.Fallbacks))
+	}
+	if res.Degraded {
+		sink.Add(obs.EnvelopeSheds, 1)
+	}
 	for kind, c := range [...]obs.Counter{
 		WCETOverrun:     obs.EnvelopeOverruns,
 		ExtraFault:      obs.EnvelopeExtraFaults,

@@ -146,24 +146,27 @@ func NewDispatcher(tree *core.Tree, opts ...Option) (*Dispatcher, error) {
 	if app.Platform().IsDefault() {
 		d.loop = (*Dispatcher).loopCanonical
 	}
-	ncores := len(d.kern.cores)
 	if err := d.kern.rec.Validate(); err != nil {
 		return nil, &MalformedTreeError{Err: err}
 	}
-	d.bufs.New = func() any {
-		return &cycleState{
-			faultsLeft: make([]int, n),
-			status:     make([]utility.StaleStatus, n),
-			alpha:      make([]float64, n),
-			ready:      make([]model.Time, ncores),
-			busy:       make([]model.Time, ncores),
-		}
-	}
+	d.bufs.New = func() any { return d.newState() }
 	d.compile()
 	if err := d.auditSegments(); err != nil {
 		return nil, &MalformedTreeError{Err: err}
 	}
 	return d, nil
+}
+
+// newState allocates the scratch of one cycle.
+func (d *Dispatcher) newState() *cycleState {
+	n, ncores := len(d.procs), len(d.kern.cores)
+	return &cycleState{
+		faultsLeft: make([]int, n),
+		status:     make([]utility.StaleStatus, n),
+		alpha:      make([]float64, n),
+		ready:      make([]model.Time, ncores),
+		busy:       make([]model.Time, ncores),
+	}
 }
 
 // MustNewDispatcher is NewDispatcher for trees known to be well-formed

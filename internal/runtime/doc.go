@@ -24,7 +24,9 @@
 // picks the cycle loop once from the platform: the paper's single clock,
 // or per-core timelines with cross-core precedence and synchronised
 // switch points. Kernel lends the attempt kernel to the online
-// rescheduler in internal/sim.
+// rescheduler in internal/sim. Replayer resumes a recorded cycle at the
+// first entry whose process a new scenario changes, for callers that run
+// many scenarios sharing prefixes — certification in internal/certify.
 //
 // A Dispatcher is immutable after construction and safe for concurrent
 // use. The execution entry points are allocation-free on the hot path:
