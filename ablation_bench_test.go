@@ -6,6 +6,7 @@ import (
 
 	"ftsched"
 	"ftsched/internal/core"
+	"ftsched/internal/gen"
 	"ftsched/internal/sim"
 )
 
@@ -19,7 +20,7 @@ func ablationApps(b *testing.B) []*ftsched.Application {
 	rng := rand.New(rand.NewSource(99))
 	var out []*ftsched.Application
 	for i := 0; i < 200 && len(out) < 6; i++ {
-		app, err := ftsched.Generate(rng, ftsched.DefaultGenConfig(30))
+		app, err := gen.Generate(rng, gen.Default(30))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -45,22 +45,19 @@ func TestCertifyFig1(t *testing.T) {
 	}
 }
 
-// unsafeTree hand-builds a structurally valid but semantically unsafe
-// one-node tree: the hard process P1 is scheduled with no recovery budget,
-// so a single fault abandons it and misses its deadline.
-func unsafeTree(app *ftsched.Application) *ftsched.Tree {
-	entries := make([]ftsched.Entry, app.N())
-	for id := 0; id < app.N(); id++ {
-		entries[id] = ftsched.Entry{Proc: ftsched.ProcessID(id), Recoveries: 0}
+// unsafeTree builds a structurally valid but semantically unsafe one-node
+// tree: the FTSS schedule with every recovery budget stripped, so a single
+// fault abandons the hard process P1 and misses its deadline.
+func unsafeTree(t *testing.T, app *ftsched.Application) *ftsched.Tree {
+	t.Helper()
+	s, err := ftsched.FTSS(app)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return &ftsched.Tree{
-		App: app,
-		Nodes: []ftsched.Node{{
-			Schedule:       &ftsched.FSchedule{Entries: entries},
-			Parent:         ftsched.NoNode,
-			DroppedOnFault: ftsched.NoProcess,
-		}},
+	for i := range s.Entries {
+		s.Entries[i].Recoveries = 0
 	}
+	return ftsched.StaticTree(app, s)
 }
 
 // TestCertifyCounterexample: certification of an unsafe tree must return a
@@ -68,7 +65,7 @@ func unsafeTree(app *ftsched.Application) *ftsched.Tree {
 // through a fresh dispatcher.
 func TestCertifyCounterexample(t *testing.T) {
 	app := ftsched.PaperFig1()
-	tree := unsafeTree(app)
+	tree := unsafeTree(t, app)
 	rep, err := ftsched.Certify(tree, ftsched.CertifyConfig{})
 	if err == nil {
 		t.Fatal("unsafe tree certified")
@@ -77,7 +74,7 @@ func TestCertifyCounterexample(t *testing.T) {
 	if !errors.As(err, &ceErr) {
 		t.Fatalf("err = %T %v, want *CounterexampleError", err, err)
 	}
-	var ce ftsched.Counterexample = ceErr.Counterexample
+	ce := ceErr.Counterexample
 	p1 := app.IDByName("P1")
 	if ce.Proc != p1 {
 		t.Errorf("violated process = %d, want P1 (%d)", ce.Proc, p1)
@@ -116,8 +113,9 @@ func TestCertifyContextCancelled(t *testing.T) {
 	}
 }
 
-// TestDispatcherTypedErrors: malformed trees and mis-sized scenarios
-// surface as typed errors through the facade, never as panics.
+// TestDispatcherTypedErrors: malformed trees, mis-sized scenarios and bad
+// evaluation configurations surface as typed errors through the facade,
+// never as panics.
 func TestDispatcherTypedErrors(t *testing.T) {
 	app := ftsched.PaperFig1()
 	tree, err := ftsched.FTQS(app, ftsched.FTQSOptions{M: 8})
@@ -125,7 +123,7 @@ func TestDispatcherTypedErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	bad := unsafeTree(app)
+	bad := unsafeTree(t, app)
 	bad.Nodes[0].ArcStart, bad.Nodes[0].ArcEnd = 0, 5 // outside the empty arena
 	var mte *ftsched.MalformedTreeError
 	if _, err := ftsched.NewDispatcher(bad); !errors.As(err, &mte) {
@@ -135,7 +133,10 @@ func TestDispatcherTypedErrors(t *testing.T) {
 		t.Fatalf("Certify(bad) = %v, want *MalformedTreeError", err)
 	}
 
-	d := ftsched.MustNewDispatcher(tree)
+	d, err := ftsched.NewDispatcher(tree)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var sse *ftsched.ScenarioSizeError
 	if _, err := d.Run(ftsched.Scenario{}); !errors.As(err, &sse) {
 		t.Fatalf("Run(empty scenario) = %v, want *ScenarioSizeError", err)
@@ -143,36 +144,9 @@ func TestDispatcherTypedErrors(t *testing.T) {
 	if _, err := ftsched.Run(tree, ftsched.Scenario{}); !errors.As(err, &sse) {
 		t.Fatalf("facade Run(empty scenario) = %v, want *ScenarioSizeError", err)
 	}
-}
-
-// TestSampleScenarioBounds: out-of-bounds sampling requests return a typed
-// *SampleError before touching the RNG.
-func TestSampleScenarioBounds(t *testing.T) {
-	app := ftsched.PaperFig1()
-	var se *ftsched.SampleError
-	if _, err := ftsched.SampleScenario(app, 1, app.K()+1, nil); !errors.As(err, &se) {
-		t.Fatalf("faults>k: err = %v, want *SampleError", err)
-	}
-	if _, err := ftsched.SampleScenario(app, 1, -1, nil); !errors.As(err, &se) {
-		t.Fatalf("negative faults: err = %v, want *SampleError", err)
-	}
-	if _, err := ftsched.SampleScenario(app, 1, 1, []ftsched.ProcessID{}); !errors.As(err, &se) {
-		t.Fatalf("empty pool: err = %v, want *SampleError", err)
-	}
-	if se.NFaults != 1 || !se.EmptyPool {
-		t.Errorf("SampleError detail = %+v", se)
-	}
-	if sc, err := ftsched.SampleScenario(app, 1, 1, nil); err != nil || sc.NFaults != 1 {
-		t.Errorf("in-bounds sample failed: %v", err)
-	}
 
 	// Invalid evaluation configurations surface as a typed *MCConfigError
-	// carrying the offending field, through the facade too.
-	s, err := ftsched.FTSS(app)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tree := ftsched.StaticTree(app, s)
+	// carrying the offending field.
 	var ce *ftsched.MCConfigError
 	if _, err := ftsched.MonteCarlo(tree, ftsched.MCConfig{Scenarios: 100, Workers: -1}); !errors.As(err, &ce) {
 		t.Fatalf("MonteCarlo(Workers: -1) = %v, want *MCConfigError", err)

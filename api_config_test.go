@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ftsched"
+	"ftsched/internal/apps"
 )
 
 // The config literals are the only way to configure the engines: every
@@ -57,7 +58,7 @@ func TestNewChaosConfig(t *testing.T) {
 		SoftOnly:       true,
 		Sink:           ftsched.NopSink{},
 	}
-	app := ftsched.PaperFig8()
+	app := apps.Fig8()
 	tree, err := ftsched.FTQS(app, ftsched.FTQSOptions{M: 6})
 	if err != nil {
 		t.Fatal(err)

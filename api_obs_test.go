@@ -44,7 +44,10 @@ func TestFacadeObservability(t *testing.T) {
 	}
 
 	// One dispatcher, explicitly instrumented, reused by the evaluation.
-	d := ftsched.MustNewDispatcher(tree, ftsched.WithSink(m))
+	d, err := ftsched.NewDispatcher(tree, ftsched.WithSink(m))
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg := ftsched.MCConfig{Scenarios: 300, Faults: 1, Seed: 11, Dispatcher: d, Sink: m}
 	st, err := ftsched.MonteCarlo(tree, cfg)
 	if err != nil {
@@ -62,7 +65,7 @@ func TestFacadeObservability(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var snap ftsched.MetricsSnapshot = m.Snapshot()
+	snap := m.Snapshot()
 	for _, name := range []string{
 		"ftsched_ftqs_nodes_expanded_total",
 		"ftsched_dispatch_cycles_total",
@@ -125,7 +128,9 @@ func TestFacadeObservability(t *testing.T) {
 	}
 	cs := &countingSink{}
 	var opt ftsched.DispatcherOption = ftsched.WithSink(cs)
-	_ = ftsched.MustNewDispatcher(tree, opt)
+	if _, err := ftsched.NewDispatcher(tree, opt); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := ftsched.MonteCarlo(tree, ftsched.MCConfig{Scenarios: 50, Seed: 1, Sink: cs}); err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +182,7 @@ func TestFacadeContextEntryPoints(t *testing.T) {
 	if !errors.As(err, &ue) {
 		t.Fatalf("err = %v, want *UnschedulableError", err)
 	}
-	if ue.Process == ftsched.NoProcess || ue.WorstCase <= ue.Deadline {
+	if ue.Process != bad.IDByName("H") || ue.WorstCase <= ue.Deadline {
 		t.Errorf("detail = %+v", ue)
 	}
 }

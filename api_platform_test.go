@@ -27,10 +27,6 @@ func TestPublicPlatformPipeline(t *testing.T) {
 	if !parsed.Equal(plat) {
 		t.Fatalf("core-spec parse diverged: %v vs %v", parsed, plat)
 	}
-	if ftsched.SingleCorePlatform().NCores() != 1 {
-		t.Fatal("canonical platform is not single-core")
-	}
-
 	base := ftsched.PaperFig1()
 	m := ftsched.BiasedMapping(base, plat)
 	var zero ftsched.CoreID

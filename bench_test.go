@@ -11,6 +11,8 @@ import (
 
 	"ftsched"
 	"ftsched/internal/experiments"
+	"ftsched/internal/gen"
+	"ftsched/internal/sim"
 )
 
 // BenchmarkFig9a regenerates Fig. 9a (no-fault utility of FTQS/FTSS/FTSF
@@ -42,7 +44,7 @@ func BenchmarkFig9b(b *testing.B) {
 	// injection half. Benchmark it separately through a pre-synthesised
 	// application so the measured work is the faulty-scenario evaluation.
 	rng := rand.New(rand.NewSource(4))
-	app, err := ftsched.Generate(rng, ftsched.DefaultGenConfig(30))
+	app, err := gen.Generate(rng, gen.Default(30))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -184,8 +186,8 @@ func BenchmarkOnlineScheduler(b *testing.B) {
 	}
 	scs := make([]ftsched.Scenario, 64)
 	for i := range scs {
-		var err error
-		if scs[i], err = ftsched.SampleScenario(app, int64(i), i%3, nil); err != nil {
+		rng := sim.NewRNG(int64(i))
+		if err := sim.SampleRNGInto(&scs[i], app, &rng, i%3, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -262,7 +264,7 @@ func genApp(b *testing.B, n int) *ftsched.Application {
 	b.Helper()
 	rng := rand.New(rand.NewSource(42))
 	for attempt := 0; attempt < 50; attempt++ {
-		app, err := ftsched.Generate(rng, ftsched.DefaultGenConfig(n))
+		app, err := gen.Generate(rng, gen.Default(n))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -279,24 +281,4 @@ func sizeName(n int) string {
 		return string(rune('0'+n/10)) + string(rune('0'+n%10))
 	}
 	return string(rune('0' + n))
-}
-
-// BenchmarkOptimalDP measures the exact subset-DP optimiser (the quality
-// yardstick) across instance sizes.
-func BenchmarkOptimalDP(b *testing.B) {
-	for _, n := range []int{10, 14, 18} {
-		b.Run(sizeName(n), func(b *testing.B) {
-			app := genApp(b, n)
-			if _, _, err := ftsched.OptimalSchedule(app); err != nil {
-				b.Skip("instance outside optimiser scope")
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := ftsched.OptimalSchedule(app); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }

@@ -75,7 +75,7 @@ func ExampleFTQS_options() {
 // scenario from (Seed, index) and folds statistics in fixed block order,
 // so the two runs return bit-identical MCStats.
 func ExampleMonteCarlo_workers() {
-	app := ftsched.PaperFig8()
+	app := ftsched.CruiseController()
 	tree, err := ftsched.FTQS(app, ftsched.FTQSOptions{M: 8})
 	if err != nil {
 		panic(err)
@@ -127,21 +127,4 @@ func ExampleRun() {
 		r.CompletionTimes[p1], app.Proc(p1).Deadline, r.Recoveries, len(r.HardViolations))
 	// Output:
 	// P1 completed at 110 (deadline 180), re-executions 1, violations 0
-}
-
-// ExampleOptimalSchedule compares FTSS against the exact optimum on the
-// paper's running example (they coincide there).
-func ExampleOptimalSchedule() {
-	app := ftsched.PaperFig1()
-	_, best, err := ftsched.OptimalSchedule(app)
-	if err != nil {
-		panic(err)
-	}
-	s, err := ftsched.FTSS(app)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Printf("FTSS %.0f of optimal %.0f\n", ftsched.ExpectedUtility(app, s), best)
-	// Output:
-	// FTSS 60 of optimal 60
 }

@@ -6,28 +6,33 @@
 //	"Scheduling of Fault-Tolerant Embedded Systems with Soft and Hard
 //	Timing Constraints", DATE 2008, pp. 915-920.
 //
-// Applications are directed acyclic graphs of non-preemptable processes on
-// a single computation node. Hard processes carry deadlines that must hold
-// under up to K transient faults (tolerated by re-execution with recovery
-// overhead µ); soft processes carry non-increasing time/utility functions
-// and may be dropped, degrading their successors through stale-value
+// Applications are directed acyclic graphs of non-preemptable processes.
+// Hard processes carry deadlines that must hold under up to k transient
+// faults; soft processes carry non-increasing time/utility functions and
+// may be dropped, degrading their successors through stale-value
 // coefficients.
 //
-// The library offers three synthesis algorithms:
+// The facade exposes the paper's three synthesis algorithms and the tools
+// around them:
 //
 //   - FTSS — a static f-schedule with shared recovery slack that
 //     guarantees the hard deadlines in the worst case while maximising the
 //     expected utility (paper §5.2);
 //   - FTQS — a quasi-static tree of f-schedules with guarded switch arcs
-//     derived by interval partitioning; a trivial online scheduler follows
-//     the tree, adapting to observed completion times and faults
-//     (paper §5.1);
-//   - FTSF — the straightforward baseline used in the paper's evaluation.
-//
-// Synthesised schedules and trees are executed and evaluated by the
-// Monte-Carlo simulator in Run/MonteCarlo. The package is a thin facade
-// over the internal packages; everything needed to build, synthesise,
-// simulate, serialise and benchmark lives here.
+//     derived by interval partitioning; a trivial online scheduler (Run,
+//     NewDispatcher) follows the tree, adapting to observed completion
+//     times and faults (paper §5.1);
+//   - FTSF — the straightforward baseline used in the paper's evaluation;
+//   - MonteCarlo and TrimTree — the §6 evaluation and simulation-based
+//     arc trimming;
+//   - WithPlatform/NewPlatform and WithRecovery/RestartModel/
+//     CheckpointModel — heterogeneous cores and recovery models beyond
+//     re-execution, honoured by every algorithm;
+//   - Certify — exhaustive k-fault certification of a tree;
+//   - WithEnvelope and RunChaos — out-of-model containment and chaos
+//     campaigns that prove it;
+//   - NewMetrics, WithSink and ServeMetrics — observability that never
+//     alters results.
 //
 // # Quick start
 //
@@ -54,16 +59,12 @@ import (
 	"ftsched/internal/certify"
 	"ftsched/internal/chaos"
 	"ftsched/internal/core"
-	"ftsched/internal/gen"
 	"ftsched/internal/model"
 	"ftsched/internal/obs"
-	"ftsched/internal/optimal"
 	"ftsched/internal/runtime"
 	"ftsched/internal/schedule"
 	"ftsched/internal/sim"
 	"ftsched/internal/utility"
-
-	"math/rand"
 )
 
 // Core model types.
@@ -73,16 +74,12 @@ type (
 	Time = model.Time
 	// ProcessID identifies a process within its application.
 	ProcessID = model.ProcessID
-	// Kind classifies a process as Hard or Soft.
-	Kind = model.Kind
 	// Process describes one node of the application graph.
 	Process = model.Process
 	// Application is a validated process graph plus fault parameters.
 	Application = model.Application
 	// UtilityFunction is a non-increasing time/utility function U(t).
 	UtilityFunction = utility.Function
-	// UtilityPoint is a breakpoint of a tabulated utility function.
-	UtilityPoint = utility.Point
 )
 
 // Platform types. An application is canonically bound to a single
@@ -104,11 +101,6 @@ type (
 // NewPlatform validates and builds a platform from its cores.
 func NewPlatform(cores ...Core) (*Platform, error) { return model.NewPlatform(cores...) }
 
-// SingleCorePlatform returns the canonical single-core platform every
-// application without an explicit platform is bound to (speed 1, active
-// power 1, idle power 0) — the paper's single computation node.
-func SingleCorePlatform() *Platform { return model.SingleCore() }
-
 // BiasedMapping returns the deterministic default mapping: primaries
 // round-robin over the lowest-active-power cores, every re-execution on the
 // fastest core.
@@ -125,20 +117,11 @@ func ParseCoreSpec(spec string) (*Platform, error) { return appio.ParseCoreSpec(
 // analysis, certification, dispatch, chaos) honours its per-attempt and
 // per-fault costs.
 type (
-	// RecoveryKind discriminates the closed set of recovery models.
-	RecoveryKind = model.RecoveryKind
 	// RecoveryModel describes how a faulted process attempt is recovered;
 	// its zero value is the canonical re-execution model.
 	RecoveryModel = model.RecoveryModel
 	// RecoveryError reports an invalid recovery-model parameter.
 	RecoveryError = model.RecoveryError
-)
-
-// The recovery model kinds.
-const (
-	RecoverReExecution = model.RecoverReExecution
-	RecoverRestart     = model.RecoverRestart
-	RecoverCheckpoint  = model.RecoverCheckpoint
 )
 
 // ReExecutionModel returns the canonical re-execution recovery model.
@@ -162,18 +145,10 @@ func ParseRecoverySpec(spec string) (RecoveryModel, error) { return appio.ParseR
 
 // Schedule types.
 type (
-	// Entry is one scheduled process with its recovery budget.
-	Entry = schedule.Entry
 	// FSchedule is a fault-tolerant static schedule.
 	FSchedule = schedule.FSchedule
 	// Tree is a quasi-static tree of f-schedules.
 	Tree = core.Tree
-	// Node is one schedule of a quasi-static tree.
-	Node = core.Node
-	// NodeID addresses a node within its tree (the root is 0).
-	NodeID = core.NodeID
-	// Arc is a guarded switch between schedules.
-	Arc = core.Arc
 	// FTQSOptions tunes the tree synthesis.
 	FTQSOptions = core.FTQSOptions
 	// Dispatcher is the compiled, allocation-free online scheduler for a
@@ -181,30 +156,16 @@ type (
 	Dispatcher = runtime.Dispatcher
 )
 
-// NoNode is the sentinel NodeID (e.g. the root's parent).
-const NoNode = core.NoNode
-
 // Simulation types.
 type (
 	// Scenario fixes execution times and fault victims for one cycle.
 	Scenario = sim.Scenario
 	// RunResult is the outcome of executing one scenario.
 	RunResult = runtime.Result
-	// ProcessOutcome records how a process ended in a simulated cycle.
-	ProcessOutcome = runtime.ProcessOutcome
-	// RescheduleResult is the outcome (and cost profile) of the purely
-	// online rescheduling comparator.
-	RescheduleResult = sim.RescheduleResult
-	// TraceEvent is one timestamped event of a simulated cycle.
-	TraceEvent = runtime.TraceEvent
-	// TraceEventKind classifies trace events.
-	TraceEventKind = runtime.TraceEventKind
 	// MCConfig parametrises a Monte-Carlo evaluation.
 	MCConfig = sim.MCConfig
 	// MCStats aggregates a Monte-Carlo evaluation.
 	MCStats = sim.MCStats
-	// GenConfig parametrises the random application generator.
-	GenConfig = gen.Config
 )
 
 // Process kinds.
@@ -213,25 +174,20 @@ const (
 	Soft = model.Soft
 )
 
-// Simulated process outcomes.
+// Simulated process outcomes, as recorded in RunResult.Outcomes.
 const (
-	// NotScheduled: dropped off-line or skipped after a switch.
-	NotScheduled = runtime.NotScheduled
 	// Completed: ran to completion, possibly after re-execution.
 	Completed = runtime.Completed
 	// AbandonedByFault: hit by a fault with no recovery budget left.
 	AbandonedByFault = runtime.AbandonedByFault
 )
 
-// NoProcess is the sentinel for "no process".
-const NoProcess = model.NoProcess
-
 // ErrUnschedulable is returned when no schedule can guarantee the hard
 // deadlines under k faults.
 var ErrUnschedulable = core.ErrUnschedulable
 
 // UnschedulableError is the typed form of ErrUnschedulable: synthesis
-// failures carry the offending process (NoProcess when the period itself is
+// failures carry the offending process (negative when the period itself is
 // exceeded), the violated bound and the worst-case completion that violates
 // it. errors.Is(err, ErrUnschedulable) keeps matching; errors.As extracts
 // the detail.
@@ -248,9 +204,6 @@ type (
 	// ScenarioSizeError reports a scenario whose per-process slices do
 	// not match the application.
 	ScenarioSizeError = runtime.ScenarioSizeError
-	// SampleError reports a scenario-sampling request the application
-	// cannot satisfy (fault count out of bounds, empty victim pool).
-	SampleError = sim.SampleError
 	// MCConfigError reports the MCConfig field an evaluation rejected
 	// (non-positive Scenarios, negative Faults or Workers), carrying the
 	// field name and the offending value.
@@ -260,17 +213,9 @@ type (
 // Out-of-model containment types. A dispatcher built with WithEnvelope
 // detects events the paper's fault model excludes — WCET overruns, faults
 // beyond the bound k, mid-cycle time regressions — records them on
-// RunResult.Violations, and applies the configured DegradePolicy. See
+// RunResult.Violations, and applies the configured degrade policy. See
 // internal/runtime for the exact detection and shedding semantics.
 type (
-	// DegradePolicy selects how an envelope reacts to the first
-	// out-of-model event of a cycle.
-	DegradePolicy = runtime.DegradePolicy
-	// ViolationKind classifies one envelope event.
-	ViolationKind = runtime.ViolationKind
-	// ViolationEvent is one envelope event of a cycle (kind, process,
-	// detection time, magnitude).
-	ViolationEvent = runtime.ViolationEvent
 	// EnvelopeConfig configures the containment layer for WithEnvelope.
 	EnvelopeConfig = runtime.EnvelopeConfig
 	// EnvelopeError is the typed error PolicyStrict returns when a cycle
@@ -278,7 +223,8 @@ type (
 	EnvelopeError = runtime.EnvelopeError
 )
 
-// Degrade policies.
+// Degrade policies: how an envelope reacts to the first out-of-model
+// event of a cycle (EnvelopeConfig.Policy, ChaosConfig.Policy).
 const (
 	// PolicyStrict aborts the cycle with a typed *EnvelopeError.
 	PolicyStrict = runtime.PolicyStrict
@@ -287,19 +233,6 @@ const (
 	PolicyShedSoft = runtime.PolicyShedSoft
 	// PolicyBestEffort keeps dispatching and records the violations.
 	PolicyBestEffort = runtime.PolicyBestEffort
-)
-
-// Envelope event kinds.
-const (
-	// WCETOverrun: an execution exceeded the process WCET.
-	WCETOverrun = runtime.WCETOverrun
-	// ExtraFault: a fault was consumed beyond the application bound k.
-	ExtraFault = runtime.ExtraFault
-	// BudgetExhausted: a process was abandoned out of recovery budget
-	// (in-model, informational — recorded on every dispatcher).
-	BudgetExhausted = runtime.BudgetExhausted
-	// TimeRegression: an execution reported a negative duration.
-	TimeRegression = runtime.TimeRegression
 )
 
 // WithEnvelope attaches the out-of-model containment layer to a
@@ -323,8 +256,6 @@ type (
 	// panics), plus every per-cycle record. Reports are bit-identical
 	// for a given seed across worker counts and reruns.
 	ChaosReport = chaos.Report
-	// ChaosCycleRecord is the deterministic record of one campaign cycle.
-	ChaosCycleRecord = chaos.CycleRecord
 	// ChaosCampaign is a compiled campaign, reusable across runs.
 	ChaosCampaign = chaos.Campaign
 	// ChaosConfigError reports the ChaosConfig field a campaign rejected,
@@ -363,12 +294,10 @@ type (
 	// pattern/scenario counts, worst hard-deadline slack, and the
 	// utility-minimising fault placement.
 	CertifyReport = certify.Report
-	// Counterexample is a concrete hard-deadline-missing execution found
-	// by Certify: the exact scenario, the violated process and deadline,
-	// and the tree path taken. appio can serialise it for ftsim -replay.
-	Counterexample = certify.Counterexample
-	// CounterexampleError wraps a Counterexample as the error Certify
-	// returns when certification fails.
+	// CounterexampleError is the error Certify returns when
+	// certification fails. Its Counterexample is a concrete
+	// hard-deadline-missing execution: the exact scenario, the violated
+	// process and deadline, and the tree path taken.
 	CounterexampleError = certify.CounterexampleError
 	// CertifyConfigError reports the CertifyConfig field a certification
 	// rejected, carrying the field name and the offending value.
@@ -392,9 +321,6 @@ type (
 	// Metrics is the built-in Sink: fixed atomic counters and power-of-two
 	// bucket histograms, allocation-free on the event path.
 	Metrics = obs.Metrics
-	// MetricsSnapshot is a point-in-time copy of a Metrics collector,
-	// keyed by the stable metric names.
-	MetricsSnapshot = obs.Snapshot
 	// DispatcherOption configures NewDispatcher (see WithSink).
 	DispatcherOption = runtime.Option
 )
@@ -439,21 +365,10 @@ func Merge(name string, k int, mu Time, graphs ...*Application) (*Application, e
 	return model.Merge(name, k, mu, graphs...)
 }
 
-// StepUtility builds a staircase utility function: vs[i] up to and
-// including ts[i], then 0 after the last step.
-func StepUtility(ts []Time, vs []float64) (UtilityFunction, error) {
-	return utility.NewStep(ts, vs)
-}
-
-// MustStepUtility is StepUtility that panics on invalid input.
+// MustStepUtility builds a staircase utility function: vs[i] up to and
+// including ts[i], then 0 after the last step. It panics on invalid input.
 func MustStepUtility(ts []Time, vs []float64) UtilityFunction {
 	return utility.MustStep(ts, vs)
-}
-
-// LinearDropUtility builds a utility worth v0 until tStart, decaying
-// linearly to zero at tEnd.
-func LinearDropUtility(v0 float64, tStart, tEnd Time) (UtilityFunction, error) {
-	return utility.NewLinearDrop(v0, tStart, tEnd)
 }
 
 // FTSS synthesises the static fault-tolerant schedule of §5.2.
@@ -486,50 +401,15 @@ func FTSF(app *Application) (*FSchedule, error) { return baseline.FTSF(app) }
 // it before deploying a tree that was stored, transferred or modified.
 func VerifyTree(tree *Tree) error { return core.VerifyTree(tree) }
 
-// OptimalSchedule computes the utility-optimal static f-schedule by exact
-// dynamic programming, for release-free applications with at most
-// optimal.MaxProcesses (20) processes — a quality yardstick for FTSS.
-func OptimalSchedule(app *Application) (*FSchedule, float64, error) {
-	res, err := optimal.Schedule(app)
-	if err != nil {
-		return nil, 0, err
-	}
-	return res.Schedule, res.Utility, nil
-}
-
 // ExpectedUtility evaluates the no-fault expected utility of a schedule
 // under average execution times — the paper's static figure of merit.
 func ExpectedUtility(app *Application, s *FSchedule) float64 {
 	return schedule.ExpectedUtility(app, s)
 }
 
-// CheckSchedulable verifies the worst-case fault scenario of a schedule:
-// every hard deadline and the period hold with up to k faults from start.
-func CheckSchedulable(app *Application, entries []Entry, start Time, k int) error {
-	return schedule.CheckSchedulable(app, entries, start, k)
-}
-
-// TimingReport renders a per-entry timing table (starts, finishes,
-// worst-case completions under k faults, deadlines and laxities).
-func TimingReport(app *Application, s *FSchedule, k int) string {
-	return schedule.TimingReport(app, s, k)
-}
-
 // StaticTree wraps a static schedule as a one-node tree so it can be
 // simulated by Run/MonteCarlo.
 func StaticTree(app *Application, s *FSchedule) *Tree { return sim.StaticTree(app, s) }
-
-// SampleScenario draws random execution times and fault victims from the
-// evaluation engine's random stream seeded with seed: the same seed always
-// yields the same scenario, and distinct seeds yield independent ones. It
-// returns a *SampleError when faults is outside [0, app.K()] or positive
-// with an empty (non-nil) candidate pool.
-func SampleScenario(app *Application, seed int64, faults int, candidates []ProcessID) (Scenario, error) {
-	var sc Scenario
-	rng := sim.NewRNG(seed)
-	err := sim.SampleRNGInto(&sc, app, &rng, faults, candidates)
-	return sc, err
-}
 
 // Run executes one scenario against a tree with the online scheduler,
 // compiling a dispatcher for the call; use NewDispatcher to run many. It
@@ -550,13 +430,6 @@ func Run(tree *Tree, sc Scenario) (RunResult, error) {
 // (core.VerifyStructure) yields a *MalformedTreeError, never a panic.
 func NewDispatcher(tree *Tree, opts ...DispatcherOption) (*Dispatcher, error) {
 	return runtime.NewDispatcher(tree, opts...)
-}
-
-// MustNewDispatcher is NewDispatcher for trees known to be well-formed
-// (freshly synthesised or already verified); it panics on a malformed
-// tree.
-func MustNewDispatcher(tree *Tree, opts ...DispatcherOption) *Dispatcher {
-	return runtime.MustNewDispatcher(tree, opts...)
 }
 
 // Certify exhaustively certifies a tree against up to CertifyConfig.
@@ -617,49 +490,12 @@ func TrimTreeContext(ctx context.Context, tree *Tree, cfg TrimConfig) (int, erro
 	return sim.TrimContext(ctx, tree, cfg)
 }
 
-// RunOnlineReschedule executes one scenario with the idealised purely
-// online scheduler the paper argues against (§1): the remaining schedule
-// is re-synthesised after every completion. It upper-bounds the utility a
-// quasi-static tree can reach and reports the synthesis overhead the tree
-// avoids. The comparator simulates a single clock at nominal speed, so it
-// returns an error for an application mapped to any platform other than
-// one core at speed 1.
-func RunOnlineReschedule(app *Application, root *FSchedule, sc Scenario) (RescheduleResult, error) {
-	return sim.RunOnlineReschedule(app, root, sc)
-}
-
-// Generate builds a random benchmark application (paper §6 setup).
-func Generate(rng *rand.Rand, cfg GenConfig) (*Application, error) { return gen.Generate(rng, cfg) }
-
-// DefaultGenConfig returns the paper's generator parameters for n
-// processes.
-func DefaultGenConfig(n int) GenConfig { return gen.Default(n) }
-
 // CruiseController builds the 32-process vehicle cruise controller of the
 // paper's case study (9 hard processes, k = 2, µ = 10% WCET).
 func CruiseController() *Application { return apps.CruiseController() }
 
 // PaperFig1 builds the paper's running example (Fig. 1 application).
 func PaperFig1() *Application { return apps.Fig1() }
-
-// PaperFig8 builds the paper's Fig. 8 application G2.
-func PaperFig8() *Application { return apps.Fig8() }
-
-// EncodeApplication writes an application as JSON.
-func EncodeApplication(w io.Writer, app *Application) error {
-	return appio.EncodeApplication(w, app)
-}
-
-// DecodeApplication reads and validates a JSON application.
-func DecodeApplication(r io.Reader) (*Application, error) {
-	return appio.DecodeApplication(r)
-}
-
-// WriteDOT renders the process graph in Graphviz format.
-func WriteDOT(w io.Writer, app *Application) error { return appio.WriteDOT(w, app) }
-
-// WriteTreeDOT renders a quasi-static tree in Graphviz format.
-func WriteTreeDOT(w io.Writer, tree *Tree) error { return appio.WriteTreeDOT(w, tree) }
 
 // WriteTree persists a quasi-static tree as compact JSON: interned process
 // names, suffix-only schedules and a flat arc arena. The format tag fits
@@ -672,17 +508,3 @@ func WriteTree(w io.Writer, tree *Tree) error { return appio.EncodeTreeCompact(w
 // ReadTree loads a stored quasi-static tree and rebinds it to the
 // application. Run VerifyTree on the result before trusting it.
 func ReadTree(r io.Reader, app *Application) (*Tree, error) { return appio.DecodeTree(r, app) }
-
-// RunTrace is Run with full event recording, for visualisation.
-func RunTrace(tree *Tree, sc Scenario) (RunResult, []TraceEvent, error) {
-	d, err := runtime.NewDispatcher(tree)
-	if err != nil {
-		return RunResult{}, nil, err
-	}
-	return d.RunTrace(sc)
-}
-
-// WriteGantt renders a recorded trace as a time-scaled ASCII Gantt chart.
-func WriteGantt(w io.Writer, app *Application, events []TraceEvent, span Time, width int) error {
-	return appio.WriteGantt(w, app, events, span, width)
-}

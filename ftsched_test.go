@@ -1,15 +1,26 @@
 package ftsched_test
 
 import (
-	"bytes"
-	"math/rand"
 	"testing"
 
 	"ftsched"
 )
 
+// aetScenario is the no-fault scenario in which every process runs for its
+// average execution time, built from the facade types alone.
+func aetScenario(app *ftsched.Application) ftsched.Scenario {
+	sc := ftsched.Scenario{
+		Durations: make([]ftsched.Time, app.N()),
+		FaultsAt:  make([]int, app.N()),
+	}
+	for id := range sc.Durations {
+		sc.Durations[id] = app.Proc(ftsched.ProcessID(id)).AET
+	}
+	return sc
+}
+
 // TestPublicAPIEndToEnd walks the whole facade: build, synthesise all three
-// algorithms, simulate, serialise.
+// algorithms, simulate.
 func TestPublicAPIEndToEnd(t *testing.T) {
 	app := ftsched.NewApplication("demo", 300, 1, 10)
 	p1 := app.AddProcess(ftsched.Process{Name: "P1", Kind: ftsched.Hard,
@@ -32,9 +43,6 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 	if u := ftsched.ExpectedUtility(app, s); u <= 0 {
 		t.Errorf("utility = %g", u)
-	}
-	if err := ftsched.CheckSchedulable(app, s.Entries, 0, app.K()); err != nil {
-		t.Error(err)
 	}
 
 	tree, err := ftsched.FTQS(app, ftsched.FTQSOptions{M: 8})
@@ -66,55 +74,25 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		t.Errorf("FTQS %g below FTSF %g", qs.MeanUtility, bs.MeanUtility)
 	}
 
-	// Single-scenario run.
-	sc, err := ftsched.SampleScenario(app, 1, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Single-scenario run: a fault hits the hard process.
+	sc := aetScenario(app)
+	sc.FaultsAt[p1], sc.NFaults = 1, 1
 	r, err := ftsched.Run(tree, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.HardViolations) != 0 {
-		t.Error("violations in single run")
-	}
-
-	// Serialisation round trip.
-	var buf bytes.Buffer
-	if err := ftsched.EncodeApplication(&buf, app); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ftsched.DecodeApplication(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.N() != 3 {
-		t.Error("round trip lost processes")
-	}
-	var dot bytes.Buffer
-	if err := ftsched.WriteDOT(&dot, app); err != nil {
-		t.Fatal(err)
-	}
-	if err := ftsched.WriteTreeDOT(&dot, tree); err != nil {
-		t.Fatal(err)
+	if len(r.HardViolations) != 0 || r.Recoveries != 1 {
+		t.Errorf("single run: violations %v, re-executions %d", r.HardViolations, r.Recoveries)
 	}
 }
 
-func TestPublicFixturesAndGenerator(t *testing.T) {
-	if ftsched.PaperFig1().N() != 3 || ftsched.PaperFig8().N() != 5 {
-		t.Error("paper fixtures broken")
+func TestPublicFixturesAndMerge(t *testing.T) {
+	if ftsched.PaperFig1().N() != 3 {
+		t.Error("paper fixture broken")
 	}
 	cc := ftsched.CruiseController()
 	if cc.N() != 32 {
 		t.Error("cruise controller broken")
-	}
-	rng := rand.New(rand.NewSource(2))
-	app, err := ftsched.Generate(rng, ftsched.DefaultGenConfig(15))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if app.N() != 15 {
-		t.Error("generator broken")
 	}
 	// Multi-rate merge through the facade.
 	m, err := ftsched.Merge("m", 1, 10, ftsched.PaperFig1())
@@ -123,8 +101,5 @@ func TestPublicFixturesAndGenerator(t *testing.T) {
 	}
 	if m.Period() != 300 {
 		t.Error("merge broken")
-	}
-	if _, err := ftsched.LinearDropUtility(10, 5, 50); err != nil {
-		t.Error(err)
 	}
 }

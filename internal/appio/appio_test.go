@@ -97,20 +97,6 @@ func TestDecodeErrors(t *testing.T) {
 	}
 }
 
-func TestWriteDOT(t *testing.T) {
-	app := apps.Fig1()
-	var buf bytes.Buffer
-	if err := WriteDOT(&buf, app); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"digraph", "doubleoctagon", `"P1" -> "P2"`, "d=180"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("DOT output missing %q:\n%s", want, out)
-		}
-	}
-}
-
 func TestWriteTreeDOT(t *testing.T) {
 	app := apps.Fig1()
 	tree, err := core.FTQS(app, core.FTQSOptions{M: 6})

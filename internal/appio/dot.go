@@ -5,44 +5,7 @@ import (
 	"io"
 
 	"ftsched/internal/core"
-	"ftsched/internal/model"
 )
-
-// WriteDOT renders the application's process graph in Graphviz DOT format:
-// hard processes as double octagons annotated with their deadlines, soft
-// processes as ellipses.
-func WriteDOT(w io.Writer, app *model.Application) error {
-	if _, err := fmt.Fprintf(w, "digraph %q {\n  rankdir=TB;\n", app.Name()); err != nil {
-		return err
-	}
-	for id := 0; id < app.N(); id++ {
-		p := app.Proc(model.ProcessID(id))
-		switch p.Kind {
-		case model.Hard:
-			if _, err := fmt.Fprintf(w,
-				"  %q [shape=doubleoctagon, label=\"%s\\nw=%d d=%d\"];\n",
-				p.Name, p.Name, p.WCET, p.Deadline); err != nil {
-				return err
-			}
-		default:
-			if _, err := fmt.Fprintf(w,
-				"  %q [shape=ellipse, label=\"%s\\nw=%d\"];\n",
-				p.Name, p.Name, p.WCET); err != nil {
-				return err
-			}
-		}
-	}
-	for id := 0; id < app.N(); id++ {
-		from := app.Proc(model.ProcessID(id)).Name
-		for _, s := range app.Succs(model.ProcessID(id)) {
-			if _, err := fmt.Fprintf(w, "  %q -> %q;\n", from, app.Proc(s).Name); err != nil {
-				return err
-			}
-		}
-	}
-	_, err := fmt.Fprintln(w, "}")
-	return err
-}
 
 // WriteTreeDOT renders a quasi-static tree: one node per schedule, one edge
 // per switching arc, labelled with the guarded process, the arc kind and

@@ -78,6 +78,14 @@ func TestCampaignDeterministic(t *testing.T) {
 	if reports[0].Injected == 0 || reports[0].Overruns == 0 || reports[0].ExtraFaults == 0 {
 		t.Fatalf("vacuous campaign: %+v", summarize(reports[0]))
 	}
+	if len(reports[0].Records) != cfg.Cycles {
+		t.Fatalf("%d records for %d cycles", len(reports[0].Records), cfg.Cycles)
+	}
+	for i, rec := range reports[0].Records {
+		if rec.Cycle != i {
+			t.Fatalf("records out of order: record %d is cycle %d", i, rec.Cycle)
+		}
+	}
 }
 
 func summarize(r *chaos.Report) chaos.Report {

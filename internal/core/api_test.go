@@ -90,8 +90,9 @@ func TestFTQSOptionsValidate(t *testing.T) {
 }
 
 // TestFTQSContextCancellation: a cancelled context aborts synthesis with
-// ctx.Err(), both when cancelled up front and mid-run, without leaking the
-// speculative synthesis goroutines.
+// ctx.Err(), both when cancelled up front and mid-run, and the par.For
+// workers that fan out each node's candidate positions are reaped before
+// FTQSContext returns.
 func TestFTQSContextCancellation(t *testing.T) {
 	app := apps.CruiseController()
 	before := runtime.NumGoroutine()
@@ -118,7 +119,8 @@ func TestFTQSContextCancellation(t *testing.T) {
 		t.Fatal("nil tree without error")
 	}
 
-	// The deferred synthesizer close must have reaped workers and futures.
+	// par.For joins its workers before returning, so none may outlive the
+	// call.
 	deadline := time.Now().Add(2 * time.Second)
 	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)

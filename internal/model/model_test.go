@@ -326,6 +326,27 @@ func TestKindString(t *testing.T) {
 	if got := Kind(7).String(); got != "Kind(7)" {
 		t.Errorf("Kind(7).String() = %q", got)
 	}
+	for k, want := range map[RecoveryKind]string{
+		RecoverReExecution: "re-execution",
+		RecoverRestart:     "restart",
+		RecoverCheckpoint:  "checkpoint",
+	} {
+		if got := k.String(); got != want {
+			t.Errorf("RecoveryKind(%d).String() = %q, want %q", int(k), got, want)
+		}
+	}
+}
+
+// TestSingleCorePlatform: the platform every application without an
+// explicit one is bound to is the paper's single computation node.
+func TestSingleCorePlatform(t *testing.T) {
+	p := SingleCore()
+	if p.NCores() != 1 || !p.IsCanonical() {
+		t.Fatalf("SingleCore() = %v: %d cores, canonical %v", p, p.NCores(), p.IsCanonical())
+	}
+	if !NewApplication("a", 10, 0, 1).Platform().Equal(p) {
+		t.Error("a new application is not bound to the canonical platform")
+	}
 }
 
 // TestTopoOrderProperty: for random DAGs, Topo returns each process exactly

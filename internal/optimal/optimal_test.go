@@ -3,6 +3,7 @@ package optimal
 import (
 	"math"
 	"math/rand"
+	"strconv"
 	"testing"
 	"testing/quick"
 
@@ -269,4 +270,42 @@ func TestFTSSWithinOptimal(t *testing.T) {
 	if ratio < 0.80 {
 		t.Errorf("FTSS at %.1f%% of optimal, expected >= 80%%", 100*ratio)
 	}
+}
+
+// BenchmarkOptimalDP measures the exact subset-DP optimiser (the quality
+// yardstick) across instance sizes.
+func BenchmarkOptimalDP(b *testing.B) {
+	for _, n := range []int{10, 14, 18} {
+		b.Run(strconv.Itoa(n), func(b *testing.B) {
+			app := schedulableApp(b, n)
+			if _, err := Schedule(app); err != nil {
+				b.Skip("instance outside optimiser scope")
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := Schedule(app); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// schedulableApp draws generated n-process applications from a fixed seed
+// until FTSS can schedule one.
+func schedulableApp(b *testing.B, n int) *model.Application {
+	b.Helper()
+	rng := rand.New(rand.NewSource(42))
+	for attempt := 0; attempt < 50; attempt++ {
+		app, err := gen.Generate(rng, gen.Default(n))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := core.FTSS(app); err == nil {
+			return app
+		}
+	}
+	b.Fatal("no schedulable instance")
+	return nil
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -259,6 +260,34 @@ func TestSampleDistribution(t *testing.T) {
 	sc := mustSample(app, rng, 1, nil)
 	if sc.NFaults != 1 {
 		t.Error("NFaults mismatch")
+	}
+}
+
+// TestSampleScenarioBounds: out-of-bounds sampling requests return a typed
+// *SampleError before touching the RNG.
+func TestSampleScenarioBounds(t *testing.T) {
+	app := apps.Fig1()
+	sample := func(faults int, candidates []model.ProcessID) (Scenario, error) {
+		var sc Scenario
+		rng := NewRNG(1)
+		err := SampleRNGInto(&sc, app, &rng, faults, candidates)
+		return sc, err
+	}
+	var se *SampleError
+	if _, err := sample(app.K()+1, nil); !errors.As(err, &se) {
+		t.Fatalf("faults>k: err = %v, want *SampleError", err)
+	}
+	if _, err := sample(-1, nil); !errors.As(err, &se) {
+		t.Fatalf("negative faults: err = %v, want *SampleError", err)
+	}
+	if _, err := sample(1, []model.ProcessID{}); !errors.As(err, &se) {
+		t.Fatalf("empty pool: err = %v, want *SampleError", err)
+	}
+	if se.NFaults != 1 || !se.EmptyPool {
+		t.Errorf("SampleError detail = %+v", se)
+	}
+	if sc, err := sample(1, nil); err != nil || sc.NFaults != 1 {
+		t.Errorf("in-bounds sample failed: %v", err)
 	}
 }
 

@@ -129,25 +129,6 @@ func MustStep(ts []Time, vs []float64) *Table {
 	return t
 }
 
-// NewLinearDrop builds a function worth v0 until tStart, decreasing linearly
-// to zero at tEnd, and zero afterwards. This is the classic soft real-time
-// "diminishing value after the soft deadline" shape.
-func NewLinearDrop(v0 float64, tStart, tEnd Time) (*Table, error) {
-	if tEnd <= tStart {
-		return nil, fmt.Errorf("utility: NewLinearDrop needs tEnd > tStart (got %d <= %d)", tEnd, tStart)
-	}
-	return NewTable(Linear, Point{T: tStart, V: v0}, Point{T: tEnd, V: 0})
-}
-
-// MustLinearDrop is NewLinearDrop that panics on invalid input.
-func MustLinearDrop(v0 float64, tStart, tEnd Time) *Table {
-	t, err := NewLinearDrop(v0, tStart, tEnd)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
 // Value implements Function.
 func (tb *Table) Value(t Time) float64 {
 	pts := tb.points

@@ -45,7 +45,7 @@ func TestPaperFig2Utilities(t *testing.T) {
 }
 
 func TestLinearDrop(t *testing.T) {
-	u, err := NewLinearDrop(100, 50, 150)
+	u, err := NewTable(Linear, Point{T: 50, V: 100}, Point{T: 150, V: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,15 +62,6 @@ func TestLinearDrop(t *testing.T) {
 	}
 	if u.Horizon() != 150 {
 		t.Errorf("Horizon() = %d, want 150", u.Horizon())
-	}
-}
-
-func TestNewLinearDropRejectsEmptyRange(t *testing.T) {
-	if _, err := NewLinearDrop(10, 100, 100); err == nil {
-		t.Error("NewLinearDrop(10, 100, 100) should fail")
-	}
-	if _, err := NewLinearDrop(10, 100, 50); err == nil {
-		t.Error("NewLinearDrop(10, 100, 50) should fail")
 	}
 }
 
@@ -112,7 +103,10 @@ func TestTableString(t *testing.T) {
 	if got := u.String(); got != "step{90:40 91:0}" {
 		t.Errorf("String() = %q", got)
 	}
-	l := MustLinearDrop(10, 0, 5)
+	l, err := NewTable(Linear, Point{T: 0, V: 10}, Point{T: 5, V: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got := l.String(); got != "linear{0:10 5:0}" {
 		t.Errorf("String() = %q", got)
 	}
