@@ -91,10 +91,7 @@ func lowestUtilitySoft(app *model.Application, entries []schedule.Entry) int {
 	for _, e := range entries {
 		status[e.Proc] = utility.Executed
 	}
-	alpha, err := app.StaleCoefficients(status)
-	if err != nil {
-		panic(err) // unreachable for a validated application
-	}
+	alpha := app.StaleCoefficients(nil, status)
 	c := schedule.ExpectedCompletions(app, entries, 0)
 	best := -1
 	var bestU float64

@@ -338,12 +338,7 @@ func staleAlpha(app *model.Application, dropped []bool) []float64 {
 			status[i] = utility.Dropped
 		}
 	}
-	alpha, err := app.StaleCoefficients(status)
-	if err != nil {
-		// Unreachable for a validated application.
-		panic(err)
-	}
-	return alpha
+	return app.StaleCoefficients(nil, status)
 }
 
 // schedulableSet implements GetSchedulable (line 4): the subset A of the
@@ -554,6 +549,10 @@ func (st *ftssState) forcedDropping() bool {
 func (st *ftssState) bestProcess(sched []model.ProcessID) model.ProcessID {
 	bestSoft := model.NoProcess
 	bestScore := 0.0
+	// The dropped set does not change while candidates are scored, and
+	// rolloutProjection computes its own coefficients, so alpha is never
+	// overwritten under the score expression.
+	alpha := staleAlpha(st.app, st.dropped)
 	for _, p := range sched {
 		proc := st.app.Proc(p)
 		if proc.Kind != model.Soft {
@@ -564,7 +563,6 @@ func (st *ftssState) bestProcess(sched []model.ProcessID) model.ProcessID {
 			s = proc.Release
 		}
 		done := s + st.aetOn(p)
-		alpha := staleAlpha(st.app, st.dropped)
 		score := alpha[p]*st.app.UtilityOf(p).Value(done) +
 			st.rolloutProjection(done, p)
 		if bestSoft == model.NoProcess || score > bestScore ||

@@ -178,6 +178,24 @@ func TestSuffixEvalQuadratureDeterminism(t *testing.T) {
 	}
 }
 
+// TestSuffixEvalFig4b5: the paper's Fig. 4b5 decision as interval
+// partitioning evaluates it. If P1 completes at its BCET 30, the suffix
+// P2, P3 of S1 yields U2(80) + U3(140) = 40 + 30 = 70, beating the 60 of
+// S2's suffix P3, P2 (U3(90) + U2(150) = 40 + 20).
+func TestSuffixEvalFig4b5(t *testing.T) {
+	app := apps.Fig1()
+	p2, p3 := app.IDByName("P2"), app.IDByName("P3")
+	none := make([]bool, app.N())
+	s1 := newSuffixEval(app, []schedule.Entry{{Proc: p2}, {Proc: p3}}, none, 1)
+	s2 := newSuffixEval(app, []schedule.Entry{{Proc: p3}, {Proc: p2}}, none, 1)
+	if got := s1.from(30); got != 70 {
+		t.Errorf("U(S1 | P1 done at 30) = %g, want 70", got)
+	}
+	if got := s2.from(30); got != 60 {
+		t.Errorf("U(S2 | P1 done at 30) = %g, want 60", got)
+	}
+}
+
 // TestQuadFracProperties: fractions lie in [0,1) and are identical for the
 // same (sample, process) pair.
 func TestQuadFracProperties(t *testing.T) {

@@ -456,24 +456,23 @@ func (a *Application) IsPolar() bool {
 	return len(a.Sources()) == 1 && len(a.Sinks()) == 1
 }
 
-// StaleCoefficients computes the stale-value coefficients α for all
-// processes given their execution status, visiting them in topological
-// order. See utility.Coefficients.
-func (a *Application) StaleCoefficients(status []utility.StaleStatus) ([]float64, error) {
+// StaleCoefficients computes the stale-value coefficients α (§2.1) of
+// every process given its execution status, indexed by process ID. It is
+// the one α recurrence of the schedulers, the runtime and the baselines:
+// utility.CoefficientsInto over the topological order and predecessor
+// lists Validate established, with no copy of either. The result is
+// written into alpha when its capacity suffices, so callers with sized
+// scratch allocate nothing; otherwise a new slice is returned. status
+// must hold one entry per process.
+func (a *Application) StaleCoefficients(alpha []float64, status []utility.StaleStatus) []float64 {
 	a.mustBeValidated()
-	order := make([]int, len(a.topo))
-	for i, id := range a.topo {
-		order[i] = int(id)
+	n := len(a.procs)
+	if cap(alpha) < n {
+		alpha = make([]float64, n)
 	}
-	preds := make([][]int, len(a.procs))
-	for id := range a.procs {
-		ps := make([]int, len(a.pred[id]))
-		for i, p := range a.pred[id] {
-			ps[i] = int(p)
-		}
-		preds[id] = ps
-	}
-	return utility.Coefficients(order, preds, status)
+	alpha = alpha[:n]
+	utility.CoefficientsInto(alpha, a.topo, a.pred, status[:n])
+	return alpha
 }
 
 // WithFaults returns a copy of the (validated) application with a different

@@ -223,16 +223,109 @@ func TestStaleCoefficientsViaApplication(t *testing.T) {
 		t.Fatal(err)
 	}
 	status := []utility.StaleStatus{utility.Executed, utility.Dropped, utility.Executed, utility.Executed}
-	alpha, err := a.StaleCoefficients(status)
-	if err != nil {
-		t.Fatal(err)
-	}
+	alpha := a.StaleCoefficients(nil, status)
 	// αA = 1, αB = 0, αC = (1+1)/2 = 1, αD = (1+0+1)/3 = 2/3.
 	want := []float64{1, 0, 1, 2.0 / 3.0}
 	for i := range want {
 		if math.Abs(alpha[i]-want[i]) > 1e-12 {
 			t.Errorf("alpha[%d] = %g, want %g", i, alpha[i], want[i])
 		}
+	}
+}
+
+// TestStaleCoefficientsReusesScratch: with sized scratch the recurrence
+// writes in place and allocates nothing — the runtime accounts every
+// dispatched cycle through it.
+func TestStaleCoefficientsReusesScratch(t *testing.T) {
+	a := NewApplication("chain", 1000, 0, 1)
+	prev := NoProcess
+	for i := 0; i < 8; i++ {
+		id := a.AddProcess(Process{Name: "P" + string(rune('0'+i)), Kind: Soft, BCET: 1, AET: 1, WCET: 1, Utility: u(1, 10)})
+		if prev != NoProcess {
+			a.MustAddEdge(prev, id)
+		}
+		prev = id
+	}
+	if err := a.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	status := make([]utility.StaleStatus, a.N())
+	status[3] = utility.Dropped
+	want := a.StaleCoefficients(nil, status)
+	scratch := make([]float64, a.N())
+	got := a.StaleCoefficients(scratch, status)
+	if &got[0] != &scratch[0] {
+		t.Error("sized scratch was not reused")
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("alpha[%d] = %g with scratch, %g without", i, got[i], want[i])
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { a.StaleCoefficients(scratch, status) }); allocs != 0 {
+		t.Errorf("StaleCoefficients with sized scratch: %v allocs, want 0", allocs)
+	}
+}
+
+// TestStaleCoefficientsMatchesDefinition: on random DAGs whose process
+// IDs are shuffled against their precedence order, so the validated
+// topological order is not the identity, StaleCoefficients equals the
+// §2.1 definition evaluated by memoised recursion over the predecessors:
+// α = 0 for a dropped process, (1 + Σ α_pred)/(1 + |DP|) otherwise.
+func TestStaleCoefficientsMatchesDefinition(t *testing.T) {
+	check := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(16)
+		rank := rng.Perm(n) // precedence runs from lower to higher rank
+		a := NewApplication("r", 1000, 0, 1)
+		for i := 0; i < n; i++ {
+			a.AddProcess(Process{Name: "P" + string(rune('A'+i)), Kind: Soft, BCET: 1, AET: 1, WCET: 1, Utility: u(1, 10)})
+		}
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				if rank[i] < rank[j] && rng.Float64() < 0.3 {
+					a.MustAddEdge(ProcessID(i), ProcessID(j))
+				}
+			}
+		}
+		if err := a.Validate(); err != nil {
+			t.Logf("seed %d: %v", seed, err)
+			return false
+		}
+		status := make([]utility.StaleStatus, n)
+		for i := range status {
+			if rng.Float64() < 0.3 {
+				status[i] = utility.Dropped
+			}
+		}
+		memo := make(map[ProcessID]float64, n)
+		var def func(id ProcessID) float64
+		def = func(id ProcessID) float64 {
+			if v, ok := memo[id]; ok {
+				return v
+			}
+			v := 0.0
+			if status[id] != utility.Dropped {
+				sum := 1.0
+				for _, p := range a.Preds(id) {
+					sum += def(p)
+				}
+				v = sum / float64(1+len(a.Preds(id)))
+			}
+			memo[id] = v
+			return v
+		}
+		alpha := a.StaleCoefficients(nil, status)
+		for i := 0; i < n; i++ {
+			if want := def(ProcessID(i)); math.Abs(alpha[i]-want) > 1e-12 {
+				t.Logf("seed %d: alpha[%d] = %g, want %g", seed, i, alpha[i], want)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
 	}
 }
 

@@ -106,8 +106,8 @@ func (d *Dispatcher) begin(res *Result, sc Scenario, events *[]TraceEvent) *cycl
 // res.
 func (d *Dispatcher) reset(st *cycleState, res *Result, sc Scenario, events *[]TraceEvent) {
 	// Field by field: a composite-literal reset copies the whole Result.
-	res.Outcomes = resize(res.Outcomes, len(d.procs))
-	res.CompletionTimes = resize(res.CompletionTimes, len(d.procs))
+	res.Outcomes = resize(res.Outcomes, len(d.kern.procs))
+	res.CompletionTimes = resize(res.CompletionTimes, len(d.kern.procs))
 	res.HardViolations = res.HardViolations[:0]
 	res.Violations = res.Violations[:0]
 	res.Utility, res.Makespan, res.Switches, res.Fallbacks = 0, 0, 0, 0
@@ -134,7 +134,7 @@ func (d *Dispatcher) loopCanonical(st *cycleState) {
 			st.rec.save(st)
 		}
 		e := st.entries[st.pos]
-		end, outcome := d.step(st, e, max(st.ready[0], d.procs[e.Proc].Release), 0)
+		end, outcome := d.step(st, e, max(st.ready[0], d.kern.procs[e.Proc].Release), 0)
 		switch st.after {
 		case actDispatch:
 			if next := d.next(st.node, st.pos, end, outcome, st); next != st.node {
@@ -164,7 +164,7 @@ func (d *Dispatcher) loopMapped(st *cycleState) {
 		}
 		e := st.entries[st.pos]
 		pc := d.kern.primCore[e.Proc]
-		start := max(st.ready[pc], d.procs[e.Proc].Release)
+		start := max(st.ready[pc], d.kern.procs[e.Proc].Release)
 		for _, q := range d.preds[e.Proc] {
 			if res.Outcomes[q] == Completed && res.CompletionTimes[q] > start {
 				start = res.CompletionTimes[q]
@@ -192,7 +192,7 @@ func (d *Dispatcher) loopMapped(st *cycleState) {
 // BudgetExhausted event, the trace and the sink. It returns the time the
 // entry ended and the outcome guard dispatch keys on.
 func (d *Dispatcher) step(st *cycleState, e schedule.Entry, start model.Time, pc int32) (model.Time, core.EntryOutcome) {
-	p := &d.procs[e.Proc]
+	p := &d.kern.procs[e.Proc]
 	dur, excess := st.durations[e.Proc], model.Time(0)
 	if d.env != nil && (dur < 0 || dur > p.WCET) {
 		dur, excess = d.detect(st, e.Proc, p, start, pc)
@@ -269,7 +269,7 @@ func (d *Dispatcher) detect(st *cycleState, proc model.ProcessID, p *model.Proce
 // time guaranteed returned before the next hard deadline is at stake.
 func (d *Dispatcher) shed(st *cycleState) {
 	for _, e := range st.entries[st.pos+1:] {
-		sp := &d.procs[e.Proc]
+		sp := &d.kern.procs[e.Proc]
 		if sp.Kind == model.Hard {
 			break
 		}
@@ -326,7 +326,7 @@ func (d *Dispatcher) close(st *cycleState) error {
 	res := st.res
 	res.FinalNode = int(st.node)
 	appendUnranHard(res, d.hardIDs)
-	res.Utility = d.totalUtility(res.Outcomes, res.CompletionTimes, st)
+	res.Utility = cycleUtility(d.tree.App, d.kern.procs, st)
 
 	// Active energy is per-core busy time × active power; idle energy the
 	// rest of the period × idle power (clamped at zero for out-of-model
@@ -402,26 +402,28 @@ func (d *Dispatcher) flush(st *cycleState) {
 	}
 }
 
-// totalUtility applies the stale-value model to the realised outcomes,
-// using the cached topology and the cycle's scratch. The arithmetic
-// matches app.StaleCoefficients exactly (same order, same operations).
-func (d *Dispatcher) totalUtility(outcomes []ProcessOutcome, done []model.Time, st *cycleState) float64 {
-	status := st.status
-	for id := range status {
-		if outcomes[id] == Completed {
+// cycleUtility is the stale-value accounting of a finished cycle (§2.1):
+// Σ α_i·U_i(t_i) over the soft processes that completed, with α from
+// app.StaleCoefficients over the realised outcomes. Dispatcher.close and
+// Kernel.Finish share it; st.status and st.alpha are its scratch.
+func cycleUtility(app *model.Application, procs []model.Process, st *cycleState) float64 {
+	outcomes, done, status := st.res.Outcomes, st.res.CompletionTimes, st.status
+	for id, o := range outcomes {
+		if o == Completed {
 			status[id] = utility.Executed
 		} else {
 			status[id] = utility.Dropped
 		}
 	}
-	utility.CoefficientsInto(st.alpha, d.order, d.preds, status)
+	alpha := app.StaleCoefficients(st.alpha, status)
+	st.alpha = alpha
 	var total float64
-	for id := range d.procs {
-		if d.procs[id].Kind != model.Soft || outcomes[id] != Completed {
+	for id := range procs {
+		if procs[id].Kind != model.Soft || outcomes[id] != Completed {
 			continue
 		}
 		// A validated application gives every soft process a utility.
-		total += st.alpha[id] * d.procs[id].Utility.Value(done[id])
+		total += alpha[id] * procs[id].Utility.Value(done[id])
 	}
 	return total
 }

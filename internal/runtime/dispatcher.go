@@ -33,8 +33,8 @@ type groupRange struct {
 
 // Dispatcher is the compiled, immutable online-scheduler state for one
 // quasi-static tree. Construction resolves the tree's overlapping guard
-// arcs into disjoint segments and caches the application topology the
-// utility accounting needs every cycle; afterwards executing a scenario
+// arcs into disjoint segments and caches the per-process parameters the
+// attempt kernel needs every cycle; afterwards executing a scenario
 // performs no allocation (with RunInto) and no linear arc scan. A
 // Dispatcher is safe for concurrent use by multiple goroutines.
 type Dispatcher struct {
@@ -44,12 +44,9 @@ type Dispatcher struct {
 	groups     []group
 	segs       []segment
 
-	// procs caches the process table; order/preds cache the topology in
-	// the form utility.CoefficientsInto consumes (validated once during
-	// construction via StaleCoefficients).
-	procs   []model.Process
-	order   []int
-	preds   [][]int
+	// preds[p] is app.Preds(p), for the mapped loop's cross-core
+	// precedence.
+	preds   [][]model.ProcessID
 	hardIDs []model.ProcessID
 
 	// sink receives dispatch events; nil when observability is disabled
@@ -112,9 +109,7 @@ func NewDispatcher(tree *core.Tree, opts ...Option) (*Dispatcher, error) {
 	n := app.N()
 	d := &Dispatcher{
 		tree:    tree,
-		procs:   make([]model.Process, n),
-		order:   make([]int, n),
-		preds:   make([][]int, n),
+		preds:   make([][]model.ProcessID, n),
 		hardIDs: app.HardIDs(),
 		kern:    newKernel(app),
 	}
@@ -130,17 +125,8 @@ func NewDispatcher(tree *core.Tree, opts ...Option) (*Dispatcher, error) {
 			d.emergency = core.BuildEmergencyPlan(tree)
 		}
 	}
-	for i, id := range app.Topo() {
-		d.order[i] = int(id)
-	}
-	for id := 0; id < n; id++ {
-		pid := model.ProcessID(id)
-		d.procs[id] = app.Proc(pid)
-		ps := app.Preds(pid)
-		d.preds[id] = make([]int, len(ps))
-		for i, p := range ps {
-			d.preds[id][i] = int(p)
-		}
+	for id := range d.preds {
+		d.preds[id] = app.Preds(model.ProcessID(id))
 	}
 	d.loop = (*Dispatcher).loopMapped
 	if app.Platform().IsDefault() {
@@ -159,7 +145,7 @@ func NewDispatcher(tree *core.Tree, opts ...Option) (*Dispatcher, error) {
 
 // newState allocates the scratch of one cycle.
 func (d *Dispatcher) newState() *cycleState {
-	n, ncores := len(d.procs), len(d.kern.cores)
+	n, ncores := len(d.kern.procs), len(d.kern.cores)
 	return &cycleState{
 		faultsLeft: make([]int, n),
 		status:     make([]utility.StaleStatus, n),
@@ -363,7 +349,7 @@ func (d *Dispatcher) lookup(id core.NodeID, pos int, kind core.ArcKind, tc model
 // cannot fault; it deliberately does not duplicate Scenario.Validate (out
 // of the hot path — validate untrusted scenarios explicitly).
 func (d *Dispatcher) checkScenario(sc Scenario) error {
-	if n := len(d.procs); len(sc.Durations) != n || len(sc.FaultsAt) != n {
+	if n := len(d.kern.procs); len(sc.Durations) != n || len(sc.FaultsAt) != n {
 		return &ScenarioSizeError{Durations: len(sc.Durations), Faults: len(sc.FaultsAt), Want: n}
 	}
 	return nil

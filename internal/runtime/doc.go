@@ -32,7 +32,10 @@
 // use. The execution entry points are allocation-free on the hot path:
 // RunInto reuses the caller's Result buffers and per-cycle scratch
 // (fault budgets, stale statuses, stale-value coefficients α) comes from
-// an internal sync.Pool. Monte-Carlo evaluation in internal/sim drives one
+// an internal sync.Pool. The finish pass and Kernel share one utility
+// accounting, which hands that scratch to model.StaleCoefficients; the
+// recurrence walks the application's own topology, so the Dispatcher
+// keeps no copy of it. Monte-Carlo evaluation in internal/sim drives one
 // shared Dispatcher from many goroutines; see BenchmarkDispatch for the
 // per-cycle cost.
 package runtime

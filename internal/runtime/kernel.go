@@ -6,6 +6,7 @@ import (
 
 	"ftsched/internal/model"
 	"ftsched/internal/schedule"
+	"ftsched/internal/utility"
 )
 
 // fate is how one entry's attempt sequence ended.
@@ -24,6 +25,7 @@ const (
 // checkpoint model of Persya & Nair (PAPERS.md). It is immutable; the
 // per-cycle state it advances is a cycleState.
 type kernel struct {
+	procs    []model.Process // the process table, by ID
 	rec      model.RecoveryModel
 	overhead []model.Time // per-fault overhead: µ, restart latency or rollback
 	// primCore[p] runs p's first attempt and rerunCore[p] its re-runs: the
@@ -40,12 +42,13 @@ type kernel struct {
 	policy DegradePolicy
 }
 
-// newKernel caches the per-process platform and recovery parameters of
-// app, with no envelope.
+// newKernel caches the process table and the per-process platform and
+// recovery parameters of app, with no envelope.
 func newKernel(app *model.Application) kernel {
 	n := app.N()
 	plat := app.Platform()
 	k := kernel{
+		procs:     make([]model.Process, n),
 		rec:       app.Recovery(),
 		overhead:  make([]model.Time, n),
 		primCore:  make([]int32, n),
@@ -56,6 +59,7 @@ func newKernel(app *model.Application) kernel {
 	}
 	for id := 0; id < n; id++ {
 		pid := model.ProcessID(id)
+		k.procs[id] = app.Proc(pid)
 		k.overhead[id] = app.RecoveryOverhead(pid)
 		k.primCore[id] = int32(app.CoreOf(pid))
 		k.rerunCore[id] = int32(app.RecoveryCoreOf(pid))
@@ -174,6 +178,7 @@ func NewKernel(app *model.Application, res *Result, sc Scenario) *Kernel {
 		res:        res,
 		durations:  sc.Durations,
 		faultsLeft: append([]int(nil), sc.FaultsAt...),
+		status:     make([]utility.StaleStatus, n),
 		ready:      make([]model.Time, 1),
 		busy:       make([]model.Time, 1),
 	}}
@@ -183,10 +188,10 @@ func NewKernel(app *model.Application, res *Result, sc Scenario) *Kernel {
 // release, books its outcome, and returns the time it ended and whether
 // it completed.
 func (k *Kernel) Run(e schedule.Entry) (model.Time, bool) {
-	p := k.app.Proc(e.Proc)
+	p := &k.k.procs[e.Proc]
 	start := max(k.st.ready[0], p.Release)
 	end, f := k.k.attempts(&k.st, e, p.Kind == model.Hard, 0, start, k.st.durations[e.Proc], 0)
-	book(k.st.res, e.Proc, &p, end, f)
+	book(k.st.res, e.Proc, p, end, f)
 	return end, f <= fateRecovered
 }
 
@@ -195,7 +200,7 @@ func (k *Kernel) Run(e schedule.Entry) (model.Time, bool) {
 func (k *Kernel) Finish() {
 	res := k.st.res
 	appendUnranHard(res, k.app.HardIDs())
-	res.Utility = TotalUtility(k.app, res.Outcomes, res.CompletionTimes)
+	res.Utility = cycleUtility(k.app, k.k.procs, &k.st)
 }
 
 // appendUnranHard records every hard process that did not complete and

@@ -5,6 +5,7 @@ import (
 
 	"ftsched/internal/core"
 	"ftsched/internal/model"
+	"ftsched/internal/utility"
 )
 
 // ReferenceRun executes one scenario through referenceRun, the frozen
@@ -311,7 +312,7 @@ func referenceRun(tree *core.Tree, env *EnvelopeConfig, res *Result, sc Scenario
 		}
 	}
 
-	res.Utility = TotalUtility(app, res.Outcomes, res.CompletionTimes)
+	res.Utility = referenceUtility(app, res.Outcomes, res.CompletionTimes)
 
 	res.CoreBusy = resize(res.CoreBusy, ncores)
 	res.CoreEnergy = resize(res.CoreEnergy, ncores)
@@ -340,4 +341,28 @@ func referenceRun(tree *core.Tree, env *EnvelopeConfig, res *Result, sc Scenario
 		return &EnvelopeError{Policy: PolicyStrict, Events: evs}
 	}
 	return nil
+}
+
+// referenceUtility applies the stale-value model to realised outcomes:
+// Σ α_i · U_i(t_i^c) over the soft processes that completed, with α from
+// app.StaleCoefficients.
+func referenceUtility(app *model.Application, outcomes []ProcessOutcome, done []model.Time) float64 {
+	status := make([]utility.StaleStatus, app.N())
+	for id := range status {
+		if outcomes[id] == Completed {
+			status[id] = utility.Executed
+		} else {
+			status[id] = utility.Dropped
+		}
+	}
+	alpha := app.StaleCoefficients(nil, status)
+	var total float64
+	for id := 0; id < app.N(); id++ {
+		pid := model.ProcessID(id)
+		if app.Proc(pid).Kind != model.Soft || outcomes[id] != Completed {
+			continue
+		}
+		total += alpha[id] * app.UtilityOf(pid).Value(done[id])
+	}
+	return total
 }

@@ -77,7 +77,7 @@ type snapshot struct {
 // NewReplayer returns a Replayer with an empty record, so its first Run
 // executes from the root. The record starts sized for the root schedule.
 func (d *Dispatcher) NewReplayer() *Replayer {
-	n, m := len(d.procs), len(d.tree.Nodes[0].Schedule.Entries)+1
+	n, m := len(d.kern.procs), len(d.tree.Nodes[0].Schedule.Entries)+1
 	return &Replayer{d: d, st: d.newState(), rec: recorder{
 		durations: make([]model.Time, 0, n),
 		faults:    make([]int, 0, n),

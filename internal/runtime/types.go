@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"ftsched/internal/model"
-	"ftsched/internal/utility"
 )
 
 // Scenario fixes everything that is random in one operation cycle: the
@@ -136,35 +135,6 @@ type Result struct {
 	// CoreEnergy[c] is the per-core energy (active + idle) of the cycle.
 	// The slice is reused across RunInto calls — copy it to keep it.
 	CoreEnergy []float64
-}
-
-// TotalUtility applies the stale-value model to realised outcomes:
-// Σ α_i · U_i(t_i^c) over the soft processes that completed. It is the
-// standalone (allocating) form of the accounting a Dispatcher performs
-// with cached topology; the online rescheduler, which has no tree to
-// compile, shares it.
-func TotalUtility(app *model.Application, outcomes []ProcessOutcome, done []model.Time) float64 {
-	status := make([]utility.StaleStatus, app.N())
-	for id := range status {
-		if outcomes[id] == Completed {
-			status[id] = utility.Executed
-		} else {
-			status[id] = utility.Dropped
-		}
-	}
-	alpha, err := app.StaleCoefficients(status)
-	if err != nil {
-		panic(err) // unreachable for a validated application
-	}
-	var total float64
-	for id := 0; id < app.N(); id++ {
-		pid := model.ProcessID(id)
-		if app.Proc(pid).Kind != model.Soft || outcomes[id] != Completed {
-			continue
-		}
-		total += alpha[id] * app.UtilityOf(pid).Value(done[id])
-	}
-	return total
 }
 
 // TraceEventKind classifies execution-trace events.

@@ -362,19 +362,15 @@ func Schedulable(app *model.Application, entries []Entry, start Time, k int) boo
 	return CheckSchedulable(app, entries, start, k) == nil
 }
 
-// ProjectedUtility evaluates the total expected utility of an f-schedule in
-// the no-fault scenario (paper §4: the no-fault utility must never be
-// compromised, so schedules are optimised for the average execution times).
-//
-// The first len(fixed) entries are taken to have completed at the given
-// absolute times; the remaining entries are projected sequentially with
-// their AETs starting at now (which must be >= the last fixed completion).
-// Soft processes outside the schedule are dropped: they contribute nothing
-// and degrade their successors through the stale-value coefficients.
-func ProjectedUtility(app *model.Application, s *FSchedule, fixed []Time, now Time) float64 {
-	if len(fixed) > len(s.Entries) {
-		panic("schedule: more fixed completions than entries")
-	}
+// ExpectedUtility evaluates the total expected utility of an f-schedule in
+// the no-fault scenario, the figure of merit the paper reports (§4: the
+// no-fault utility must never be compromised, so schedules are optimised
+// for the average execution times). The entries run back to back from 0
+// with their AETs; each soft one contributes α_i·U_i(t_i), summed in entry
+// order, with α from app.StaleCoefficients. Soft processes outside the
+// schedule are dropped: they contribute nothing and degrade their
+// successors through the stale-value coefficients.
+func ExpectedUtility(app *model.Application, s *FSchedule) float64 {
 	status := make([]utility.StaleStatus, app.N())
 	for i := range status {
 		status[i] = utility.Dropped
@@ -382,31 +378,13 @@ func ProjectedUtility(app *model.Application, s *FSchedule, fixed []Time, now Ti
 	for _, e := range s.Entries {
 		status[e.Proc] = utility.Executed
 	}
-	alpha, err := app.StaleCoefficients(status)
-	if err != nil {
-		// Impossible for a validated application; schedule validity is a
-		// programmer-error precondition.
-		panic(err)
-	}
+	alpha := app.StaleCoefficients(nil, status)
+	c := ExpectedCompletions(app, s.Entries, 0)
 	var total float64
-	for i := 0; i < len(fixed); i++ {
-		e := s.Entries[i]
-		if app.Proc(e.Proc).Kind == model.Soft {
-			total += alpha[e.Proc] * app.UtilityOf(e.Proc).Value(fixed[i])
-		}
-	}
-	rest := s.Entries[len(fixed):]
-	c := ExpectedCompletions(app, rest, now)
-	for i, e := range rest {
+	for i, e := range s.Entries {
 		if app.Proc(e.Proc).Kind == model.Soft {
 			total += alpha[e.Proc] * app.UtilityOf(e.Proc).Value(c.Finish[i])
 		}
 	}
 	return total
-}
-
-// ExpectedUtility is ProjectedUtility with no fixed prefix, starting at 0:
-// the figure of merit the paper reports for the no-fault scenario.
-func ExpectedUtility(app *model.Application, s *FSchedule) float64 {
-	return ProjectedUtility(app, s, nil, 0)
 }

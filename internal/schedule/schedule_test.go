@@ -115,14 +115,6 @@ func TestExpectedUtilityFig4(t *testing.T) {
 	if got := ExpectedUtility(a, s2); got != 60 {
 		t.Errorf("U(S2) = %g, want 60", got)
 	}
-	// Fig. 4b5: if P1 finishes at its BCET 30, S1 yields
-	// U2(80) + U3(140) = 40 + 30 = 70, beating S2's 60.
-	if got := ProjectedUtility(a, s1, []Time{30}, 30); got != 70 {
-		t.Errorf("U(S1 | P1 done at 30) = %g, want 70", got)
-	}
-	if got := ProjectedUtility(a, s2, []Time{30}, 30); got != 60 {
-		t.Errorf("U(S2 | P1 done at 30) = %g, want 60", got)
-	}
 	// Fig. 4c3/c4: dropping P2 (S3 = P1,P3) gives U3(100)·α... P3 executed
 	// with P1 its only predecessor: α3 = 1, completes at 50+60 = 110 in
 	// the average case -> 40. The paper evaluates the worst case
@@ -356,15 +348,4 @@ func TestWorstCaseMonotoneProperty(t *testing.T) {
 	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
-}
-
-func TestProjectedUtilityPanicsOnBadFixed(t *testing.T) {
-	a, ids := fig1(t)
-	s := &FSchedule{Entries: []Entry{{ids[0], 1}}}
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for fixed longer than entries")
-		}
-	}()
-	ProjectedUtility(a, s, []Time{1, 2}, 2)
 }

@@ -11,6 +11,7 @@ import (
 	"ftsched/internal/model"
 	"ftsched/internal/runtime"
 	"ftsched/internal/schedule"
+	"ftsched/internal/utility"
 )
 
 func TestOnlineRescheduleNoFault(t *testing.T) {
@@ -235,7 +236,7 @@ func referenceOnlineReschedule(app *model.Application, root *schedule.FSchedule,
 			}
 		}
 	}
-	res.Utility = runtime.TotalUtility(app, res.Outcomes, res.CompletionTimes)
+	res.Utility = referenceUtility(app, res.Outcomes, res.CompletionTimes)
 	return res
 }
 
@@ -288,4 +289,28 @@ func TestOnlineRescheduleFaultHandling(t *testing.T) {
 	if r2.Outcomes[app.IDByName("P2")] != runtime.Completed {
 		t.Error("P2 must still complete")
 	}
+}
+
+// referenceUtility applies the stale-value model to realised outcomes:
+// Σ α_i · U_i(t_i^c) over the soft processes that completed, with α from
+// app.StaleCoefficients.
+func referenceUtility(app *model.Application, outcomes []runtime.ProcessOutcome, done []model.Time) float64 {
+	status := make([]utility.StaleStatus, app.N())
+	for id := range status {
+		if outcomes[id] == runtime.Completed {
+			status[id] = utility.Executed
+		} else {
+			status[id] = utility.Dropped
+		}
+	}
+	alpha := app.StaleCoefficients(nil, status)
+	var total float64
+	for id := 0; id < app.N(); id++ {
+		pid := model.ProcessID(id)
+		if app.Proc(pid).Kind != model.Soft || outcomes[id] != runtime.Completed {
+			continue
+		}
+		total += alpha[id] * app.UtilityOf(pid).Value(done[id])
+	}
+	return total
 }

@@ -15,6 +15,11 @@
 // where DP(i) is the set of direct predecessors of P_i in the application's
 // polar DAG (see package model). The modified utility is
 // U*_i(t) = α_i · U_i(t), and α_i = 0 for a dropped process.
+// CoefficientsInto is the one implementation of this recurrence: the
+// schedulers, the runtime and the baselines all reach it through
+// model.(*Application).StaleCoefficients, which passes the application's
+// validated topological order and predecessor lists as they are. Only the
+// exact optimum in package optimal, an independent yardstick, restates it.
 //
 // Utility functions are immutable once built, so evaluating them from the
 // concurrent FTQS synthesis workers (package core) requires no locking.
