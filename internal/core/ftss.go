@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"ftsched/internal/model"
 	"ftsched/internal/schedule"
@@ -23,50 +23,28 @@ var ErrUnschedulable = fmt.Errorf("core: application is not schedulable")
 // dropping decisions) maximise the expected utility for the average
 // execution times.
 func FTSS(app *model.Application) (*schedule.FSchedule, error) {
-	st := newFTSSState(app, nil, nil, 0, app.K())
-	entries, err := st.run()
+	entries, err := SuffixFTSSSet(app, model.NewProcSet(app.N()), model.NewProcSet(app.N()), 0, app.K())
 	if err != nil {
 		return nil, err
 	}
 	return &schedule.FSchedule{Entries: entries}, nil
 }
 
-// SuffixFTSS completes a partially executed schedule: given the set of
+// SuffixFTSS is SuffixFTSSSet with the executed and dropped processes
+// given as ID lists, the form the online rescheduler observes.
+func SuffixFTSS(app *model.Application, executed, dropped []model.ProcessID, start Time, kRemaining int) ([]schedule.Entry, error) {
+	return SuffixFTSSSet(app, model.ProcSetOf(app.N(), executed), model.ProcSetOf(app.N(), dropped), start, kRemaining)
+}
+
+// SuffixFTSSSet completes a partially executed schedule: given the set of
 // processes already executed or already dropped, the current time, and the
 // remaining fault budget, it returns the f-schedule for the remaining
 // processes. FTQS uses it to build the sub-schedules of the quasi-static
 // tree; it is exported because it is also the natural building block for an
 // (out-of-scope) fully online rescheduler, which the paper uses as the
 // "ideal but too slow" comparison point.
-func SuffixFTSS(app *model.Application, executed, dropped []model.ProcessID, start Time, kRemaining int) ([]schedule.Entry, error) {
-	ex := make([]bool, app.N())
-	dr := make([]bool, app.N())
-	for _, id := range executed {
-		ex[id] = true
-	}
-	for _, id := range dropped {
-		dr[id] = true
-	}
-	st := newFTSSState(app, ex, dr, start, kRemaining)
-	return st.run()
-}
-
-// SuffixFTSSSet is SuffixFTSS with the executed/dropped state as bitsets,
-// the representation FTQS carries end-to-end.
 func SuffixFTSSSet(app *model.Application, executed, dropped model.ProcSet, start Time, kRemaining int) ([]schedule.Entry, error) {
-	ex := make([]bool, app.N())
-	dr := make([]bool, app.N())
-	for id := 0; id < app.N(); id++ {
-		pid := model.ProcessID(id)
-		if executed.Has(pid) {
-			ex[id] = true
-		}
-		if dropped.Has(pid) {
-			dr[id] = true
-		}
-	}
-	st := newFTSSState(app, ex, dr, start, kRemaining)
-	return st.run()
+	return newFTSSState(app, executed, dropped, start, kRemaining).run()
 }
 
 // ftssState carries the list-scheduler state of one FTSS run.
@@ -76,53 +54,99 @@ type ftssState struct {
 	start Time // absolute time at which the (suffix) schedule begins
 
 	entries   []schedule.Entry // placed so far (suffix only)
+	placed    schedule.Prefix  // worst-case analysis of the settled entries
 	nowE      Time             // AET-based clock for utility projections
 	scheduled []bool           // executed before start, or placed
 	dropped   []bool
 	ready     []model.ProcessID // the ready list R
+
+	// Per-process tables, read instead of copying a model.Process per
+	// call: kind, release, aet (see aetOn) and utility function.
+	kind    []model.Kind
+	release []Time
+	aet     []Time
+	util    []utility.Function
+
+	// hardPlaced counts the hard processes placed so far. The unscheduled
+	// hard set changes only when it grows (hard processes are never
+	// dropped), so softTail stays current while softTailAt equals it.
+	hardPlaced, softTailAt int
+
+	// Scratch reused by every call of the run.
+	cand      schedule.Prefix       // S_iH analysis: placed copied, then P_i and the hard tail
+	softTail  []schedule.Entry      // the hard tail every soft candidate shares; see sharedTail
+	ownTail   []schedule.Entry      // a hard candidate's hard tail (it excludes the candidate)
+	tailSet   []model.ProcessID     // hardTail's process set
+	inSet     []bool                // hardTail's membership
+	inTail    []bool                // hardTail's placed members
+	dmod      []Time                // hardTail's modified deadlines
+	status    []utility.StaleStatus // alphaInto's input
+	alpha     []float64             // softProjection's coefficients
+	baseAlpha []float64             // coefficients under the dropped set alone
+	remaining []bool                // softProjection's unprojected soft processes
+	blockers  []int                 // softProjection's count of remaining predecessors
+	sched     []model.ProcessID     // schedulableSet's result
+	snapshot  []model.ProcessID     // determineDropping's copy of the ready list
 }
 
-func newFTSSState(app *model.Application, executed, dropped []bool, start Time, kRem int) *ftssState {
-	if executed == nil {
-		executed = make([]bool, app.N())
-	}
-	if dropped == nil {
-		dropped = make([]bool, app.N())
-	}
+func newFTSSState(app *model.Application, executed, dropped model.ProcSet, start Time, kRem int) *ftssState {
+	n := app.N()
 	st := &ftssState{
-		app:       app,
-		kRem:      kRem,
-		start:     start,
-		nowE:      start,
-		scheduled: executed,
-		dropped:   dropped,
+		app:        app,
+		kRem:       kRem,
+		start:      start,
+		nowE:       start,
+		scheduled:  make([]bool, n),
+		dropped:    make([]bool, n),
+		kind:       make([]model.Kind, n),
+		release:    make([]Time, n),
+		aet:        make([]Time, n),
+		util:       make([]utility.Function, n),
+		inSet:      make([]bool, n),
+		inTail:     make([]bool, n),
+		dmod:       make([]Time, n),
+		status:     make([]utility.StaleStatus, n),
+		alpha:      make([]float64, n),
+		baseAlpha:  make([]float64, n),
+		remaining:  make([]bool, n),
+		blockers:   make([]int, n),
+		softTailAt: -1,
 	}
-	for id := 0; id < app.N(); id++ {
+	for id := 0; id < n; id++ {
+		pid := model.ProcessID(id)
+		p := app.ProcRef(pid)
+		st.scheduled[id] = executed.Has(pid)
+		st.dropped[id] = dropped.Has(pid)
+		st.kind[id] = p.Kind
+		st.release[id] = p.Release
+		st.aet[id] = app.Recovery().AttemptTime(st.rawAETOn(pid))
+		st.util[id] = app.UtilityOf(pid)
+	}
+	for id := 0; id < n; id++ {
 		pid := model.ProcessID(id)
 		if !st.scheduled[id] && !st.dropped[id] && st.predsDone(pid) {
 			st.ready = append(st.ready, pid)
 		}
 	}
+	st.placed.Reset(app, start, kRem)
 	return st
 }
 
 // aetOn returns the expected fault-free attempt time of p on its primary
 // core. The utility projections keep a scalar expected-time clock even on
 // mapped platforms — the projection is a ranking heuristic, and the exact
-// mapped timeline is enforced separately by schedule.CheckSchedulable —
-// but the durations feeding the clock are speed-scaled and inflated by
-// the recovery model's per-attempt checkpoint overheads, so low-power-core
-// and checkpoint-heavy placements are priced honestly. Identity on the
-// canonical platform under re-execution.
-func (st *ftssState) aetOn(p model.ProcessID) Time {
-	return st.app.Recovery().AttemptTime(st.rawAETOn(p))
-}
+// mapped timeline is enforced separately by the schedule.Prefix analysis
+// every candidate passes — but the durations feeding the clock are
+// speed-scaled and inflated by the recovery model's per-attempt checkpoint
+// overheads, so low-power-core and checkpoint-heavy placements are priced
+// honestly. Identity on the canonical platform under re-execution.
+func (st *ftssState) aetOn(p model.ProcessID) Time { return st.aet[p] }
 
 // rawAETOn is the speed-scaled expected execution time on the primary
 // core, without attempt overheads (the quantity checkpoint segment
 // geometry is computed over).
 func (st *ftssState) rawAETOn(p model.ProcessID) Time {
-	return st.app.Platform().Scale(st.app.CoreOf(p), st.app.Proc(p).AET)
+	return st.app.Platform().Scale(st.app.CoreOf(p), st.app.ProcRef(p).AET)
 }
 
 // recAETOn is the expected re-run time after a fault, scaled on the
@@ -130,7 +154,7 @@ func (st *ftssState) rawAETOn(p model.ProcessID) Time {
 // rollback re-runs only the final, checkpoint-free segment — see
 // recoveryBeneficial), so no attempt inflation applies.
 func (st *ftssState) recAETOn(p model.ProcessID) Time {
-	return st.app.Platform().Scale(st.app.RecoveryCoreOf(p), st.app.Proc(p).AET)
+	return st.app.Platform().Scale(st.app.RecoveryCoreOf(p), st.app.ProcRef(p).AET)
 }
 
 func (st *ftssState) predsDone(p model.ProcessID) bool {
@@ -187,17 +211,14 @@ func (st *ftssState) run() ([]schedule.Entry, error) {
 
 // unschedulable diagnoses why the run is stuck: the placed entries plus
 // the bare hard tail is the least-constrained continuation, so its
-// CheckSchedulable verdict names the offending process; if that passes, the
-// conflict is per-candidate and the first failing S_iH is reported instead.
+// verdict names the offending process; if that passes, the conflict is
+// per-candidate and the first failing S_iH is reported instead.
 func (st *ftssState) unschedulable() error {
-	cand := append([]schedule.Entry(nil), st.entries...)
-	cand = append(cand, st.hardTail(model.NoProcess)...)
-	if err := schedule.CheckSchedulable(st.app, cand, st.start, st.kRem); err != nil {
+	if err := st.candidateErr(model.NoProcess, 0, st.sharedTail()); err != nil {
 		return unschedulableFrom(err)
 	}
 	for _, p := range st.ready {
-		c := st.candidateWithHardTail(p, st.recoveriesFor(p))
-		if err := schedule.CheckSchedulable(st.app, c, st.start, st.kRem); err != nil {
+		if err := st.candidateErr(p, st.recoveriesFor(p), st.tailFor(p)); err != nil {
 			return unschedulableFrom(err)
 		}
 	}
@@ -222,7 +243,7 @@ func (st *ftssState) addReadySuccessors(p model.ProcessID) {
 		}
 	}
 	// Keep the ready list deterministic.
-	sort.Slice(st.ready, func(i, j int) bool { return st.ready[i] < st.ready[j] })
+	slices.Sort(st.ready)
 }
 
 // drop marks a soft process as dropped and promotes its ready successors.
@@ -237,9 +258,9 @@ func (st *ftssState) drop(p model.ProcessID) {
 // not increase the projected utility.
 func (st *ftssState) determineDropping() {
 	// Iterate over a snapshot: drops mutate the ready list.
-	snapshot := append([]model.ProcessID(nil), st.ready...)
-	for _, p := range snapshot {
-		if st.app.Proc(p).Kind != model.Soft || st.dropped[p] {
+	st.snapshot = append(st.snapshot[:0], st.ready...)
+	for _, p := range st.snapshot {
+		if st.kind[p] != model.Soft || st.dropped[p] {
 			continue
 		}
 		with, without := st.dropDelta(p)
@@ -270,47 +291,46 @@ func (st *ftssState) dropDelta(p model.ProcessID) (with, without float64) {
 // the combined dropped set.
 func (st *ftssState) softProjection(excluded model.ProcessID) float64 {
 	app := st.app
-	// Status for stale coefficients: everything that is not dropped is
-	// assumed to execute.
-	dropped := make([]bool, app.N())
-	copy(dropped, st.dropped)
-	if excluded != model.NoProcess {
-		dropped[excluded] = true
+	// Stale coefficients: everything that is not dropped is assumed to
+	// execute.
+	alpha := st.alphaInto(st.alpha, excluded)
+	left := 0
+	for id := range st.remaining {
+		st.remaining[id] = !st.scheduled[id] && st.status[id] != utility.Dropped && st.kind[id] == model.Soft
+		if st.remaining[id] {
+			left++
+		}
 	}
-	alpha := staleAlpha(app, dropped)
-
-	remaining := make(map[model.ProcessID]bool)
-	for id := 0; id < app.N(); id++ {
-		pid := model.ProcessID(id)
-		if !st.scheduled[id] && !dropped[id] && app.Proc(pid).Kind == model.Soft {
-			remaining[pid] = true
+	// A remaining process is blocked while any predecessor remains.
+	for id, in := range st.remaining {
+		if !in {
+			continue
+		}
+		st.blockers[id] = 0
+		for _, q := range app.Preds(model.ProcessID(id)) {
+			if st.remaining[q] {
+				st.blockers[id]++
+			}
 		}
 	}
 	now := st.nowE
 	var total float64
-	for len(remaining) > 0 {
+	for ; left > 0; left-- {
 		best := model.NoProcess
 		bestDensity := 0.0
 		var bestDone Time
-		for pid := range remaining {
-			blocked := false
-			for _, q := range app.Preds(pid) {
-				if remaining[q] {
-					blocked = true
-					break
-				}
-			}
-			if blocked {
+		for id, in := range st.remaining {
+			if !in || st.blockers[id] > 0 {
 				continue
 			}
-			p := app.Proc(pid)
+			pid := model.ProcessID(id)
 			s := now
-			if p.Release > s {
-				s = p.Release
+			if st.release[id] > s {
+				s = st.release[id]
 			}
-			aet := st.aetOn(pid)
+			aet := st.aet[id]
 			done := s + aet
-			density := alpha[pid] * app.UtilityOf(pid).Value(done)
+			density := alpha[id] * st.util[id].Value(done)
 			if aet > 0 {
 				density /= float64(aet)
 			}
@@ -322,11 +342,28 @@ func (st *ftssState) softProjection(excluded model.ProcessID) float64 {
 		if best == model.NoProcess {
 			break // unreachable for a DAG; defensive
 		}
-		delete(remaining, best)
+		st.remaining[best] = false
+		for _, sc := range app.Succs(best) {
+			st.blockers[sc]--
+		}
 		now = bestDone
-		total += alpha[best] * app.UtilityOf(best).Value(bestDone)
+		total += alpha[best] * st.util[best].Value(bestDone)
 	}
 	return total
+}
+
+// alphaInto computes into dst the stale coefficients under the
+// assumption that every process outside the dropped set and extra (if
+// any) executes; st.status keeps that status until the next call.
+func (st *ftssState) alphaInto(dst []float64, extra model.ProcessID) []float64 {
+	for id := range st.status {
+		if st.dropped[id] || model.ProcessID(id) == extra {
+			st.status[id] = utility.Dropped
+		} else {
+			st.status[id] = utility.Executed
+		}
+	}
+	return st.app.StaleCoefficients(dst, st.status)
 }
 
 // staleAlpha computes stale coefficients under the assumption that every
@@ -346,20 +383,60 @@ func staleAlpha(app *model.Application, dropped []bool) []float64 {
 // process P_i, the shortest valid schedule S_iH containing P_i and all
 // unscheduled hard processes (every other soft process dropped) is checked
 // against the hard deadlines and the period, with the remaining fault
-// budget.
+// budget. The result is scratch, valid until the next call.
 func (st *ftssState) schedulableSet() []model.ProcessID {
-	var out []model.ProcessID
+	st.sched = st.sched[:0]
 	for _, p := range st.ready {
-		if st.leadsToSchedulable(p) {
-			out = append(out, p)
+		if st.fits(p, st.recoveriesFor(p), st.tailFor(p)) {
+			st.sched = append(st.sched, p)
 		}
 	}
-	return out
+	return st.sched
 }
 
-func (st *ftssState) leadsToSchedulable(p model.ProcessID) bool {
-	cand := st.candidateWithHardTail(p, st.recoveriesFor(p))
-	return schedule.Schedulable(st.app, cand, st.start, st.kRem)
+// tailFor returns the hard tail of candidate p's S_iH: the shared tail
+// for a soft candidate, which the hard set never contains, and a tail
+// without p for a hard one.
+func (st *ftssState) tailFor(p model.ProcessID) []schedule.Entry {
+	if st.kind[p] != model.Hard {
+		return st.sharedTail()
+	}
+	st.ownTail = st.hardTail(p, st.ownTail)
+	return st.ownTail
+}
+
+// sharedTail returns the hard tail of every unscheduled hard process,
+// recomputed only after a hard process has been placed.
+func (st *ftssState) sharedTail() []schedule.Entry {
+	if st.softTailAt != st.hardPlaced {
+		st.softTail = st.hardTail(model.NoProcess, st.softTail)
+		st.softTailAt = st.hardPlaced
+	}
+	return st.softTail
+}
+
+// fits reports whether placed + P_i(f) + tail — the schedule S_iH of the
+// paper — is schedulable. The placed entries are copied from their
+// analysed prefix, never re-walked, and the walk stops at the first
+// violation, which extending never repairs.
+func (st *ftssState) fits(p model.ProcessID, f int, tail []schedule.Entry) bool {
+	st.placed.CopyInto(&st.cand)
+	st.cand.Extend(schedule.Entry{Proc: p, Recoveries: f})
+	return st.cand.Fits(tail)
+}
+
+// candidateErr is fits walked to the end, for diagnostics: the error
+// names the constraint placed + P_i(f) + tail violates (P_i omitted when
+// p is NoProcess), nil when there is none.
+func (st *ftssState) candidateErr(p model.ProcessID, f int, tail []schedule.Entry) error {
+	st.placed.CopyInto(&st.cand)
+	if p != model.NoProcess {
+		st.cand.Extend(schedule.Entry{Proc: p, Recoveries: f})
+	}
+	for _, e := range tail {
+		st.cand.Extend(e)
+	}
+	return st.cand.Err()
 }
 
 // recoveriesFor returns the recovery budget a process receives when first
@@ -367,79 +444,65 @@ func (st *ftssState) leadsToSchedulable(p model.ProcessID) bool {
 // processes start without recoveries (they are added one by one afterwards,
 // see addRecoverySlack).
 func (st *ftssState) recoveriesFor(p model.ProcessID) int {
-	if st.app.Proc(p).Kind == model.Hard {
+	if st.kind[p] == model.Hard {
 		return st.kRem
 	}
 	return 0
 }
 
-// candidateWithHardTail builds entries = placed + P_i(f) + unscheduled hard
-// processes in deadline order, the schedule S_iH of the paper.
-func (st *ftssState) candidateWithHardTail(p model.ProcessID, f int) []schedule.Entry {
-	cand := make([]schedule.Entry, 0, len(st.entries)+1+st.app.N())
-	cand = append(cand, st.entries...)
-	cand = append(cand, schedule.Entry{Proc: p, Recoveries: f})
-	cand = append(cand, st.hardTail(p)...)
-	return cand
-}
-
-// hardTail returns the unscheduled hard processes (other than exclude) in a
-// precedence-feasible earliest-deadline order, each with the full remaining
-// recovery budget. Deadlines are first tightened along hard→hard edges
-// within the set (Blazewicz/Chetto modification, d'_i = min(d_i,
-// d'_s − wcet_s)) so that picking the ready process with the smallest
-// modified deadline yields a feasibility-optimal order in the classical
-// model; edges passing through soft processes impose nothing here because
-// S_iH assumes every other soft process dropped (stale inputs).
-func (st *ftssState) hardTail(exclude model.ProcessID) []schedule.Entry {
+// hardTail returns, in buf's storage, the unscheduled hard processes
+// (other than exclude) in a precedence-feasible earliest-deadline order,
+// each with the full remaining recovery budget. Deadlines are first
+// tightened along hard→hard edges within the set (Blazewicz/Chetto
+// modification, d'_i = min(d_i, d'_s − wcet_s)) so that picking the
+// ready process with the smallest modified deadline yields a
+// feasibility-optimal order in the classical model; edges passing through
+// soft processes impose nothing here because S_iH assumes every other
+// soft process dropped (stale inputs).
+func (st *ftssState) hardTail(exclude model.ProcessID, buf []schedule.Entry) []schedule.Entry {
 	app := st.app
-	inSet := make([]bool, app.N())
-	var set []model.ProcessID
-	for id := 0; id < app.N(); id++ {
+	set := st.tailSet[:0]
+	for id := range st.inSet {
 		pid := model.ProcessID(id)
-		if pid == exclude || st.scheduled[id] || st.dropped[id] {
-			continue
+		st.inSet[id] = pid != exclude && !st.scheduled[id] && !st.dropped[id] && st.kind[id] == model.Hard
+		st.inTail[id] = false
+		if st.inSet[id] {
+			set = append(set, pid)
 		}
-		if app.Proc(pid).Kind != model.Hard {
-			continue
-		}
-		inSet[id] = true
-		set = append(set, pid)
 	}
+	st.tailSet = set
+	tail := buf[:0]
 	if len(set) == 0 {
-		return nil
+		return tail
 	}
 	// Modified deadlines, reverse topological order.
-	dmod := make([]Time, app.N())
 	topo := app.Topo()
 	for i := len(topo) - 1; i >= 0; i-- {
 		pid := topo[i]
-		if !inSet[pid] {
+		if !st.inSet[pid] {
 			continue
 		}
-		d := app.Proc(pid).Deadline
+		d := app.ProcRef(pid).Deadline
 		for _, s := range app.Succs(pid) {
-			if inSet[s] {
-				if cand := dmod[s] - app.Proc(s).WCET; cand < d {
+			if st.inSet[s] {
+				if cand := st.dmod[s] - app.ProcRef(s).WCET; cand < d {
 					d = cand
 				}
 			}
 		}
-		dmod[pid] = d
+		st.dmod[pid] = d
 	}
 	// Precedence-aware EDF: repeatedly take the ready process (all
 	// in-set predecessors placed) with the smallest modified deadline.
-	placed := make([]bool, app.N())
-	tail := make([]schedule.Entry, 0, len(set))
 	for len(tail) < len(set) {
 		best := model.NoProcess
 		for _, pid := range set {
-			if placed[pid] {
+			if st.inTail[pid] {
 				continue
 			}
 			ready := true
 			for _, q := range app.Preds(pid) {
-				if inSet[q] && !placed[q] {
+				if st.inSet[q] && !st.inTail[q] {
 					ready = false
 					break
 				}
@@ -448,15 +511,15 @@ func (st *ftssState) hardTail(exclude model.ProcessID) []schedule.Entry {
 				continue
 			}
 			if best == model.NoProcess ||
-				dmod[pid] < dmod[best] ||
-				(dmod[pid] == dmod[best] && pid < best) {
+				st.dmod[pid] < st.dmod[best] ||
+				(st.dmod[pid] == st.dmod[best] && pid < best) {
 				best = pid
 			}
 		}
 		if best == model.NoProcess {
 			break // unreachable for a DAG; defensive
 		}
-		placed[best] = true
+		st.inTail[best] = true
 		tail = append(tail, schedule.Entry{Proc: best, Recoveries: st.kRem})
 	}
 	return tail
@@ -473,7 +536,7 @@ func (st *ftssState) stripOneRecovery() bool {
 	best := -1
 	var bestCost Time
 	for i, e := range st.entries {
-		if e.Recoveries == 0 || st.app.Proc(e.Proc).Kind != model.Soft {
+		if e.Recoveries == 0 || st.kind[e.Proc] != model.Soft {
 			continue
 		}
 		cost := st.app.WorstRecoveryCost(e.Proc)
@@ -485,6 +548,10 @@ func (st *ftssState) stripOneRecovery() bool {
 		return false
 	}
 	st.entries[best].Recoveries--
+	st.placed.Reset(st.app, st.start, st.kRem)
+	for _, e := range st.entries {
+		st.placed.Extend(e)
+	}
 	return true
 }
 
@@ -504,7 +571,7 @@ func (st *ftssState) forcedDropping() bool {
 		best := model.NoProcess
 		bestCost := 0.0
 		for _, p := range candidates {
-			if st.app.Proc(p).Kind != model.Soft {
+			if st.kind[p] != model.Soft {
 				continue
 			}
 			with, without := st.dropDelta(p)
@@ -550,20 +617,19 @@ func (st *ftssState) bestProcess(sched []model.ProcessID) model.ProcessID {
 	bestSoft := model.NoProcess
 	bestScore := 0.0
 	// The dropped set does not change while candidates are scored, and
-	// rolloutProjection computes its own coefficients, so alpha is never
-	// overwritten under the score expression.
-	alpha := staleAlpha(st.app, st.dropped)
+	// rolloutProjection computes its coefficients into st.alpha, so alpha
+	// is never overwritten under the score expression.
+	alpha := st.alphaInto(st.baseAlpha, model.NoProcess)
 	for _, p := range sched {
-		proc := st.app.Proc(p)
-		if proc.Kind != model.Soft {
+		if st.kind[p] != model.Soft {
 			continue
 		}
 		s := st.nowE
-		if proc.Release > s {
-			s = proc.Release
+		if st.release[p] > s {
+			s = st.release[p]
 		}
 		done := s + st.aetOn(p)
-		score := alpha[p]*st.app.UtilityOf(p).Value(done) +
+		score := alpha[p]*st.util[p].Value(done) +
 			st.rolloutProjection(done, p)
 		if bestSoft == model.NoProcess || score > bestScore ||
 			(score == bestScore && p < bestSoft) {
@@ -575,11 +641,11 @@ func (st *ftssState) bestProcess(sched []model.ProcessID) model.ProcessID {
 	}
 	bestHard := model.NoProcess
 	for _, p := range sched {
-		if st.app.Proc(p).Kind != model.Hard {
+		if st.kind[p] != model.Hard {
 			continue
 		}
 		if bestHard == model.NoProcess ||
-			st.app.Proc(p).Deadline < st.app.Proc(bestHard).Deadline {
+			st.app.ProcRef(p).Deadline < st.app.ProcRef(bestHard).Deadline {
 			bestHard = p
 		}
 	}
@@ -603,21 +669,22 @@ func (st *ftssState) rolloutProjection(t Time, placed model.ProcessID) float64 {
 // place schedules p at the current position, assigns its recovery slack and
 // promotes its successors (lines 13-15).
 func (st *ftssState) place(p model.ProcessID) {
-	proc := st.app.Proc(p)
-	entry := schedule.Entry{Proc: p, Recoveries: st.recoveriesFor(p)}
-	st.entries = append(st.entries, entry)
+	st.entries = append(st.entries, schedule.Entry{Proc: p, Recoveries: st.recoveriesFor(p)})
 	st.scheduled[p] = true
 	st.removeReady(p)
 
 	s := st.nowE
-	if proc.Release > s {
-		s = proc.Release
+	if st.release[p] > s {
+		s = st.release[p]
 	}
 	st.nowE = s + st.aetOn(p)
 
-	if proc.Kind == model.Soft {
+	if st.kind[p] == model.Soft {
 		st.addRecoverySlack(len(st.entries) - 1)
+	} else {
+		st.hardPlaced++
 	}
+	st.placed.Extend(st.entries[len(st.entries)-1])
 	st.addReadySuccessors(p)
 }
 
@@ -626,21 +693,15 @@ func (st *ftssState) place(p model.ProcessID) {
 // processes stays schedulable and (b) the re-execution survives the
 // dropping heuristic — recovering the process in its fault scenario must be
 // worth more than abandoning it and letting the remaining soft processes
-// start earlier.
+// start earlier. The entry at idx is the last one, not yet in st.placed,
+// so each budget is checked as placed + entry + hard tail.
 func (st *ftssState) addRecoverySlack(idx int) {
 	p := st.entries[idx].Proc
 	for f := 1; f <= st.kRem; f++ {
+		if !st.fits(p, f, st.sharedTail()) || !st.recoveryBeneficial(p, f) {
+			return
+		}
 		st.entries[idx].Recoveries = f
-		cand := append([]schedule.Entry(nil), st.entries...)
-		cand = append(cand, st.hardTail(model.NoProcess)...)
-		if !schedule.Schedulable(st.app, cand, st.start, st.kRem) {
-			st.entries[idx].Recoveries = f - 1
-			return
-		}
-		if !st.recoveryBeneficial(p, f) {
-			st.entries[idx].Recoveries = f - 1
-			return
-		}
 	}
 }
 
@@ -669,10 +730,11 @@ func (st *ftssState) recoveryBeneficial(p model.ProcessID, f int) bool {
 	}
 	startP := st.nowE - atP
 	failed := startP + atP + oh + Time(f-1)*(rerun+oh)
-	// Option A: recover; p completes at failed + rerun.
-	withAlpha := staleAlpha(app, st.dropped)
+	// Option A: recover; p completes at failed + rerun. tailProjection
+	// computes its coefficients into st.alpha, not withAlpha.
+	withAlpha := st.alphaInto(st.baseAlpha, model.NoProcess)
 	doneAt := failed + rerun
-	utilWith := withAlpha[p]*app.UtilityOf(p).Value(doneAt) + st.tailProjection(doneAt, model.NoProcess)
+	utilWith := withAlpha[p]*st.util[p].Value(doneAt) + st.tailProjection(doneAt, model.NoProcess)
 	// Option B: abandon p (drop it); the rest starts at failed - overhead
 	// (no recovery overhead is paid for a process that is not recovered).
 	utilWithout := st.tailProjection(failed-oh, p)

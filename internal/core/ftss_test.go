@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"ftsched/internal/apps"
@@ -149,9 +150,9 @@ func schedulableWithK(app *model.Application, s *schedule.FSchedule) error {
 func TestFig8DroppingEvaluation(t *testing.T) {
 	app := apps.Fig8()
 	p1 := app.IDByName("P1")
-	executed := make([]bool, app.N())
-	executed[p1] = true
-	st := newFTSSState(app, executed, nil, 30, app.K()) // after P1's WCET
+	executed := model.NewProcSet(app.N())
+	executed.Add(p1)
+	st := newFTSSState(app, executed, model.NewProcSet(app.N()), 30, app.K()) // after P1's WCET
 	with, without := st.dropDelta(app.IDByName("P2"))
 	if with <= without {
 		t.Errorf("U(S2') = %g should exceed U(S2'') = %g", with, without)
@@ -174,10 +175,10 @@ func TestFig8DroppingEvaluation(t *testing.T) {
 func TestFig8HardTailSchedulability(t *testing.T) {
 	app := apps.Fig8()
 	p1 := app.IDByName("P1")
-	executed := make([]bool, app.N())
-	executed[p1] = true
-	st := newFTSSState(app, executed, nil, 30, app.K())
-	if !st.leadsToSchedulable(app.IDByName("P2")) {
+	executed := model.NewProcSet(app.N())
+	executed.Add(p1)
+	st := newFTSSState(app, executed, model.NewProcSet(app.N()), 30, app.K())
+	if !slices.Contains(st.schedulableSet(), app.IDByName("P2")) {
 		t.Error("P2 must lead to a schedulable solution (paper: P5 completes at 170 <= 220)")
 	}
 }

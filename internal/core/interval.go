@@ -3,6 +3,7 @@ package core
 import (
 	"ftsched/internal/model"
 	"ftsched/internal/schedule"
+	"ftsched/internal/utility"
 )
 
 // This file implements interval partitioning (paper §5.1): for a candidate
@@ -29,9 +30,12 @@ import (
 // and the sample index — common random numbers — so comparing two
 // evaluators is a paired comparison with no sampling noise between them.
 type suffixEval struct {
-	app     *model.Application
+	// release[i], util[i] and alpha[i] are entries[i]'s release, utility
+	// function (nil for a hard process) and stale coefficient, read in
+	// place of the process on every evaluation.
+	release []Time
+	util    []utility.Function
 	alpha   []float64
-	entries []schedule.Entry
 	// durs[j][i] is the duration of entries[i] in quadrature sample j.
 	durs [][]Time
 }
@@ -45,7 +49,20 @@ func newSuffixEval(app *model.Application, entries []schedule.Entry, dropped []b
 	if scenarios < 1 {
 		scenarios = 1
 	}
-	e := &suffixEval{app: app, alpha: staleAlpha(app, dropped), entries: entries}
+	alpha := staleAlpha(app, dropped)
+	e := &suffixEval{
+		release: make([]Time, len(entries)),
+		util:    make([]utility.Function, len(entries)),
+		alpha:   make([]float64, len(entries)),
+	}
+	for i, en := range entries {
+		p := app.ProcRef(en.Proc)
+		e.release[i] = p.Release
+		if p.Kind == model.Soft {
+			e.util[i] = app.UtilityOf(en.Proc)
+			e.alpha[i] = alpha[en.Proc]
+		}
+	}
 	// The rows are wall-clock attempt times, so the recovery model's
 	// per-attempt checkpoint overheads are baked in at construction
 	// (identity under re-execution and restart) and the evaluation loop
@@ -83,15 +100,14 @@ func (e *suffixEval) from(t Time) float64 {
 	var total float64
 	for _, row := range e.durs {
 		now := t
-		for i, en := range e.entries {
-			p := e.app.Proc(en.Proc)
+		for i, d := range row {
 			s := now
-			if p.Release > s {
-				s = p.Release
+			if e.release[i] > s {
+				s = e.release[i]
 			}
-			now = s + row[i]
-			if p.Kind == model.Soft {
-				total += e.alpha[en.Proc] * e.app.UtilityOf(en.Proc).Value(now)
+			now = s + d
+			if e.util[i] != nil {
+				total += e.alpha[i] * e.util[i].Value(now)
 			}
 		}
 	}
@@ -102,13 +118,9 @@ func (e *suffixEval) from(t Time) float64 {
 // change: past it, every utility function has gone flat.
 func (e *suffixEval) horizon() Time {
 	var h Time
-	for _, en := range e.entries {
-		p := e.app.Proc(en.Proc)
-		if p.Kind != model.Soft {
-			continue
-		}
-		if hh := e.app.UtilityOf(en.Proc).Horizon(); hh > h {
-			h = hh
+	for _, u := range e.util {
+		if u != nil && u.Horizon() > h {
+			h = u.Horizon()
 		}
 	}
 	return h

@@ -50,11 +50,13 @@ func (s ProcSet) Clone() ProcSet {
 // CopyFrom overwrites the set with src (the sets must be the same size).
 func (s ProcSet) CopyFrom(src ProcSet) { copy(s, src) }
 
-// AddAll inserts every id of the slice.
-func (s ProcSet) AddAll(ids []ProcessID) {
+// ProcSetOf returns the set of the given ids, sized for n processes.
+func ProcSetOf(n int, ids []ProcessID) ProcSet {
+	s := NewProcSet(n)
 	for _, id := range ids {
 		s.Add(id)
 	}
+	return s
 }
 
 // AppendIDs appends the members in ascending ID order to buf and returns

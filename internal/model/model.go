@@ -180,6 +180,15 @@ func (a *Application) mustBeMutable() {
 	}
 }
 
+// mustID panics with checkID's error when id is out of range. It is
+// small enough to inline into the accessors, so only a failing id pays
+// for building the error.
+func (a *Application) mustID(id ProcessID) {
+	if uint(id) >= uint(len(a.procs)) {
+		panic(a.checkID(id))
+	}
+}
+
 func (a *Application) checkID(id ProcessID) error {
 	if id < 0 || int(id) >= len(a.procs) {
 		return fmt.Errorf("model: process id %d out of range [0,%d)", id, len(a.procs))
@@ -326,10 +335,16 @@ func (a *Application) N() int { return len(a.procs) }
 
 // Proc returns (a copy of) the process with the given ID.
 func (a *Application) Proc(id ProcessID) Process {
-	if err := a.checkID(id); err != nil {
-		panic(err)
-	}
+	a.mustID(id)
 	return a.procs[id]
+}
+
+// ProcRef returns the process with the given ID in place: Proc without
+// the copy, for analysis loops that read a field or two per call. The
+// process belongs to the application and must not be modified.
+func (a *Application) ProcRef(id ProcessID) *Process {
+	a.mustID(id)
+	return &a.procs[id]
 }
 
 // ProcessMuError is the typed Validate diagnostic for an invalid
@@ -353,7 +368,7 @@ func (e *ProcessMuError) Error() string {
 // convention), the application default otherwise. A MuExplicit zero is a
 // genuine zero-overhead recovery.
 func (a *Application) MuOf(id ProcessID) Time {
-	p := a.Proc(id)
+	p := a.ProcRef(id)
 	if p.MuExplicit || p.Mu > 0 {
 		return p.Mu
 	}
@@ -364,7 +379,7 @@ func (a *Application) MuOf(id ProcessID) Time {
 // soft processes without a function, which Validate rejects) yield
 // utility.Zero.
 func (a *Application) UtilityOf(id ProcessID) utility.Function {
-	p := a.Proc(id)
+	p := a.ProcRef(id)
 	if p.Kind == Soft && p.Utility != nil {
 		return p.Utility
 	}
@@ -374,18 +389,14 @@ func (a *Application) UtilityOf(id ProcessID) utility.Function {
 // Succs returns the direct successors of id. The returned slice must not be
 // modified.
 func (a *Application) Succs(id ProcessID) []ProcessID {
-	if err := a.checkID(id); err != nil {
-		panic(err)
-	}
+	a.mustID(id)
 	return a.succ[id]
 }
 
 // Preds returns the direct predecessors DP(P_id). The returned slice must
 // not be modified.
 func (a *Application) Preds(id ProcessID) []ProcessID {
-	if err := a.checkID(id); err != nil {
-		panic(err)
-	}
+	a.mustID(id)
 	return a.pred[id]
 }
 
@@ -399,9 +410,7 @@ func (a *Application) Topo() []ProcessID {
 // Rank returns the position of id in the topological order.
 func (a *Application) Rank(id ProcessID) int {
 	a.mustBeValidated()
-	if err := a.checkID(id); err != nil {
-		panic(err)
-	}
+	a.mustID(id)
 	return a.rank[id]
 }
 
@@ -548,7 +557,7 @@ func (a *Application) RecoveryOverhead(id ProcessID) Time {
 // (min(Spacing, scaled WCET)) on the primary core, where the checkpoint
 // state lives.
 func (a *Application) WorstRecoveryCost(id ProcessID) Time {
-	p := a.Proc(id)
+	p := a.ProcRef(id)
 	plat := a.Platform()
 	switch a.recovery.Kind {
 	case RecoverRestart:
@@ -580,9 +589,7 @@ func (a *Application) CoreOf(id ProcessID) CoreID {
 	if a.primCore == nil {
 		return 0
 	}
-	if err := a.checkID(id); err != nil {
-		panic(err)
-	}
+	a.mustID(id)
 	return a.primCore[id]
 }
 
@@ -592,9 +599,7 @@ func (a *Application) RecoveryCoreOf(id ProcessID) CoreID {
 	if a.recCore == nil {
 		return 0
 	}
-	if err := a.checkID(id); err != nil {
-		panic(err)
-	}
+	a.mustID(id)
 	return a.recCore[id]
 }
 

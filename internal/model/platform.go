@@ -99,10 +99,18 @@ func (p *Platform) NCores() int { return len(p.cores) }
 
 // Core returns (a copy of) the core with the given ID.
 func (p *Platform) Core(id CoreID) Core {
-	if id < 0 || int(id) >= len(p.cores) {
-		panic(fmt.Sprintf("model: core id %d out of range [0,%d)", id, len(p.cores)))
+	if uint(id) >= uint(len(p.cores)) {
+		p.badCore(id)
 	}
 	return p.cores[id]
+}
+
+// badCore panics for an out-of-range core id. Keeping the formatting out
+// of Core lets Core inline into the timing loops.
+//
+//go:noinline
+func (p *Platform) badCore(id CoreID) {
+	panic(fmt.Sprintf("model: core id %d out of range [0,%d)", id, len(p.cores)))
 }
 
 // IsDefault reports whether the platform is indistinguishable from the

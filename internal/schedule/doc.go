@@ -27,5 +27,26 @@
 //	                                    0 ≤ n_j ≤ f_j, Σ_j n_j ≤ k }
 //
 // which this package evaluates greedily (faults go to the largest
-// wcet_j + µ_j first).
+// wcet_j + µ_j first). Equivalently, with every entry contributing
+// min(f_j, k) recovery units of cost c_j = wcet_j + µ_j (in general
+// model.Application.WorstRecoveryCost: the per-fault overhead plus the
+// longest re-run under the recovery model and platform),
+//
+//	WCC(i) = M(i) + Σ top_k { c_j repeated min(f_j, k) times : j ≤ i }
+//
+// where M(i) is the no-fault makespan of entries 0..i and top_k sums the
+// k largest units. Times are integers, so this top-k sum equals the greedy
+// allocation exactly.
+//
+// Prefix is the one statement of this bound. It carries, for a list
+// prefix, the no-fault WCET timeline (makespan, per-core ready times and,
+// on a mapped platform, the finishes cross-core successors wait for), the
+// k largest units with their sum, and the first violated constraint. Its
+// invariant: after extending entries 0..i in order, WorstCase() is WCC(i)
+// and Err() is the CheckSchedulable verdict of entries 0..i. Extending
+// takes O(k + |preds|) and copying O(k + cores) (plus the n finish times
+// on a mapped platform), and neither allocates once the Prefix is sized,
+// so list schedulers check a candidate as a copy of the placed prefix plus
+// the candidate's own entries. WorstCaseCompletions, CheckSchedulable and
+// Schedulable are single walks over a Prefix.
 package schedule

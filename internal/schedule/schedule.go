@@ -2,7 +2,6 @@ package schedule
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"ftsched/internal/model"
@@ -157,33 +156,6 @@ func Validate(app *model.Application, s *FSchedule) error {
 	return nil
 }
 
-// recoveryItem is one candidate consumer of the shared slack.
-type recoveryItem struct {
-	cost Time // wcet + µ of one re-execution
-	max  int  // f_i
-}
-
-// worstRecoveryCost returns the maximum total re-execution time for at most
-// k faults distributed over the items, each item taking at most item.max
-// faults. Greedy on descending cost is optimal because all faults are
-// interchangeable.
-func worstRecoveryCost(items []recoveryItem, k int) Time {
-	sort.Slice(items, func(a, b int) bool { return items[a].cost > items[b].cost })
-	var total Time
-	for _, it := range items {
-		if k <= 0 {
-			break
-		}
-		n := it.max
-		if n > k {
-			n = k
-		}
-		total += Time(n) * it.cost
-		k -= n
-	}
-	return total
-}
-
 // Completions holds the timing analysis of an f-schedule.
 type Completions struct {
 	// Start[i] is the no-fault start time of entry i under the chosen
@@ -199,65 +171,16 @@ type Completions struct {
 	WorstCase []Time
 }
 
-type timeOf func(model.Process) Time
-
-// sequential simulates the no-fault timeline of a list schedule. On the
-// canonical single-core platform it is the paper's sequential model; on a
-// mapped platform each entry starts at the max of its primary core's ready
-// time, its release, and the finishes of its already-scheduled
-// predecessors (cross-core precedence), and runs for its speed-scaled
-// duration.
-func sequential(app *model.Application, entries []Entry, start Time, f timeOf) ([]Time, []Time) {
+// sequential simulates the no-fault timeline of a list schedule with the
+// execution times dur selects; see timeline for the platform rules.
+func sequential(app *model.Application, entries []Entry, start Time, dur func(*model.Process) Time) ([]Time, []Time) {
 	starts := make([]Time, len(entries))
 	finishes := make([]Time, len(entries))
-	plat := app.Platform()
-	// Fault-free attempts pay the recovery model's per-attempt cost:
-	// checkpointing inflates every execution by its checkpoint overheads
-	// (identity for re-execution and restart, so the canonical timing is
-	// byte-identical). Applied after speed scaling — checkpoint geometry
-	// lives in wall time on the executing core.
-	rec := app.Recovery()
-	if plat.IsDefault() {
-		// Exact pre-platform fast path: one core at speed 1. Precedence
-		// needs no explicit check — predecessors appear earlier in the
-		// list and finishes are monotone.
-		now := start
-		for i, e := range entries {
-			p := app.Proc(e.Proc)
-			s := now
-			if p.Release > s {
-				s = p.Release
-			}
-			starts[i] = s
-			now = s + rec.AttemptTime(f(p))
-			finishes[i] = now
-		}
-		return starts, finishes
-	}
-	ready := make([]Time, plat.NCores())
-	for c := range ready {
-		ready[c] = start
-	}
-	done := make([]Time, app.N())
-	seen := make([]bool, app.N())
+	var t timeline
+	t.reset(app, start)
 	for i, e := range entries {
-		p := app.Proc(e.Proc)
-		pc := app.CoreOf(e.Proc)
-		s := ready[pc]
-		if p.Release > s {
-			s = p.Release
-		}
-		for _, q := range app.Preds(e.Proc) {
-			if seen[q] && done[q] > s {
-				s = done[q]
-			}
-		}
-		starts[i] = s
-		fin := s + rec.AttemptTime(plat.Scale(pc, f(p)))
-		ready[pc] = fin
-		done[e.Proc] = fin
-		seen[e.Proc] = true
-		finishes[i] = fin
+		p := app.ProcRef(e.Proc)
+		starts[i], finishes[i] = t.place(app, e.Proc, p.Release, dur(p))
 	}
 	return starts, finishes
 }
@@ -265,7 +188,8 @@ func sequential(app *model.Application, entries []Entry, start Time, f timeOf) (
 // WorstCaseCompletions computes the WCET-based no-fault timing and the
 // shared-slack worst-case completion of every entry, for a schedule whose
 // first entry starts no earlier than start and with at most k faults still
-// to come. Entries with Recoveries == 0 do not consume slack.
+// to come: one walk of a Prefix. Entries with Recoveries == 0 do not
+// consume slack.
 //
 // When releases introduce idle gaps, a recovery can partly overlap a gap;
 // this analysis charges the full recovery cost anyway, which is safe
@@ -282,38 +206,28 @@ func sequential(app *model.Application, entries []Entry, start Time, f timeOf) (
 // monotone, so the running maximum IS finishes[i] and the formula reduces
 // exactly to the paper's shared-slack bound.
 func WorstCaseCompletions(app *model.Application, entries []Entry, start Time, k int) Completions {
-	starts, finishes := sequential(app, entries, start, func(p model.Process) Time { return p.WCET })
-	wc := make([]Time, len(entries))
-	items := make([]recoveryItem, 0, len(entries))
-	var makespan Time
-	for i, e := range entries {
-		if e.Recoveries > 0 {
-			// Per-fault worst-case cost under the application's recovery
-			// model: WCET+µ re-execution, WCET+latency restart, or one
-			// checkpoint segment plus the rollback cost. The bound
-			// dominates the simulated cost for every duration ≤ WCET.
-			items = append(items, recoveryItem{cost: app.WorstRecoveryCost(e.Proc), max: e.Recoveries})
-		}
-		if finishes[i] > makespan {
-			makespan = finishes[i]
-		}
-		// worstRecoveryCost sorts in place; pass a copy of the prefix.
-		pref := make([]recoveryItem, len(items))
-		copy(pref, items)
-		wc[i] = makespan + worstRecoveryCost(pref, k)
+	c := Completions{
+		Start:     make([]Time, len(entries)),
+		Finish:    make([]Time, len(entries)),
+		WorstCase: make([]Time, len(entries)),
 	}
-	return Completions{Start: starts, Finish: finishes, WorstCase: wc}
+	var p Prefix
+	p.Reset(app, start, k)
+	for i, e := range entries {
+		c.Start[i], c.Finish[i], c.WorstCase[i] = p.Extend(e)
+	}
+	return c
 }
 
 // ExpectedCompletions computes AET-based no-fault start/finish times.
 func ExpectedCompletions(app *model.Application, entries []Entry, start Time) Completions {
-	s, f := sequential(app, entries, start, func(p model.Process) Time { return p.AET })
+	s, f := sequential(app, entries, start, func(p *model.Process) Time { return p.AET })
 	return Completions{Start: s, Finish: f}
 }
 
 // BestCaseCompletions computes BCET-based no-fault start/finish times.
 func BestCaseCompletions(app *model.Application, entries []Entry, start Time) Completions {
-	s, f := sequential(app, entries, start, func(p model.Process) Time { return p.BCET })
+	s, f := sequential(app, entries, start, func(p *model.Process) Time { return p.BCET })
 	return Completions{Start: s, Finish: f}
 }
 
@@ -344,22 +258,19 @@ func (e *UnschedulableError) Error() string {
 // fault scenario. It does NOT check that all hard processes are present;
 // use Validate for structural checks.
 func CheckSchedulable(app *model.Application, entries []Entry, start Time, k int) error {
-	c := WorstCaseCompletions(app, entries, start, k)
-	for i, e := range entries {
-		p := app.Proc(e.Proc)
-		if p.Kind == model.Hard && c.WorstCase[i] > p.Deadline {
-			return &UnschedulableError{Proc: e.Proc, Completion: c.WorstCase[i], Bound: p.Deadline}
-		}
+	var p Prefix
+	p.Reset(app, start, k)
+	for _, e := range entries {
+		p.Extend(e)
 	}
-	if n := len(entries); n > 0 && c.WorstCase[n-1] > app.Period() {
-		return &UnschedulableError{Proc: model.NoProcess, Completion: c.WorstCase[n-1], Bound: app.Period()}
-	}
-	return nil
+	return p.Err()
 }
 
 // Schedulable is CheckSchedulable as a predicate.
 func Schedulable(app *model.Application, entries []Entry, start Time, k int) bool {
-	return CheckSchedulable(app, entries, start, k) == nil
+	var p Prefix
+	p.Reset(app, start, k)
+	return p.Fits(entries)
 }
 
 // ExpectedUtility evaluates the total expected utility of an f-schedule in
