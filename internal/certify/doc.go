@@ -14,9 +14,9 @@
 // root f-schedule) of size 0..MaxFaults. Faults beyond a victim's maximum
 // re-execution attempts can never materialise — a process abandoned after
 // its last recovery never runs again — so patterns are canonicalised by
-// capping each victim's count at its attempt bound and deduplicated on a
-// bitset key (the same ProcKey snapshots the synthesis memoisation uses);
-// the pruned count is reported and counted on obs.CertifyPatternsPruned.
+// capping each victim's count at its attempt bound and deduplicated on
+// the capped count vector; the pruned count is reported and counted on
+// obs.CertifyPatternsPruned.
 //
 // Execution-time corners per process are its BCET and WCET plus
 // deadline-adjacent boundary times: per-process bisection (all other
@@ -45,7 +45,9 @@
 // cycle reads only the duration and fault count of each process whose
 // entry runs, so a scenario that agrees with a recorded cycle on the
 // processes of its first i entries reaches entry i in the recorded state;
-// the replayer restores that state and executes the rest. Each worker
+// the replayer restores that state and executes the rest, and books its
+// utility from the record's α while the cycle ends with the record's
+// completed set (see runtime.Replayer). Each worker
 // holds two replayers, one per frontier background: the all-BCET and
 // all-WCET profiles record, and every single-process deviation resumes
 // its background's record at that process's first entry, as a leaf that

@@ -197,7 +197,7 @@ func certify(ctx context.Context, tree *core.Tree, cfg Config, newRunner func(*r
 		MinUtility:     math.Inf(1),
 	}
 	var ce *Counterexample
-	cePattern := -1
+	cePattern, minPattern := -1, -1
 	for pi := range outcomes {
 		o := &outcomes[pi]
 		rep.Scenarios += o.scenarios
@@ -212,7 +212,7 @@ func certify(ctx context.Context, tree *core.Tree, cfg Config, newRunner func(*r
 		}
 		if o.scenarios > 0 && o.minUtility < rep.MinUtility {
 			rep.MinUtility = o.minUtility
-			rep.MinUtilityFaultsAt = append(rep.MinUtilityFaultsAt[:0], patterns[pi].counts...)
+			minPattern = pi
 		}
 		if ce == nil && o.ce != nil {
 			ce = o.ce
@@ -226,6 +226,10 @@ func certify(ctx context.Context, tree *core.Tree, cfg Config, newRunner func(*r
 	}
 	if math.IsInf(rep.MinUtility, 1) {
 		rep.MinUtility = 0
+	}
+	if minPattern >= 0 {
+		rep.MinUtilityFaultsAt = make([]int, n)
+		patterns[minPattern].faultsAt(rep.MinUtilityFaultsAt)
 	}
 
 	if ce != nil {
@@ -285,7 +289,7 @@ func newExplorer(bg [2]runner, b bounds, hardIDs []model.ProcessID, corners [][]
 		hardIDs:    hardIDs,
 		corners:    corners,
 		exhaustive: exhaustive,
-		sc:         runtime.Scenario{Durations: make([]model.Time, n)},
+		sc:         runtime.Scenario{Durations: make([]model.Time, n), FaultsAt: make([]int, n)},
 		idx:        make([]int, n),
 	}
 }
@@ -294,10 +298,8 @@ func newExplorer(bg [2]runner, b bounds, hardIDs []model.ProcessID, corners [][]
 // out. The scenario enumeration order is deterministic, so out.ce (the
 // lowest-index violation) is too.
 func (ex *explorer) explore(ctx context.Context, pat *pattern, out *patternOutcome) error {
-	// FaultsAt is read-only to the dispatcher, so the pattern's counts are
-	// shared, not copied.
-	ex.sc.FaultsAt = pat.counts
-	ex.sc.NFaults = pat.total
+	pat.faultsAt(ex.sc.FaultsAt)
+	ex.sc.NFaults = len(pat.victims)
 	out.minUtility = math.Inf(1)
 	out.worstProc = model.NoProcess
 	if ex.exhaustive {

@@ -3,6 +3,8 @@ package certify
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math/rand"
 	"reflect"
 	goruntime "runtime"
 	"testing"
@@ -261,17 +263,79 @@ func TestPatternCanonicalisation(t *testing.T) {
 		t.Fatalf("no pruning on capped victim: %d patterns", len(patterns))
 	}
 	seen := make(map[string]bool)
+	counts := make([]int, n)
 	for _, p := range patterns {
+		p.faultsAt(counts)
 		key := ""
-		for _, c := range p.counts {
+		for _, c := range counts {
 			key += string(rune('0' + c))
 		}
 		if seen[key] {
-			t.Fatalf("duplicate pattern %v survived", p.counts)
+			t.Fatalf("duplicate pattern %v survived", counts)
 		}
 		seen[key] = true
-		if p.counts[1] > 1 {
-			t.Fatalf("pattern %v exceeds victim 1's attempt bound", p.counts)
+		if counts[1] > 1 {
+			t.Fatalf("pattern %v exceeds victim 1's attempt bound", counts)
+		}
+	}
+}
+
+// TestPatternsMatchCappedDedup holds enumeratePatterns to its definition:
+// every raw victim multiset of size 0..maxFaults, in enumeration order,
+// capped at the attempt bounds and deduplicated on the capped count
+// vector, with the duplicates counted as pruned.
+func TestPatternsMatchCappedDedup(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(12)
+		var candidates []model.ProcessID
+		for _, p := range rng.Perm(n)[:1+rng.Intn(n)] {
+			candidates = append(candidates, model.ProcessID(p))
+		}
+		attempts := make([]int, n)
+		for p := range attempts {
+			attempts[p] = rng.Intn(4)
+		}
+		maxFaults := rng.Intn(5)
+
+		var want [][]int
+		wantPruned := 0
+		seen := make(map[string]bool)
+		counts := make([]int, n)
+		var rec func(start, left int)
+		rec = func(start, left int) {
+			if left > 0 {
+				for ci := start; ci < len(candidates); ci++ {
+					counts[candidates[ci]]++
+					rec(ci, left-1)
+					counts[candidates[ci]]--
+				}
+				return
+			}
+			capped := make([]int, n)
+			for p, c := range counts {
+				capped[p] = min(c, attempts[p])
+			}
+			if key := fmt.Sprint(capped); seen[key] {
+				wantPruned++
+			} else {
+				seen[key] = true
+				want = append(want, capped)
+			}
+		}
+		for size := 0; size <= maxFaults; size++ {
+			rec(0, size)
+		}
+
+		patterns, pruned := enumeratePatterns(n, candidates, maxFaults, attempts)
+		got := make([][]int, len(patterns))
+		for i := range patterns {
+			got[i] = make([]int, n)
+			patterns[i].faultsAt(got[i])
+		}
+		if pruned != wantPruned || !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d (candidates %v, attempts %v, maxFaults %d):\ngot  %v, %d pruned\nwant %v, %d pruned",
+				trial, candidates, attempts, maxFaults, got, pruned, want, wantPruned)
 		}
 	}
 }

@@ -5,56 +5,20 @@ import (
 	"ftsched/internal/model"
 )
 
-// pattern is one canonical fault placement: counts[p] faults aimed at
-// process p's first execution attempts, total faults.
+// pattern is one canonical fault placement: one fault aimed at a first
+// execution attempt of each process in victims, a process listed once
+// per fault.
 type pattern struct {
-	counts []int
-	total  int
+	victims []model.ProcessID
 }
 
-// patternKey is the comparable canonical form of a capped pattern,
-// mirroring the bitset canonicalisation of the synthesis memoisation
-// (core.suffixKey): level t holds the set of processes hit by at least t
-// faults. Two inline ProcKeys cover every k <= 2 configuration (all the
-// paper's); deeper levels spill into a byte string, which stays correct
-// and comparable for any k.
-type patternKey struct {
-	l1, l2 model.ProcKey
-	rest   string
-}
-
-// keyOf snapshots capped counts into a patternKey. scratch must be an
-// empty ProcSet sized for the application; it is clobbered.
-func keyOf(counts []int, maxCount int, scratch model.ProcSet) patternKey {
-	var k patternKey
-	var rest []byte
-	for level := 1; level <= maxCount; level++ {
-		scratch.Clear()
-		any := false
-		for p, c := range counts {
-			if c >= level {
-				scratch.Add(model.ProcessID(p))
-				any = true
-			}
-		}
-		if !any {
-			break
-		}
-		switch level {
-		case 1:
-			k.l1 = scratch.Key()
-		case 2:
-			k.l2 = scratch.Key()
-		default:
-			for _, w := range scratch {
-				for i := 0; i < 8; i++ {
-					rest = append(rest, byte(w>>(8*uint(i))))
-				}
-			}
-		}
+// faultsAt writes the pattern's per-process fault counts into dst, which
+// holds one count per process.
+func (p *pattern) faultsAt(dst []int) {
+	clear(dst)
+	for _, v := range p.victims {
+		dst[v]++
 	}
-	k.rest = string(rest)
-	return k
 }
 
 // maxAttempts computes, per process, the most execution attempts any node
@@ -78,46 +42,55 @@ func maxAttempts(tree *core.Tree) []int {
 }
 
 // enumeratePatterns generates every canonical fault multiset over the
-// candidate victims with sizes 0..maxFaults, capping per-victim counts at
-// the attempt bound and deduplicating on the bitset key. It returns the
-// surviving patterns in deterministic enumeration order and the number of
-// raw patterns pruned as equivalent.
+// candidate victims with sizes 0..maxFaults, in deterministic enumeration
+// order, and counts the raw multisets pruned as equivalent. Capping each
+// victim's count at its attempt bound maps a raw multiset to a canonical
+// one; the sizes run upwards, so the first raw multiset of every capped
+// class is its uncapped member, and a raw multiset is pruned exactly when
+// it exceeds some victim's bound. The victims of all patterns share one
+// exactly sized array.
 func enumeratePatterns(n int, candidates []model.ProcessID, maxFaults int, attempts []int) (patterns []pattern, pruned int) {
-	seen := make(map[patternKey]bool)
-	scratch := model.NewProcSet(n)
 	counts := make([]int, n)
-	// Multisets are generated as non-decreasing victim sequences, so each
-	// raw multiset appears exactly once.
-	var rec func(start, left int)
-	rec = func(start, left int) {
-		if left == 0 {
-			capped := make([]int, n)
-			total := 0
-			for p, c := range counts {
-				if c > attempts[p] {
-					c = attempts[p]
+	seq := make([]model.ProcessID, 0, maxFaults)
+	// walk visits the victim sequence of every canonical multiset and
+	// returns the number of duplicates. Multisets are generated as
+	// non-decreasing candidate sequences, so each raw multiset appears
+	// exactly once.
+	walk := func(visit func([]model.ProcessID)) (dups int) {
+		var rec func(start, left int)
+		rec = func(start, left int) {
+			if left == 0 {
+				for _, p := range seq {
+					if counts[p] > attempts[p] {
+						dups++
+						return
+					}
 				}
-				capped[p] = c
-				total += c
-			}
-			k := keyOf(capped, maxFaults, scratch)
-			if seen[k] {
-				pruned++
+				visit(seq)
 				return
 			}
-			seen[k] = true
-			patterns = append(patterns, pattern{counts: capped, total: total})
-			return
+			for ci := start; ci < len(candidates); ci++ {
+				p := candidates[ci]
+				counts[p]++
+				seq = append(seq, p)
+				rec(ci, left-1)
+				seq = seq[:len(seq)-1]
+				counts[p]--
+			}
 		}
-		for ci := start; ci < len(candidates); ci++ {
-			counts[candidates[ci]]++
-			rec(ci, left-1)
-			counts[candidates[ci]]--
+		for size := 0; size <= maxFaults; size++ {
+			rec(0, size)
 		}
+		return dups
 	}
-	for size := 0; size <= maxFaults; size++ {
-		rec(0, size)
-	}
+	kept, faults := 0, 0
+	pruned = walk(func(victims []model.ProcessID) { kept, faults = kept+1, faults+len(victims) })
+	patterns = make([]pattern, 0, kept)
+	flat := make([]model.ProcessID, 0, faults)
+	walk(func(victims []model.ProcessID) {
+		flat = append(flat, victims...)
+		patterns = append(patterns, pattern{victims: flat[len(flat)-len(victims) : len(flat) : len(flat)]})
+	})
 	return patterns, pruned
 }
 

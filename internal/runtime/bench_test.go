@@ -99,6 +99,63 @@ func BenchmarkDispatchEnvelope(b *testing.B) {
 	}
 }
 
+// BenchmarkReplayerResume measures certification's per-scenario layer
+// on the cruise controller tree its benchmark certifies (M=39): the
+// frontier sweep's single-process deviations, each process at its BCET,
+// mid-point and WCET, resumed as leaves against the recorded all-BCET and
+// all-WCET backgrounds of one two-fault pattern. One op is one resumed
+// scenario.
+func BenchmarkReplayerResume(b *testing.B) {
+	app := apps.CruiseController()
+	tree := synthesize(b, app, 39)
+	d := runtime.MustNewDispatcher(tree)
+	n := app.N()
+	faults := make([]int, n)
+	entries := tree.Nodes[0].Schedule.Entries
+	faults[entries[0].Proc]++
+	faults[entries[len(entries)/2].Proc]++
+	var bgs [2]runtime.Scenario
+	for i := range bgs {
+		bgs[i] = runtime.Scenario{Durations: make([]model.Time, n), FaultsAt: faults, NFaults: 2}
+	}
+	type deviation struct {
+		bg  int
+		p   model.ProcessID
+		dur model.Time
+	}
+	var devs []deviation
+	for id := 0; id < n; id++ {
+		p := app.Proc(model.ProcessID(id))
+		bgs[0].Durations[id], bgs[1].Durations[id] = p.BCET, p.WCET
+		for _, c := range []model.Time{p.BCET, (p.BCET + p.WCET) / 2, p.WCET} {
+			for bg := range bgs {
+				if c != bgs[bg].Durations[id] {
+					devs = append(devs, deviation{bg, model.ProcessID(id), c})
+				}
+			}
+		}
+	}
+	var rs [2]*runtime.Replayer
+	for bg := range rs {
+		rs[bg] = d.NewReplayer()
+		if _, err := rs[bg].Run(bgs[bg], true); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		v := devs[i%len(devs)]
+		durs := bgs[v.bg].Durations
+		old := durs[v.p]
+		durs[v.p] = v.dur
+		if _, err := rs[v.bg].Run(bgs[v.bg], false); err != nil {
+			b.Fatal(err)
+		}
+		durs[v.p] = old
+	}
+}
+
 // BenchmarkMonteCarlo measures the full parallel evaluation pipeline —
 // compile, sample, dispatch, reduce — at the scale of one experiment
 // configuration (2000 scenarios, two faults each).

@@ -311,8 +311,10 @@ func (d *Dispatcher) switchTo(st *cycleState, proc model.ProcessID, tc model.Tim
 	}
 }
 
-// finish closes the cycle and returns the cycle state to the pool.
+// finish books the cycle's utility, closes it and returns the cycle
+// state to the pool.
 func (d *Dispatcher) finish(st *cycleState) error {
+	st.res.Utility = d.kern.cycleUtility(d.tree.App, st, nil)
 	err := d.close(st)
 	st.res, st.events, st.durations = nil, nil, nil
 	d.bufs.Put(st)
@@ -320,13 +322,13 @@ func (d *Dispatcher) finish(st *cycleState) error {
 }
 
 // close books what follows the last entry — hard processes that never
-// ran, utility, per-core energy, the sink flush — and returns the strict
-// abort's *EnvelopeError, if the cycle stopped on one.
+// ran, per-core energy, the sink flush — and returns the strict abort's
+// *EnvelopeError, if the cycle stopped on one. Its callers book the
+// utility: finish from scratch, a Replayer from its record.
 func (d *Dispatcher) close(st *cycleState) error {
 	res := st.res
 	res.FinalNode = int(st.node)
 	appendUnranHard(res, d.hardIDs)
-	res.Utility = cycleUtility(d.tree.App, d.kern.procs, st)
 
 	// Active energy is per-core busy time × active power; idle energy the
 	// rest of the period × idle power (clamped at zero for out-of-model
@@ -403,10 +405,12 @@ func (d *Dispatcher) flush(st *cycleState) {
 }
 
 // cycleUtility is the stale-value accounting of a finished cycle (§2.1):
-// Σ α_i·U_i(t_i) over the soft processes that completed, with α from
-// app.StaleCoefficients over the realised outcomes. Dispatcher.close and
-// Kernel.Finish share it; st.status and st.alpha are its scratch.
-func cycleUtility(app *model.Application, procs []model.Process, st *cycleState) float64 {
+// Σ α_i·U_i(t_i) over the soft processes that completed, in ascending ID
+// order, with α from app.StaleCoefficients over the realised outcomes.
+// Dispatcher.finish, Kernel.Finish and a recording Replayer share it;
+// st.status and st.alpha are its scratch. A non-nil terms receives each
+// completed soft process's term by soft index.
+func (k *kernel) cycleUtility(app *model.Application, st *cycleState, terms []float64) float64 {
 	outcomes, done, status := st.res.Outcomes, st.res.CompletionTimes, st.status
 	for id, o := range outcomes {
 		if o == Completed {
@@ -418,12 +422,24 @@ func cycleUtility(app *model.Application, procs []model.Process, st *cycleState)
 	alpha := app.StaleCoefficients(st.alpha, status)
 	st.alpha = alpha
 	var total float64
-	for id := range procs {
-		if procs[id].Kind != model.Soft || outcomes[id] != Completed {
+	for i, id := range k.soft {
+		if outcomes[id] != Completed {
 			continue
 		}
-		// A validated application gives every soft process a utility.
-		total += alpha[id] * procs[id].Utility.Value(done[id])
+		t := k.term(alpha[id], id, done[id])
+		if terms != nil {
+			terms[i] = t
+		}
+		total += t
 	}
 	return total
+}
+
+// term is soft process id's utility term α·U(t). The conversion rounds
+// the product on its own: the Go spec lets a compiler fuse a product
+// into the sum it feeds (an FMA on arm64 or GOAMD64=v3), and a fused sum
+// would differ in the last bit from one over terms a Replayer cached.
+func (k *kernel) term(alpha float64, id model.ProcessID, t model.Time) float64 {
+	// A validated application gives every soft process a utility.
+	return float64(alpha * k.procs[id].Utility.Value(t))
 }

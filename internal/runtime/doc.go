@@ -27,15 +27,20 @@
 // rescheduler in internal/sim. Replayer resumes a recorded cycle at the
 // first entry whose process a new scenario changes, for callers that run
 // many scenarios sharing prefixes — certification in internal/certify.
+// Its record ends with the recorded cycle's utility accounting (outcomes,
+// completion times, α and the per-soft-process terms), so a resumed cycle
+// that completes the same processes reuses α and recomputes only the
+// terms whose completion time moved.
 //
 // A Dispatcher is immutable after construction and safe for concurrent
 // use. The execution entry points are allocation-free on the hot path:
 // RunInto reuses the caller's Result buffers and per-cycle scratch
 // (fault budgets, stale statuses, stale-value coefficients α) comes from
-// an internal sync.Pool. The finish pass and Kernel share one utility
-// accounting, which hands that scratch to model.StaleCoefficients; the
-// recurrence walks the application's own topology, so the Dispatcher
-// keeps no copy of it. Monte-Carlo evaluation in internal/sim drives one
+// an internal sync.Pool. The finish pass, Kernel and a recording Replayer
+// share one utility accounting, which hands that scratch to
+// model.StaleCoefficients; the recurrence walks the application's own
+// topology, so the Dispatcher keeps no copy of it, only the table of its
+// soft process IDs. Monte-Carlo evaluation in internal/sim drives one
 // shared Dispatcher from many goroutines; see BenchmarkDispatch for the
 // per-cycle cost.
 package runtime

@@ -22,3 +22,10 @@ func (d *Dispatcher) CorruptSegments(child core.NodeID) {
 		d.segs[i].child = child
 	}
 }
+
+// UtilityPaths reports how the Replayer's non-recording cycles booked
+// their utility: reusing the record's α with every completion time
+// unchanged, reusing it with some changed, or by the full recurrence.
+func (r *Replayer) UtilityPaths() (kept, moved, recomputed int) {
+	return r.kept, r.moved, r.recomputed
+}

@@ -25,7 +25,8 @@ const (
 // checkpoint model of Persya & Nair (PAPERS.md). It is immutable; the
 // per-cycle state it advances is a cycleState.
 type kernel struct {
-	procs    []model.Process // the process table, by ID
+	procs    []model.Process   // the process table, by ID
+	soft     []model.ProcessID // the soft processes, by ascending ID
 	rec      model.RecoveryModel
 	overhead []model.Time // per-fault overhead: µ, restart latency or rollback
 	// primCore[p] runs p's first attempt and rerunCore[p] its re-runs: the
@@ -49,6 +50,7 @@ func newKernel(app *model.Application) kernel {
 	plat := app.Platform()
 	k := kernel{
 		procs:     make([]model.Process, n),
+		soft:      app.SoftIDs(),
 		rec:       app.Recovery(),
 		overhead:  make([]model.Time, n),
 		primCore:  make([]int32, n),
@@ -200,7 +202,7 @@ func (k *Kernel) Run(e schedule.Entry) (model.Time, bool) {
 func (k *Kernel) Finish() {
 	res := k.st.res
 	appendUnranHard(res, k.app.HardIDs())
-	res.Utility = cycleUtility(k.app, k.k.procs, &k.st)
+	res.Utility = k.k.cycleUtility(k.app, &k.st, nil)
 }
 
 // appendUnranHard records every hard process that did not complete and

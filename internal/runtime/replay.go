@@ -26,6 +26,16 @@ import (
 // process runs twice, after a fallback to the root). Nothing n-sized is
 // copied per entry.
 //
+// At its end the record keeps its cycle's utility accounting: the end
+// outcomes and completion times, the stale-value coefficients α, and each
+// completed soft process's term α_i·U_i(t_i). α depends only on which
+// processes completed, so a cycle that runs without recording and ends
+// with the record's completed set reuses it: it sums the cached term of
+// every soft process whose completion time is the record's and a fresh
+// one of every other, in the same order and to the same bits as the full
+// recurrence. Any other cycle runs the recurrence, and a recording cycle
+// runs it and refreshes the cache.
+//
 // A Replayer owns its cycle state and Result and is not safe for
 // concurrent use; take one per goroutine. The Dispatcher's sink sees
 // every cycle; its per-entry histograms count only executed entries.
@@ -34,6 +44,10 @@ type Replayer struct {
 	st  *cycleState
 	res Result
 	rec recorder
+	// kept, moved and recomputed count the non-recording cycles that
+	// reused the record's α with every completion time unchanged, reused
+	// it with some changed, and ran the full recurrence.
+	kept, moved, recomputed int
 }
 
 // recorder is a Replayer's record: the scenario of the recorded cycle
@@ -50,6 +64,13 @@ type recorder struct {
 	// which a snapshot keeps only the lengths.
 	hard []model.ProcessID
 	viol []ViolationEvent
+	// The recorded cycle's utility accounting: its end outcomes and
+	// completion times, the α they gave, and by soft index the term of
+	// each soft process that completed.
+	outcomes []ProcessOutcome
+	done     []model.Time
+	alpha    []float64
+	terms    []float64
 }
 
 // snapshot is the state of a cycle before one entry.
@@ -83,6 +104,10 @@ func (d *Dispatcher) NewReplayer() *Replayer {
 		faults:    make([]int, 0, n),
 		snaps:     make([]snapshot, 0, m),
 		cores:     make([]model.Time, 0, 2*len(d.kern.cores)*m),
+		outcomes:  make([]ProcessOutcome, 0, n),
+		done:      make([]model.Time, 0, n),
+		alpha:     make([]float64, 0, n),
+		terms:     make([]float64, len(d.kern.soft)),
 	}}
 }
 
@@ -121,7 +146,62 @@ func (r *Replayer) Run(sc Scenario, record bool) (*Result, error) {
 		rec.hard = append(rec.hard[:0], r.res.HardViolations...)
 		rec.viol = append(rec.viol[:0], r.res.Violations...)
 	}
+	r.res.Utility = r.utility(record)
 	return &r.res, d.close(st)
+}
+
+// utility is the finished cycle's stale-value accounting, bit for bit
+// what cycleUtility returns. A recording cycle runs the recurrence and
+// keeps it in the record; any other reuses the record's α and terms
+// while it ends with the record's completed set.
+func (r *Replayer) utility(record bool) float64 {
+	k, rec, res := &r.d.kern, &r.rec, &r.res
+	if record {
+		total := k.cycleUtility(r.d.tree.App, r.st, rec.terms)
+		rec.outcomes = append(rec.outcomes[:0], res.Outcomes...)
+		rec.done = append(rec.done[:0], res.CompletionTimes...)
+		rec.alpha = append(rec.alpha[:0], r.st.alpha...)
+		return total
+	}
+	if !rec.keepsCompleted(res.Outcomes) {
+		r.recomputed++
+		return k.cycleUtility(r.d.tree.App, r.st, nil)
+	}
+	var total float64
+	moved := false
+	for i, id := range k.soft {
+		if res.Outcomes[id] != Completed {
+			continue
+		}
+		t := rec.terms[i]
+		if done := res.CompletionTimes[id]; done != rec.done[id] {
+			t, moved = k.term(rec.alpha[id], id, done), true
+		}
+		total += t
+	}
+	if moved {
+		r.moved++
+	} else {
+		r.kept++
+	}
+	return total
+}
+
+// keepsCompleted reports whether outcomes complete exactly the processes
+// the record's cycle completed.
+func (r *recorder) keepsCompleted(outcomes []ProcessOutcome) bool {
+	if slices.Equal(outcomes, r.outcomes) {
+		return true
+	}
+	if len(outcomes) != len(r.outcomes) {
+		return false
+	}
+	for id, o := range outcomes {
+		if (o == Completed) != (r.outcomes[id] == Completed) {
+			return false
+		}
+	}
+	return true
 }
 
 // resumeAt returns the index of the first recorded entry whose process

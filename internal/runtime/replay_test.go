@@ -80,8 +80,12 @@ func replaySteps(app *model.Application, bases []runtime.Scenario, rng *rand.Ran
 // time. Every Replayer.Run, recording or as a leaf, must return RunInto's
 // Result and error; a live sink must see the same counters and
 // non-per-entry histograms; and after warm-up a resumed cycle must
-// allocate nothing.
+// allocate nothing. Over the matrix the leaves must book their utility
+// by each of the Replayer's three paths: the record's α and terms as
+// they are, the record's α with some terms recomputed, and the full
+// recurrence after the completed set changed.
 func TestReplayerMatchesRunInto(t *testing.T) {
+	var paths [3]int
 	envs := []*runtime.EnvelopeConfig{nil}
 	for _, pol := range []runtime.DegradePolicy{runtime.PolicyStrict, runtime.PolicyShedSoft, runtime.PolicyBestEffort} {
 		for _, clamp := range []bool{false, true} {
@@ -127,13 +131,18 @@ func TestReplayerMatchesRunInto(t *testing.T) {
 						opts = append(opts, runtime.WithEnvelope(*env))
 					}
 					name := fmt.Sprintf("seed%d/%s/mapped=%t/%s", seed, rec, mapped, envName(env))
-					t.Run(name, func(t *testing.T) { checkReplayer(t, tree, opts, core.NoNode, steps) })
+					t.Run(name, func(t *testing.T) { checkReplayer(t, tree, opts, core.NoNode, steps, &paths) })
 				}
 				for _, to := range []core.NodeID{core.NodeID(len(tree.Nodes)), core.NodeID(len(tree.Nodes) - 1)} {
 					name := fmt.Sprintf("seed%d/%s/mapped=%t/corrupt-to-%d", seed, rec, mapped, to)
-					t.Run(name, func(t *testing.T) { checkReplayer(t, tree, nil, to, steps) })
+					t.Run(name, func(t *testing.T) { checkReplayer(t, tree, nil, to, steps, &paths) })
 				}
 			}
+		}
+	}
+	for i, name := range []string{"α and terms reused", "α reused, terms recomputed", "full recurrence"} {
+		if paths[i] == 0 {
+			t.Errorf("no leaf booked its utility by %s (paths %v)", name, paths)
 		}
 	}
 }
@@ -142,8 +151,9 @@ func TestReplayerMatchesRunInto(t *testing.T) {
 // dispatchers compiled alike with their own sinks (with every segment
 // redirected to node to, unless it is NoNode), and compares results,
 // errors and sinks; checks that a mis-sized scenario is rejected; then
-// measures the allocations of the error-free steps.
-func checkReplayer(t *testing.T, tree *core.Tree, opts []runtime.Option, to core.NodeID, steps []replayStep) {
+// measures the allocations of the error-free steps. It adds to paths how
+// the leaves booked their utility, as Replayer.UtilityPaths counts.
+func checkReplayer(t *testing.T, tree *core.Tree, opts []runtime.Option, to core.NodeID, steps []replayStep, paths *[3]int) {
 	t.Helper()
 	wantSink, gotSink := obs.NewMetrics(), obs.NewMetrics()
 	ref := runtime.MustNewDispatcher(tree, append(opts, runtime.WithSink(wantSink))...)
@@ -166,6 +176,10 @@ func checkReplayer(t *testing.T, tree *core.Tree, opts []runtime.Option, to core
 			clean = append(clean, s)
 		}
 	}
+	kept, moved, recomputed := r.UtilityPaths()
+	paths[0] += kept
+	paths[1] += moved
+	paths[2] += recomputed
 	var sizeErr *runtime.ScenarioSizeError
 	if res, err := r.Run(runtime.Scenario{}, true); res != nil || !errors.As(err, &sizeErr) {
 		t.Errorf("mis-sized scenario: result %v, err %v; want nil and a *ScenarioSizeError", res, err)
