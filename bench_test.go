@@ -228,7 +228,7 @@ func BenchmarkMonteCarlo(b *testing.B) {
 // evaluation path: 2000 cruise-controller scenarios per iteration through
 // one dispatcher, uninstrumented vs a NopSink vs the live Metrics
 // collector. The live-sink column must stay within 10% of the plain one
-// (asserted offline from BENCH_obs.json; see EXPERIMENTS.md).
+// (checked offline against the obs-sink row of docs/PERFORMANCE.md).
 func BenchmarkMonteCarloObs(b *testing.B) {
 	app := ftsched.CruiseController()
 	tree, err := ftsched.FTQS(app, ftsched.FTQSOptions{M: 39})

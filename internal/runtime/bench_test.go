@@ -172,11 +172,10 @@ func BenchmarkMonteCarlo(b *testing.B) {
 }
 
 // BenchmarkMonteCarloBatch measures the batch evaluation engine in its
-// steady state — the BENCH_dispatch.json workload (cruise controller,
-// M=20, 2000 scenarios, two faults each) with a pre-compiled dispatcher —
-// sequentially and with one worker per CPU. The scenarios/sec metric is
-// the engine's headline number; the `batch` block of BENCH_dispatch.json
-// records it next to the pre-engine per-scenario baseline.
+// steady state — cruise controller, M=20, 2000 scenarios, two faults
+// each, with a pre-compiled dispatcher — sequentially and with one worker
+// per CPU. The scenarios/sec metric is the engine's headline number;
+// docs/PERFORMANCE.md records it with its host and -count 10 command.
 func BenchmarkMonteCarloBatch(b *testing.B) {
 	app := apps.CruiseController()
 	tree := synthesize(b, app, 20)
@@ -209,7 +208,7 @@ func BenchmarkMonteCarloBatch(b *testing.B) {
 // the biased mapping: per-core ready times, cross-core precedence and the
 // per-core energy fold are all on the hot path. The delta against
 // BenchmarkDispatch is the whole cost of the platform generalisation;
-// the `dispatch_mapped` block of BENCH_dispatch.json records it.
+// docs/PERFORMANCE.md's mapped-dispatch row records it.
 func BenchmarkDispatchMapped(b *testing.B) {
 	base := apps.CruiseController()
 	plat := lpHP(b)

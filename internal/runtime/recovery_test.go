@@ -229,7 +229,8 @@ func TestDispatchRecoveryAllocFree(t *testing.T) {
 }
 
 // BenchmarkDispatchRecovery measures the per-cycle dispatch cost under each
-// recovery model (CI uploads this block into BENCH_dispatch.json).
+// recovery model (CI's bench-smoke job uploads its output as
+// bench-dispatch.txt; docs/PERFORMANCE.md records the measured rows).
 func BenchmarkDispatchRecovery(b *testing.B) {
 	base := apps.CruiseController()
 	for _, tc := range []struct {

@@ -13,10 +13,8 @@
 //     Floating-point sums therefore always reduce in the same order, which
 //     is what makes MCStats bit-identical for 1, 2 or 64 workers — the
 //     same determinism discipline certify and chaos enforce.
-//   - Sampling is structure-of-arrays: one completion-time plane per
-//     process, filled a block at a time with the per-process BCET/span
-//     constants hoisted out of the scenario loop, from per-scenario
-//     splitmix64 streams (RNG) seeded with ScenarioSeed. Per-scenario
+//   - Every scenario is drawn by SampleRNGInto, the one sampler, from its
+//     own splitmix64 stream (RNG) reseeded with ScenarioSeed. Per-scenario
 //     reseeding is what decouples the scenario stream from the
 //     partitioning; doing it with RNG instead of math/rand is what makes
 //     it free (a store instead of a 607-word re-expansion).
@@ -26,9 +24,9 @@
 //     few fixed buffers as a 10^3-scenario one.
 //
 // The compiled runtime.Dispatcher is immutable and safe for concurrent
-// use, so all workers share one dispatcher and keep only their Scenario
-// and Result scratch private — the "dispatcher shard" is the per-worker
-// scratch, not a copy of the dispatch table.
+// use, so all workers share one dispatcher and keep only their RNG,
+// Scenario and Result scratch private — the "dispatcher shard" is the
+// per-worker scratch, not a copy of the dispatch table.
 
 package sim
 
@@ -43,12 +41,11 @@ import (
 )
 
 // BlockSize is the fixed scenario-block granularity of the sharded
-// evaluation driver. It balances three pressures: blocks long enough to
-// amortise per-block setup and keep the structure-of-arrays planes
-// cache-resident, short enough that small evaluations still spread over
-// workers, and — most importantly — fixed, because the block grid is part
-// of the determinism contract: changing BlockSize changes the
-// floating-point fold order and thus the last bits of MCStats.
+// evaluation driver. Blocks are long enough to amortise the per-block
+// cancellation check and claim, and short enough that small evaluations
+// still spread over workers. Above all the size is fixed, because the
+// block grid is part of the determinism contract: changing BlockSize
+// changes the floating-point fold order and thus the last bits of MCStats.
 const BlockSize = 256
 
 // RunBlocks partitions the index range [0, n) into fixed BlockSize blocks
@@ -217,10 +214,6 @@ type mcBatch struct {
 	cfg        MCConfig
 	candidates []model.ProcessID
 	sink       obs.Sink
-	// bcet and span are the hoisted per-process sampling constants,
-	// read-only across workers.
-	bcet []model.Time
-	span []int64
 	// partials is indexed by block; hists by worker.
 	partials []blockStats
 	hists    []*mcHist
@@ -228,101 +221,36 @@ type mcBatch struct {
 }
 
 func newMCBatch(app *model.Application, d *runtime.Dispatcher, cfg MCConfig, candidates []model.ProcessID, sink obs.Sink) *mcBatch {
-	n := app.N()
-	e := &mcBatch{
+	return &mcBatch{
 		app:        app,
 		d:          d,
 		cfg:        cfg,
 		candidates: candidates,
 		sink:       sink,
-		bcet:       make([]model.Time, n),
-		span:       make([]int64, n),
 		partials:   make([]blockStats, (cfg.Scenarios+BlockSize-1)/BlockSize),
 		histW:      utilityUpperBound(app) / mcBuckets,
 	}
-	for id := 0; id < n; id++ {
-		p := app.Proc(model.ProcessID(id))
-		e.bcet[id] = p.BCET
-		e.span[id] = int64(p.WCET - p.BCET)
-	}
-	return e
 }
 
-// runner builds one worker's block function with all scratch preallocated:
-// the per-scenario RNG states, the per-process completion-time planes, the
-// flat victim buffer, and the reused Scenario/Result pair. Nothing inside
-// the block loop allocates, which is what keeps the steady state at ~0
-// allocations per scenario (TestMonteCarloBatchAllocs).
+// runner builds one worker's block function around a reused RNG, Scenario
+// and Result. SampleRNGInto and RunInto fill that scratch in place, so
+// nothing inside the block loop allocates once the first scenario has
+// sized it (TestMonteCarloBatchAllocs).
 func (e *mcBatch) runner(worker int) func(block, lo, hi int) error {
-	n := e.app.N()
-	nf := e.cfg.Faults
-	rngs := make([]RNG, BlockSize)
-	planes := make([][]model.Time, n)
-	for p := range planes {
-		planes[p] = make([]model.Time, BlockSize)
-	}
-	var victims []model.ProcessID
-	if nf > 0 {
-		victims = make([]model.ProcessID, nf*BlockSize)
-	}
-	sc := Scenario{
-		Durations: make([]model.Time, n),
-		FaultsAt:  make([]int, n),
-		NFaults:   nf,
-	}
+	var rng RNG
+	var sc Scenario
 	var res runtime.Result
 	hist := newMCHist(e.histW)
 	e.hists[worker] = hist
 
 	return func(block, lo, hi int) error {
-		blen := hi - lo
-		// Phase 1 — reseed: one splitmix64 state per scenario of the
-		// block, derived from (Seed, scenario index) exactly as the
-		// scalar sampler would.
-		for j := 0; j < blen; j++ {
-			rngs[j].Reseed(ScenarioSeed(e.cfg.Seed, lo+j))
-		}
-		// Phase 2 — structure-of-arrays sampling: fill each process's
-		// completion-time plane across the whole block with that
-		// process's BCET/span constants held in registers. Each scenario
-		// draws from its own stream in process-ID order, so the
-		// per-scenario draw sequence is identical to SampleRNGInto's.
-		for p := 0; p < n; p++ {
-			plane := planes[p]
-			base := e.bcet[p]
-			if spa := e.span[p]; spa > 0 {
-				for j := 0; j < blen; j++ {
-					plane[j] = base + model.Time(rngs[j].Int63n(spa+1))
-				}
-			} else {
-				for j := 0; j < blen; j++ {
-					plane[j] = base
-				}
-			}
-		}
-		if nf > 0 {
-			pool := e.candidates
-			for j := 0; j < blen; j++ {
-				r := &rngs[j]
-				for f := 0; f < nf; f++ {
-					victims[j*nf+f] = pool[r.Intn(len(pool))]
-				}
-			}
-		}
-		// Phase 3 — dispatch and streaming aggregation: gather each
-		// scenario from the planes into the reused Scenario, run it
-		// through the shared compiled dispatcher, and accumulate into
-		// this block's partial (plus the worker's histogram).
 		bs := &e.partials[block]
 		bs.min = math.Inf(1)
 		bs.max = math.Inf(-1)
-		for j := 0; j < blen; j++ {
-			for p := 0; p < n; p++ {
-				sc.Durations[p] = planes[p][j]
-				sc.FaultsAt[p] = 0
-			}
-			for f := 0; f < nf; f++ {
-				sc.FaultsAt[victims[j*nf+f]]++
+		for i := lo; i < hi; i++ {
+			rng.Reseed(ScenarioSeed(e.cfg.Seed, i))
+			if err := SampleRNGInto(&sc, e.app, &rng, e.cfg.Faults, e.candidates); err != nil {
+				return err
 			}
 			if err := e.d.RunInto(&res, sc); err != nil {
 				return err

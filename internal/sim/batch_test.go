@@ -31,13 +31,13 @@ func (s *utilSink) ObserveN(h obs.Histogram, v, n int64) {
 	}
 }
 
-// TestBatchSamplerMatchesScalar: the engine's structure-of-arrays block
-// sampler must produce, scenario for scenario, exactly what the scalar
-// SampleRNGInto draws from the same per-scenario seeds — same durations,
-// same fault victims. The assertion runs through the real engine: a
-// sequential evaluation's per-scenario utilities (via the sink) and its
-// exact aggregates must equal a hand-rolled scalar loop over the same
-// dispatcher.
+// TestBatchSamplerMatchesScalar: the engine's block loop must evaluate,
+// scenario for scenario, exactly what a plain SampleRNGInto loop draws
+// from the same per-scenario seeds and root victim pool — the blocks, the
+// reused scratch and the streaming fold change nothing. The assertion
+// runs through the real engine: a sequential evaluation's per-scenario
+// utilities (via the sink) and its exact aggregates must equal a
+// hand-rolled scalar loop over the same dispatcher.
 func TestBatchSamplerMatchesScalar(t *testing.T) {
 	app := apps.CruiseController()
 	s, err := core.FTSS(app)
@@ -82,7 +82,7 @@ func TestBatchSamplerMatchesScalar(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got := int64(math.Round(res.Utility)); got != sink.utilities[i] {
-			t.Fatalf("scenario %d: batch utility %d, scalar %d — the block sampler diverged from SampleRNGInto", i, sink.utilities[i], got)
+			t.Fatalf("scenario %d: batch utility %d, scalar %d — the engine diverged from SampleRNGInto", i, sink.utilities[i], got)
 		}
 		minU = math.Min(minU, res.Utility)
 		maxU = math.Max(maxU, res.Utility)
@@ -143,8 +143,9 @@ func TestMonteCarloBatchWorkerInvariance(t *testing.T) {
 }
 
 // TestMonteCarloBatchAllocs gates the streaming design: in steady state
-// the engine allocates only its fixed per-run scratch (planes, RNG
-// states, histogram), so allocations per scenario must be ~0. A
+// the engine allocates only its fixed per-run scratch (block partials,
+// per-worker Scenario/Result buffers, histograms), so allocations per
+// scenario must be ~0. A
 // per-scenario allocation sneaking into the hot loop trips this
 // immediately (0.05 × 4096 ≈ 205 ≪ one per scenario).
 func TestMonteCarloBatchAllocs(t *testing.T) {

@@ -25,9 +25,9 @@
 // the caller's buffers exactly as they were.
 //
 // MonteCarlo runs on the batch evaluation engine (batch.go): scenarios
-// are cut into fixed 256-scenario blocks, each block is sampled
-// structure-of-arrays and dispatched with reused scratch, and workers
-// claim whole blocks through RunBlocks. The engine's determinism
+// are cut into fixed 256-scenario blocks, each scenario of a block is
+// drawn by SampleRNGInto and dispatched with the worker's reused scratch,
+// and workers claim whole blocks through RunBlocks. The engine's determinism
 // contract is that MCStats is bit-identical for every MCConfig.Workers
 // value: scenario i is always seeded from ScenarioSeed(Seed, i), the
 // block grid depends only on the scenario count, and floating-point

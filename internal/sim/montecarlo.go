@@ -6,7 +6,6 @@ import (
 	goruntime "runtime"
 
 	"ftsched/internal/core"
-	"ftsched/internal/model"
 	"ftsched/internal/obs"
 	"ftsched/internal/runtime"
 )
@@ -165,11 +164,7 @@ func MonteCarloContext(ctx context.Context, tree *core.Tree, cfg MCConfig) (MCSt
 	if cfg.Faults > app.K() {
 		return MCStats{}, fmt.Errorf("sim: Faults %d outside [0, k=%d]", cfg.Faults, app.K())
 	}
-	rootEntries := tree.Root().Schedule.Entries
-	candidates := make([]model.ProcessID, 0, len(rootEntries))
-	for _, e := range rootEntries {
-		candidates = append(candidates, e.Proc)
-	}
+	candidates := rootVictims(tree)
 	var sink obs.Sink
 	if obs.Live(cfg.Sink) {
 		sink = cfg.Sink

@@ -38,16 +38,17 @@ func (e *SampleError) Error() string {
 // buffers: uniform execution times in process-ID order, then nFaults
 // faults aimed at uniformly chosen victims (with replacement) among the
 // candidate processes. Candidates are typically the processes of the root
-// schedule; pass nil to draw victims from all processes. It returns a
-// *SampleError when nFaults is outside [0, app.K()] or positive with an
-// empty candidate pool; on error, sc is unchanged and rng is untouched.
+// schedule; pass nil to draw victims from all processes (the same stream
+// as passing every process ID in order, without building that pool). It
+// returns a *SampleError when nFaults is outside [0, app.K()] or positive
+// with an empty candidate pool; on error, sc is unchanged and rng is
+// untouched.
 //
-// It is the one scalar sampler and the reference for the batch sampler:
-// filling a block of scenarios through batch planes and sampling each
-// scenario individually with SampleRNGInto from the same per-scenario
-// seeds produce identical scenarios (asserted by
-// TestBatchSamplerMatchesScalar). One-off callers draw scenario j from
-// NewRNG(ScenarioSeed(seed, j)), the discipline the engine uses.
+// It is the sampler every evaluation runs: the batch engine behind
+// MonteCarlo, chaos campaigns, Trim and the CLIs all draw through it.
+// Scenario j of an evaluation is drawn from NewRNG(ScenarioSeed(seed, j))
+// (the engine reseeds one RNG per worker to that state). Once sc has been
+// sized, a call allocates nothing.
 func SampleRNGInto(sc *Scenario, app *model.Application, rng *RNG, nFaults int, candidates []model.ProcessID) error {
 	if nFaults < 0 || nFaults > app.K() {
 		return &SampleError{NFaults: nFaults, Bound: app.K()}
@@ -71,7 +72,7 @@ func SampleRNGInto(sc *Scenario, app *model.Application, rng *RNG, nFaults int, 
 	}
 	sc.NFaults = nFaults
 	for id := 0; id < n; id++ {
-		p := app.Proc(model.ProcessID(id))
+		p := app.ProcRef(model.ProcessID(id))
 		span := int64(p.WCET - p.BCET)
 		d := p.BCET
 		if span > 0 {
@@ -79,20 +80,25 @@ func SampleRNGInto(sc *Scenario, app *model.Application, rng *RNG, nFaults int, 
 		}
 		sc.Durations[id] = d
 	}
-	if nFaults > 0 {
-		pool := candidates
-		if pool == nil {
-			pool = make([]model.ProcessID, n)
-			for id := 0; id < n; id++ {
-				pool[id] = model.ProcessID(id)
-			}
-		}
-		for i := 0; i < nFaults; i++ {
-			victim := pool[rng.Intn(len(pool))]
-			sc.FaultsAt[victim]++
+	for i := 0; i < nFaults; i++ {
+		if candidates == nil {
+			sc.FaultsAt[rng.Intn(n)]++
+		} else {
+			sc.FaultsAt[candidates[rng.Intn(len(candidates))]]++
 		}
 	}
 	return nil
+}
+
+// rootVictims returns the processes of the tree's root schedule in
+// schedule order: the victim pool MonteCarlo and Trim aim faults at.
+func rootVictims(tree *core.Tree) []model.ProcessID {
+	entries := tree.Root().Schedule.Entries
+	victims := make([]model.ProcessID, len(entries))
+	for i, e := range entries {
+		victims[i] = e.Proc
+	}
+	return victims
 }
 
 // StaticTree wraps a single f-schedule as a degenerate one-node tree so

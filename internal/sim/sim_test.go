@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -288,6 +289,47 @@ func TestSampleScenarioBounds(t *testing.T) {
 	}
 	if sc, err := sample(1, nil); err != nil || sc.NFaults != 1 {
 		t.Errorf("in-bounds sample failed: %v", err)
+	}
+}
+
+// TestSampleNilPoolMatchesAllProcesses: a nil victim pool draws exactly
+// the scenarios the explicit all-process pool draws, draw for draw, and
+// a nil-pool call into sized scratch allocates nothing.
+func TestSampleNilPoolMatchesAllProcesses(t *testing.T) {
+	for _, app := range []*model.Application{apps.Fig1(), apps.Fig8(), apps.CruiseController()} {
+		all := make([]model.ProcessID, app.N())
+		for id := range all {
+			all[id] = model.ProcessID(id)
+		}
+		var viaNil, viaAll Scenario
+		for faults := 0; faults <= app.K(); faults++ {
+			for seed := int64(0); seed < 50; seed++ {
+				r1, r2 := NewRNG(ScenarioSeed(seed, faults)), NewRNG(ScenarioSeed(seed, faults))
+				if err := SampleRNGInto(&viaNil, app, &r1, faults, nil); err != nil {
+					t.Fatal(err)
+				}
+				if err := SampleRNGInto(&viaAll, app, &r2, faults, all); err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(viaNil.Durations, viaAll.Durations) || !slices.Equal(viaNil.FaultsAt, viaAll.FaultsAt) || viaNil.NFaults != viaAll.NFaults {
+					t.Fatalf("%s faults=%d seed=%d: nil pool drew %+v, all-process pool %+v", app.Name(), faults, seed, viaNil, viaAll)
+				}
+				if r1.Uint64() != r2.Uint64() {
+					t.Fatalf("%s faults=%d seed=%d: the two pools left the RNG streams at different points", app.Name(), faults, seed)
+				}
+			}
+		}
+		if raceEnabled {
+			continue
+		}
+		rng := NewRNG(1)
+		if allocs := testing.AllocsPerRun(100, func() {
+			if err := SampleRNGInto(&viaNil, app, &rng, app.K(), nil); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("%s: nil-pool SampleRNGInto into sized scratch allocates %.1f times per call, want 0", app.Name(), allocs)
+		}
 	}
 }
 

@@ -71,11 +71,7 @@ func TrimContext(ctx context.Context, tree *core.Tree, cfg TrimConfig) (int, err
 
 	// Fixed paired scenario set: scenario j is drawn from its own
 	// ScenarioSeed stream, like every other evaluation in this package.
-	rootEntries := tree.Root().Schedule.Entries
-	candidates := make([]model.ProcessID, 0, len(rootEntries))
-	for _, e := range rootEntries {
-		candidates = append(candidates, e.Proc)
-	}
+	candidates := rootVictims(tree)
 	scenarios := make([]Scenario, len(faults)*cfg.Scenarios)
 	for j := range scenarios {
 		rng := NewRNG(ScenarioSeed(cfg.Seed, j))

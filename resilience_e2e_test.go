@@ -143,10 +143,13 @@ func TestResilienceCLIEndToEnd(t *testing.T) {
 	if err := served.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatalf("SIGTERM: %v", err)
 	}
+	// Read the stderr pipe to EOF before Wait: Wait closes the pipe, so
+	// waiting first can cut off the last lines of the drain log.
+	rest := <-drained
 	if err := served.Wait(); err != nil {
-		t.Fatalf("ftserved exited non-zero after drain: %v", err)
+		t.Fatalf("ftserved exited non-zero after drain: %v\nstderr tail:\n%s", err, rest)
 	}
-	if rest := <-drained; !strings.Contains(rest, "drained, bye") {
+	if !strings.Contains(rest, "drained, bye") {
 		t.Errorf("drain log missing 'drained, bye':\n%s", rest)
 	}
 }
