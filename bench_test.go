@@ -124,14 +124,26 @@ func BenchmarkFTSS(b *testing.B) {
 }
 
 // BenchmarkFTQS measures tree synthesis for growing tree bounds (the
-// runtime column of Table 1).
+// runtime column of Table 1). Gen20 is the 20-process application the
+// repository benchmark's fleet workload submits on every synthesis miss
+// (gen seed 1008), at the tree bound it asks for.
 func BenchmarkFTQS(b *testing.B) {
 	app := genApp(b, 30)
-	for _, m := range []int{2, 8, 34} {
-		b.Run("M"+sizeName(m), func(b *testing.B) {
+	miss, err := gen.Generate(rand.New(rand.NewSource(1008)), gen.Default(20))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		app  *ftsched.Application
+		m    int
+	}{
+		{"M2", app, 2}, {"M8", app, 8}, {"M34", app, 34}, {"Gen20", miss, 16},
+	} {
+		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := ftsched.FTQS(app, ftsched.FTQSOptions{M: m}); err != nil {
+				if _, err := ftsched.FTQS(c.app, ftsched.FTQSOptions{M: c.m}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -32,4 +32,17 @@
 // position order and attaches them in the serial expansion order, so the
 // synthesised tree is identical — entry for entry, guard for guard — for
 // every worker count.
+//
+// # Interval partitioning
+//
+// Each candidate prices its guard by comparing two suffix evaluators, the
+// parent's continuation and the child's, at completion times across its
+// window (§5.1). An evaluator remembers its last value together with the
+// window of start times over which no utility term can change: a soft
+// entry's completion is max(t + A, B) in the start time t, so it moves by
+// at most |Δt|, and the utility's Span bounds how far it may move before
+// its value changes. Staircase utilities make most probes fall inside that
+// window, and those return the cached value, bit for bit the full walk's.
+// An evaluator is therefore stateful: each candidate builds its own pair,
+// and none is shared between the synthesis workers.
 package core

@@ -13,6 +13,12 @@ import (
 // the switch arc is the set of completion times where SS_i is both safe
 // (hard deadlines hold with the remaining fault budget) and strictly
 // better. Beyond the safety bound t_i^c the parent schedule must be kept.
+//
+// Every probe costs one evaluation of each suffix: partition receives the
+// child-minus-parent difference, whose sign is the win test and whose
+// value is the gain. Both evaluators keep a step window (see
+// suffixEval.from), so a probe re-walks a suffix only when one of its
+// utility terms can have changed since the last walk.
 
 // suffixEval is a lightweight expected-utility evaluator for a fixed suffix
 // under fixed stale-value assumptions. It exists because interval
@@ -29,16 +35,44 @@ import (
 // Crucially, the duration sample of a process depends only on the process
 // and the sample index — common random numbers — so comparing two
 // evaluators is a paired comparison with no sampling noise between them.
+//
+// The evaluator remembers its last evaluation and the window of start
+// times over which that value cannot change (see from), so it is stateful:
+// each candidate builds its own, and one must not be shared between
+// goroutines.
 type suffixEval struct {
-	// release[i], util[i] and alpha[i] are entries[i]'s release, utility
-	// function (nil for a hard process) and stale coefficient, read in
-	// place of the process on every evaluation.
-	release []Time
-	util    []utility.Function
-	alpha   []float64
-	// durs[j][i] is the duration of entries[i] in quadrature sample j.
-	durs [][]Time
+	// ents[i] is what an evaluation reads of entries[i] in place of the
+	// process.
+	ents []evalEntry
+	// durs[j*len(ents)+i] is the duration of entries[i] in quadrature
+	// sample j; there are rows samples.
+	durs []Time
+	rows int
+	// val is the last evaluation, exact for every start time in the
+	// closed window [winLo, winHi] (empty before the first).
+	winLo, winHi Time
+	val          float64
 }
+
+// evalEntry is one suffix entry as the evaluator reads it: its release,
+// its utility function with the function's constancy intervals (nil for a
+// hard process) and its stale coefficient.
+type evalEntry struct {
+	release Time
+	util    spanFunc
+	alpha   float64
+}
+
+// spanFunc is a utility function that reports where its value is
+// constant; pointSpan adapts one that cannot, with zero-width intervals.
+type spanFunc interface {
+	utility.Function
+	utility.Spanner
+}
+
+type pointSpan struct{ utility.Function }
+
+func (pointSpan) Span(t Time) (lo, hi Time) { return t, t }
 
 // newSuffixEval prepares an evaluator for the given suffix entries. dropped
 // marks the processes assumed dropped in this scenario (everything not
@@ -50,36 +84,39 @@ func newSuffixEval(app *model.Application, entries []schedule.Entry, dropped []b
 		scenarios = 1
 	}
 	alpha := staleAlpha(app, dropped)
+	n := len(entries)
 	e := &suffixEval{
-		release: make([]Time, len(entries)),
-		util:    make([]utility.Function, len(entries)),
-		alpha:   make([]float64, len(entries)),
-	}
-	for i, en := range entries {
-		p := app.ProcRef(en.Proc)
-		e.release[i] = p.Release
-		if p.Kind == model.Soft {
-			e.util[i] = app.UtilityOf(en.Proc)
-			e.alpha[i] = alpha[en.Proc]
-		}
+		ents:  make([]evalEntry, n),
+		durs:  make([]Time, scenarios*n),
+		rows:  scenarios,
+		winLo: 1, // empty window: nothing is cached yet
 	}
 	// The rows are wall-clock attempt times, so the recovery model's
 	// per-attempt checkpoint overheads are baked in at construction
 	// (identity under re-execution and restart) and the evaluation loop
 	// stays a plain sum.
 	rec := app.Recovery()
-	e.durs = make([][]Time, scenarios)
-	for j := range e.durs {
-		row := make([]Time, len(entries))
-		for i, en := range entries {
-			p := app.Proc(en.Proc)
-			if scenarios == 1 {
-				row[i] = rec.AttemptTime(p.AET)
-				continue
+	for i, en := range entries {
+		p := app.ProcRef(en.Proc)
+		ent := &e.ents[i]
+		ent.release = p.Release
+		if p.Kind == model.Soft {
+			u := app.UtilityOf(en.Proc)
+			if sf, ok := u.(spanFunc); ok {
+				ent.util = sf
+			} else {
+				ent.util = pointSpan{u}
 			}
-			row[i] = rec.AttemptTime(p.BCET + Time(quadFrac(j, scenarios, en.Proc)*float64(p.WCET-p.BCET)+0.5))
+			ent.alpha = alpha[en.Proc]
 		}
-		e.durs[j] = row
+		if scenarios == 1 {
+			e.durs[i] = rec.AttemptTime(p.AET)
+			continue
+		}
+		span := float64(p.WCET - p.BCET)
+		for j := 0; j < scenarios; j++ {
+			e.durs[j*n+i] = rec.AttemptTime(p.BCET + Time(quadFrac(j, scenarios, en.Proc)*span+0.5))
+		}
 	}
 	return e
 }
@@ -96,31 +133,55 @@ func quadFrac(j, scenarios int, p model.ProcessID) float64 {
 
 // from returns the expected utility of the suffix when its first entry
 // starts at time t (no further faults), averaged over the quadrature.
+//
+// A soft entry's completion in a row is max(t + A, B) for constants A and
+// B of the row (B from the releases), so it never decreases in t and moves
+// by at most |Δt|. Each term therefore keeps its value while t moves back
+// by at most (completion − lo) or forward by at most (hi − completion),
+// where [lo, hi] is the utility's Span at the completion.
+// The walk records the narrowest such reach over every row and soft entry
+// as the window [winLo, winHi]; a later probe inside it sums the very same
+// terms in the same order, so it returns the cached value, bit for bit
+// what a fresh walk gives.
 func (e *suffixEval) from(t Time) float64 {
+	if e.winLo <= t && t <= e.winHi {
+		return e.val
+	}
+	n := len(e.ents)
+	back, fwd := utility.Infinity, utility.Infinity
 	var total float64
-	for _, row := range e.durs {
+	for r := 0; r < e.rows; r++ {
 		now := t
-		for i, d := range row {
+		for i, d := range e.durs[r*n : (r+1)*n] {
+			en := &e.ents[i]
 			s := now
-			if e.release[i] > s {
-				s = e.release[i]
+			if en.release > s {
+				s = en.release
 			}
 			now = s + d
-			if e.util[i] != nil {
-				total += e.alpha[i] * e.util[i].Value(now)
+			if en.util == nil {
+				continue
+			}
+			total += en.alpha * en.util.Value(now)
+			if back > 0 || fwd > 0 {
+				lo, hi := en.util.Span(now)
+				back = min(back, now-lo)
+				fwd = min(fwd, hi-now)
 			}
 		}
 	}
-	return total / float64(len(e.durs))
+	e.val = total / float64(e.rows)
+	e.winLo, e.winHi = t-back, t+fwd
+	return e.val
 }
 
 // horizon returns the latest time at which the suffix utility can still
 // change: past it, every utility function has gone flat.
 func (e *suffixEval) horizon() Time {
 	var h Time
-	for _, u := range e.util {
-		if u != nil && u.Horizon() > h {
-			h = u.Horizon()
+	for _, en := range e.ents {
+		if en.util != nil && en.util.Horizon() > h {
+			h = en.util.Horizon()
 		}
 	}
 	return h
@@ -152,12 +213,16 @@ type interval struct {
 }
 
 // partition sweeps completion times t ∈ [lo, hi] and returns the maximal
-// intervals where win(t) holds, together with the mean gain(t) over each
-// interval. The sweep uses at most samples probe points; boundaries between
-// differing neighbouring probes are refined by bisection on win, so guards
-// are exact when win is a union of intervals wider than the probe stride
-// and conservative otherwise.
-func partition(lo, hi Time, samples int, win func(Time) bool, gain func(Time) float64) []interval {
+// intervals where diff(t) > 0, together with the mean diff(t) over the
+// winning probes of each interval. diff is the child's expected utility
+// minus the parent's, so a probe wins exactly when the child is strictly
+// better (for finite doubles, c−p > 0 iff c > p) and its gain is the
+// difference itself: one evaluation per probe serves both. The sweep uses
+// at most samples probe points; boundaries between differing neighbouring
+// probes are refined by bisection, so guards are exact when the winning
+// set is a union of intervals wider than the probe stride and
+// conservative otherwise.
+func partition(lo, hi Time, samples int, diff func(Time) float64) []interval {
 	if hi < lo {
 		return nil
 	}
@@ -177,7 +242,8 @@ func partition(lo, hi Time, samples int, win func(Time) bool, gain func(Time) fl
 	}
 
 	// refine finds the exact boundary between a winning and a losing
-	// probe by bisection on win.
+	// probe by bisection. winT wins throughout, so only the midpoint is
+	// evaluated.
 	refine := func(winT, loseT Time) Time {
 		for {
 			var a, b Time
@@ -190,7 +256,7 @@ func partition(lo, hi Time, samples int, win func(Time) bool, gain func(Time) fl
 				return winT
 			}
 			mid := (a + b) / 2
-			if win(mid) == win(winT) {
+			if diff(mid) > 0 {
 				winT = mid
 			} else {
 				loseT = mid
@@ -215,7 +281,8 @@ func partition(lo, hi Time, samples int, win func(Time) bool, gain func(Time) fl
 	prevWin := false
 	var prevT Time
 	for i, t := range probes {
-		w := win(t)
+		d := diff(t)
+		w := d > 0
 		switch {
 		case w && cur == nil:
 			start := t
@@ -223,11 +290,11 @@ func partition(lo, hi Time, samples int, win func(Time) bool, gain func(Time) fl
 				start = refine(t, prevT)
 			}
 			cur = &interval{Lo: start, Hi: t}
-			gainSum += gain(t)
+			gainSum += d
 			gainN++
 		case w:
 			cur.Hi = t
-			gainSum += gain(t)
+			gainSum += d
 			gainN++
 		case !w && cur != nil:
 			cur.Hi = refine(prevT, t)
@@ -259,9 +326,9 @@ func partitionChild(app *model.Application, parentEval, childEval *suffixEval,
 	if hi > safeMax {
 		hi = safeMax
 	}
-	win := func(t Time) bool { return childEval.from(t) > parentEval.from(t) }
-	gainF := func(t Time) float64 { return childEval.from(t) - parentEval.from(t) }
-	return partition(lo, hi, samples, win, gainF)
+	return partition(lo, hi, samples, func(t Time) float64 {
+		return childEval.from(t) - parentEval.from(t)
+	})
 }
 
 func maxTime(a, b Time) Time {

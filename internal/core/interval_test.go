@@ -11,10 +11,14 @@ import (
 )
 
 func TestPartitionSimpleWindow(t *testing.T) {
-	// win on [10, 20] within sweep [0, 50].
-	win := func(tt Time) bool { return tt >= 10 && tt <= 20 }
-	gain := func(tt Time) float64 { return 2 }
-	ivs := partition(0, 50, 64, win, gain)
+	// The child wins by 2 on [10, 20] within sweep [0, 50].
+	diff := func(tt Time) float64 {
+		if tt >= 10 && tt <= 20 {
+			return 2
+		}
+		return 0
+	}
+	ivs := partition(0, 50, 64, diff)
 	if len(ivs) != 1 {
 		t.Fatalf("intervals = %v, want one", ivs)
 	}
@@ -27,9 +31,13 @@ func TestPartitionSimpleWindow(t *testing.T) {
 }
 
 func TestPartitionMultipleWindows(t *testing.T) {
-	win := func(tt Time) bool { return (tt >= 5 && tt <= 9) || (tt >= 30 && tt <= 42) }
-	gain := func(tt Time) float64 { return 1 }
-	ivs := partition(0, 60, 61, win, gain) // exact sweep: stride 1
+	diff := func(tt Time) float64 {
+		if (tt >= 5 && tt <= 9) || (tt >= 30 && tt <= 42) {
+			return 1
+		}
+		return -1
+	}
+	ivs := partition(0, 60, 61, diff) // exact sweep: stride 1
 	if len(ivs) != 2 {
 		t.Fatalf("intervals = %v, want two", ivs)
 	}
@@ -39,17 +47,16 @@ func TestPartitionMultipleWindows(t *testing.T) {
 }
 
 func TestPartitionEdgeCases(t *testing.T) {
-	if ivs := partition(10, 5, 8, nil, nil); ivs != nil {
+	if ivs := partition(10, 5, 8, nil); ivs != nil {
 		t.Error("empty range must yield nil")
 	}
-	all := func(Time) bool { return true }
-	one := func(Time) float64 { return 1 }
-	ivs := partition(7, 7, 8, all, one)
+	all := func(Time) float64 { return 1 }
+	ivs := partition(7, 7, 8, all)
 	if len(ivs) != 1 || ivs[0].Lo != 7 || ivs[0].Hi != 7 {
 		t.Errorf("point range = %v", ivs)
 	}
-	none := func(Time) bool { return false }
-	if ivs := partition(0, 100, 16, none, one); len(ivs) != 0 {
+	none := func(Time) float64 { return 0 }
+	if ivs := partition(0, 100, 16, none); len(ivs) != 0 {
 		t.Error("no-win sweep must yield nothing")
 	}
 }
@@ -57,9 +64,13 @@ func TestPartitionEdgeCases(t *testing.T) {
 // TestPartitionBoundaryRefinement: with a coarse stride, refined boundaries
 // must still be exact for a single wide window.
 func TestPartitionBoundaryRefinement(t *testing.T) {
-	win := func(tt Time) bool { return tt >= 123 && tt <= 887 }
-	gain := func(Time) float64 { return 1 }
-	ivs := partition(0, 1000, 16, win, gain) // stride 62
+	diff := func(tt Time) float64 {
+		if tt >= 123 && tt <= 887 {
+			return 1
+		}
+		return 0
+	}
+	ivs := partition(0, 1000, 16, diff) // stride 62
 	if len(ivs) != 1 {
 		t.Fatalf("intervals = %v", ivs)
 	}
@@ -69,7 +80,7 @@ func TestPartitionBoundaryRefinement(t *testing.T) {
 }
 
 // TestPartitionSoundnessProperty: every reported interval endpoint must
-// satisfy win, for random single-window predicates and strides.
+// win, for random single-window differences and strides.
 func TestPartitionSoundnessProperty(t *testing.T) {
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -78,9 +89,14 @@ func TestPartitionSoundnessProperty(t *testing.T) {
 		a := lo + Time(rng.Int63n(int64(hi-lo+1)))
 		b := a + Time(rng.Int63n(int64(hi-a+1)))
 		win := func(tt Time) bool { return tt >= a && tt <= b }
-		gain := func(Time) float64 { return 1 }
+		diff := func(tt Time) float64 {
+			if win(tt) {
+				return 1
+			}
+			return 0
+		}
 		samples := 2 + rng.Intn(64)
-		for _, iv := range partition(lo, hi, samples, win, gain) {
+		for _, iv := range partition(lo, hi, samples, diff) {
 			if !win(iv.Lo) || !win(iv.Hi) {
 				t.Logf("seed %d: interval [%d,%d] outside window [%d,%d]", seed, iv.Lo, iv.Hi, a, b)
 				return false

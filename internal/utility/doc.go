@@ -21,6 +21,11 @@
 // validated topological order and predecessor lists as they are. Only the
 // exact optimum in package optimal, an independent yardstick, restates it.
 //
+// Table, Zero, Scaled and Shifted also implement Spanner: Span(t) is an
+// interval around t on which the value is bitwise unchanged. Interval
+// partitioning (package core) uses it to skip probes that cannot change a
+// suffix's expected utility; Function itself does not require it.
+//
 // Utility functions are immutable once built, so evaluating them from the
 // concurrent FTQS synthesis workers (package core) requires no locking.
 package utility

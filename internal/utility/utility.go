@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -33,6 +32,25 @@ type Function interface {
 	// (usually at zero). Sweeps over completion times may stop at the
 	// horizon.
 	Horizon() Time
+}
+
+// Spanner is the optional interface of a Function that knows where its
+// value is constant: Span(t) returns a closed interval [lo, hi] containing
+// t on which Value is bitwise equal to Value(t), with -Infinity and
+// Infinity for unbounded ends. The interval may be narrower than the true
+// one, never wider. Evaluators that probe a function at many nearby times
+// use it to skip probes that cannot change the result.
+type Spanner interface {
+	Span(t Time) (lo, hi Time)
+}
+
+// spanOf is f's Span at t, or the zero-width [t, t] when f does not
+// implement Spanner.
+func spanOf(f Function, t Time) (lo, hi Time) {
+	if s, ok := f.(Spanner); ok {
+		return s.Span(t)
+	}
+	return t, t
 }
 
 // Point is a breakpoint of a tabulated utility function.
@@ -65,7 +83,10 @@ type Table struct {
 	mode   Interp
 }
 
-var _ Function = (*Table)(nil)
+var (
+	_ Function = (*Table)(nil)
+	_ Spanner  = (*Table)(nil)
+)
 
 // NewTable builds a tabulated utility function, validating monotonicity.
 func NewTable(mode Interp, points ...Point) (*Table, error) {
@@ -129,6 +150,22 @@ func MustStep(ts []Time, vs []float64) *Table {
 	return t
 }
 
+// segment returns the index i with T_{i-1} < t <= T_i, for T_0 < t < T_last.
+// Value and Span both locate t through it, so they agree on the segment.
+func (tb *Table) segment(t Time) int {
+	pts := tb.points
+	i, j := 0, len(pts)
+	for i < j { // sort.Search, written out so that it inlines
+		h := int(uint(i+j) >> 1)
+		if pts[h].T < t {
+			i = h + 1
+		} else {
+			j = h
+		}
+	}
+	return i
+}
+
 // Value implements Function.
 func (tb *Table) Value(t Time) float64 {
 	pts := tb.points
@@ -139,8 +176,7 @@ func (tb *Table) Value(t Time) float64 {
 	if t >= last.T {
 		return last.V
 	}
-	// Find the segment [pts[i], pts[i+1]) containing t.
-	i := sort.Search(len(pts), func(j int) bool { return pts[j].T >= t })
+	i := tb.segment(t)
 	// pts[i].T >= t > pts[i-1].T, with 0 < i < len(pts).
 	if pts[i].T == t {
 		return pts[i].V
@@ -153,6 +189,48 @@ func (tb *Table) Value(t Time) float64 {
 	default: // Step: value of the upcoming breakpoint's predecessor holds.
 		return pts[i].V
 	}
+}
+
+// Span implements Spanner. A Step table reports the whole maximal run of
+// equal steps around t, so Value changes just outside each finite end. A
+// Linear table reports its flat ends, and [t, t] in between.
+func (tb *Table) Span(t Time) (lo, hi Time) {
+	pts := tb.points
+	last := len(pts) - 1
+	if tb.mode == Linear {
+		switch {
+		case t <= pts[0].T:
+			return -Infinity, pts[0].T
+		case t >= pts[last].T:
+			return pts[last].T, Infinity
+		}
+		return t, t
+	}
+	// Step segment i holds V_i over (T_{i-1}, T_i]; the first extends
+	// down to -Infinity and the last up to Infinity.
+	i := last
+	switch {
+	case t <= pts[0].T:
+		i = 0
+	case t < pts[last].T:
+		i = tb.segment(t)
+	}
+	v := math.Float64bits(pts[i].V)
+	a, b := i, i
+	for a > 0 && math.Float64bits(pts[a-1].V) == v {
+		a--
+	}
+	for b < last && math.Float64bits(pts[b+1].V) == v {
+		b++
+	}
+	lo, hi = -Infinity, Infinity
+	if a > 0 {
+		lo = pts[a-1].T + 1
+	}
+	if b < last {
+		hi = pts[b].T
+	}
+	return lo, hi
 }
 
 // Horizon implements Function.
@@ -192,13 +270,19 @@ func (tb *Table) String() string {
 // implicitly attached to hard processes and to dropped soft processes.
 type Zero struct{}
 
-var _ Function = Zero{}
+var (
+	_ Function = Zero{}
+	_ Spanner  = Zero{}
+)
 
 // Value implements Function.
 func (Zero) Value(Time) float64 { return 0 }
 
 // Horizon implements Function.
 func (Zero) Horizon() Time { return 0 }
+
+// Span implements Spanner: Zero is constant everywhere.
+func (Zero) Span(Time) (lo, hi Time) { return -Infinity, Infinity }
 
 // Scaled wraps a Function, multiplying its value by a constant coefficient
 // in [0, 1]. It implements the degraded utility U*(t) = α·U(t).
@@ -207,13 +291,19 @@ type Scaled struct {
 	Alpha float64
 }
 
-var _ Function = Scaled{}
+var (
+	_ Function = Scaled{}
+	_ Spanner  = Scaled{}
+)
 
 // Value implements Function.
 func (s Scaled) Value(t Time) float64 { return s.Alpha * s.F.Value(t) }
 
 // Horizon implements Function.
 func (s Scaled) Horizon() Time { return s.F.Horizon() }
+
+// Span implements Spanner through the wrapped function.
+func (s Scaled) Span(t Time) (lo, hi Time) { return spanOf(s.F, t) }
 
 // Shifted wraps a Function, translating it along the time axis:
 // Value(t) = F(t - By). It is used when a process graph is replicated over
@@ -224,10 +314,26 @@ type Shifted struct {
 	By Time
 }
 
-var _ Function = Shifted{}
+var (
+	_ Function = Shifted{}
+	_ Spanner  = Shifted{}
+)
 
 // Value implements Function.
 func (s Shifted) Value(t Time) float64 { return s.F.Value(t - s.By) }
 
 // Horizon implements Function.
 func (s Shifted) Horizon() Time { return s.F.Horizon() + s.By }
+
+// Span implements Spanner through the wrapped function, translated back
+// onto the caller's time line. Unbounded ends stay unbounded.
+func (s Shifted) Span(t Time) (lo, hi Time) {
+	lo, hi = spanOf(s.F, t-s.By)
+	if lo > -Infinity {
+		lo += s.By
+	}
+	if hi < Infinity {
+		hi += s.By
+	}
+	return lo, hi
+}
