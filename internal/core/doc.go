@@ -6,18 +6,29 @@
 //
 // # Invariants the algorithms rely on
 //
-// The application graph is a polar DAG (paper §2): a single source and a
-// single sink delimit every operation cycle, so "all predecessors have
-// completed" is a well-defined readiness condition and a schedule is a
-// topological order of the scheduled subset. model.Application.Validate
-// enforces polarity and acyclicity before anything in this package runs.
+// The application graph is a DAG, so "all predecessors have completed" is
+// a well-defined readiness condition and a schedule is a topological order
+// of the scheduled subset. The paper's graphs are also polar (§2: a single
+// source and a single sink delimit every operation cycle); the schedulers
+// do not need that, and model.Application.IsPolar checks it for callers
+// that do. model.Application.Validate enforces acyclicity, positive WCETs
+// and BCET ≤ AET ≤ WCET before anything in this package runs.
 //
-// Execution is non-preemptive on a single computation node (paper §2.2):
-// once a process starts it runs to completion (or to a fault), so a
-// schedule is fully described by an ordering plus per-process recovery
-// counts, and completion times are prefix sums. Re-execution is the only
-// fault-tolerance mechanism; the shared recovery slack that pays for it is
-// documented in package schedule.
+// Execution is non-preemptive (paper §2.2): once a process starts it runs
+// to completion (or to a fault), so a schedule is fully described by an
+// ordering plus per-process recovery counts. The paper's platform is a
+// single computation node; an application may instead be mapped onto a
+// heterogeneous model.Platform, where each process runs on its primary
+// core at that core's speed, waits for its predecessors on other cores,
+// and recovers on its recovery core. Three recovery models pay for a
+// fault: re-execution from scratch after the overhead µ (the paper's
+// model), restart after a fixed node-restart latency, and checkpoint
+// rollback, where every attempt takes checkpoints and a fault re-runs only
+// the final segment. The shared recovery slack that covers k faults under
+// each model is documented in package schedule. FTSS's utility
+// projections keep a scalar expected-time clock on every platform — they
+// rank candidates — while every placement is checked against the exact
+// worst-case analysis of schedule.Prefix.
 //
 // A model.Application is immutable after Validate: FTSS, FTQS and the
 // simulator only read it, which is what makes concurrent synthesis sound.
@@ -33,6 +44,32 @@
 // synthesised tree is identical — entry for entry, guard for guard — for
 // every worker count.
 //
+// Each worker owns one FTSS state for the whole synthesis: par.For builds
+// a worker's function once per node with the worker index, and the
+// synthesizer hands worker w the same state every time. A run resets the
+// state's tables in place, so it allocates only the entries it returns,
+// which the memo keeps. Worker w of one node and worker w of the next
+// never overlap, because par.For returns only after every worker has
+// exited. The per-process tables (kind, release, expected attempt time,
+// utility function) are built once per synthesis and only read.
+//
+// # Recomputing only what changed
+//
+// Within an FTSS run, a value is recomputed only when its inputs change,
+// and each cached value is bit for bit what a fresh computation gives:
+//
+//   - the projection with every ready soft process kept (the dropping
+//     heuristic's S_i') is the same for every candidate, so it is computed
+//     once per drop;
+//   - the stale coefficients under the dropped set alone are recomputed
+//     only after a drop;
+//   - the hard tail shared by the soft candidates is recomputed only after
+//     a hard process is placed, and a ready hard candidate's tail is that
+//     tail with the candidate left out. A ready process has no unscheduled
+//     predecessor, so leaving it out changes no modified deadline, and
+//     every successor it would free has a strictly later modified
+//     deadline (WCET > 0), so the EDF walk over the rest is unchanged.
+//
 // # Interval partitioning
 //
 // Each candidate prices its guard by comparing two suffix evaluators, the
@@ -44,5 +81,7 @@
 // its value changes. Staircase utilities make most probes fall inside that
 // window, and those return the cached value, bit for bit the full walk's.
 // An evaluator is therefore stateful: each candidate builds its own pair,
-// and none is shared between the synthesis workers.
+// and none is shared between the synthesis workers. The guard's safety
+// bound t_i^c is a binary search over start times; each probe analyses
+// the child's suffix in the worker's FTSS scratch prefix, reset in place.
 package core

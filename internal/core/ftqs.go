@@ -324,15 +324,22 @@ type candidate struct {
 }
 
 // synthesizer holds the per-run state of one FTQS synthesis: the options,
-// the SuffixFTSS memoization cache and the sink. Candidate generation
-// (generate/candidatesAt/makeCandidate) is a pure function of the
-// immutable application, the node and the options, so the positions of one
-// node are generated concurrently; only the coordinator loop in
-// FTQSFromRootContext mutates the builder.
+// the SuffixFTSS memoization cache, the FTSS state of each worker and the
+// sink. Candidate generation (generate/candidatesAt/makeCandidate) is a
+// pure function of the immutable application, the node and the options, so
+// the positions of one node are generated concurrently; only the
+// coordinator loop in FTQSFromRootContext mutates the builder.
 type synthesizer struct {
 	app  *model.Application
 	opts FTQSOptions
 	memo *suffixMemo // shared across the whole tree
+	// tables are the FTSS per-process tables every worker reads.
+	tables *ftssTables
+	// ftss[w] is worker w's FTSS state, built on first use and reset by
+	// every run. par.For runs each worker index on one goroutine and
+	// returns after every worker has exited, so worker w of one node and
+	// worker w of the next use the state one after the other.
+	ftss []*ftssState
 	// sink receives synthesis events; nil when observability is disabled.
 	// Emitting is always sound from worker goroutines (sinks are
 	// concurrency-safe by contract) and never influences the tree.
@@ -347,11 +354,23 @@ func (s *synthesizer) count(c obs.Counter, delta int64) {
 }
 
 func newSynthesizer(app *model.Application, opts FTQSOptions) *synthesizer {
-	s := &synthesizer{app: app, opts: opts, memo: newSuffixMemo()}
+	s := &synthesizer{
+		app: app, opts: opts, memo: newSuffixMemo(),
+		tables: newFTSSTables(app),
+		ftss:   make([]*ftssState, opts.Workers),
+	}
 	if obs.Live(opts.Sink) {
 		s.sink = opts.Sink
 	}
 	return s
+}
+
+// worker returns worker w's FTSS state.
+func (s *synthesizer) worker(w int) *ftssState {
+	if s.ftss[w] == nil {
+		s.ftss[w] = newFTSSState(s.tables)
+	}
+	return s.ftss[w]
 }
 
 // flushMemoStats reports the memoisation statistics to the sink.
@@ -385,16 +404,17 @@ func (s *synthesizer) generate(ctx context.Context, n *bNode) ([]candidate, erro
 		return nil, nil
 	}
 	perPos := make([][]candidate, nPos)
-	err := par.For(ctx, nPos, s.opts.Workers, func(int) func(int) error {
+	err := par.For(ctx, nPos, s.opts.Workers, func(w int) func(int) error {
+		st := s.worker(w)
 		// Each position times itself when a sink is live so worker
 		// utilisation (busy time vs wall clock) can be derived.
 		return func(i int) error {
 			if s.sink == nil {
-				perPos[i] = s.candidatesAt(n, n.SwitchPos+i, droppedBase)
+				perPos[i] = s.candidatesAt(st, n, n.SwitchPos+i, droppedBase)
 				return nil
 			}
 			t0 := time.Now()
-			perPos[i] = s.candidatesAt(n, n.SwitchPos+i, droppedBase)
+			perPos[i] = s.candidatesAt(st, n, n.SwitchPos+i, droppedBase)
 			s.sink.Add(obs.FTQSWorkerBusyNanos, time.Since(t0).Nanoseconds())
 			return nil
 		}
@@ -420,9 +440,10 @@ func (s *synthesizer) generate(ctx context.Context, n *bNode) ([]candidate, erro
 }
 
 // candidatesAt synthesises the candidate children guarded by entry pos of
-// n. Side-effect-free: it reads only the immutable application, the node's
-// immutable fields and the shared droppedBase set.
-func (s *synthesizer) candidatesAt(n *bNode, pos int, droppedBase model.ProcSet) []candidate {
+// n with the calling worker's FTSS state st. Side-effect-free apart from
+// st: it reads only the immutable application, the node's immutable fields
+// and the shared droppedBase set.
+func (s *synthesizer) candidatesAt(st *ftssState, n *bNode, pos int, droppedBase model.ProcSet) []candidate {
 	app := s.app
 	entries := n.Schedule.Entries
 	prefix := entries[:pos+1]
@@ -478,7 +499,7 @@ func (s *synthesizer) candidatesAt(n *bNode, pos int, droppedBase model.ProcSet)
 			if genStart < lo {
 				continue
 			}
-			c := s.makeCandidate(n, pos, kind, exec, drop,
+			c := s.makeCandidate(st, n, pos, kind, exec, drop,
 				lo, genStart, wcHi, kRem, droppedOF)
 			if c == nil {
 				continue
@@ -517,11 +538,12 @@ func (s *synthesizer) candidatesAt(n *bNode, pos int, droppedBase model.ProcSet)
 	return out
 }
 
-// suffixFTSS is SuffixFTSSSet through the memoization cache: identical
-// (executed set, dropped set, start, budget) requests across the whole
-// tree are synthesised once. Returns nil when the suffix is infeasible or
-// empty. The returned entries are shared and must not be mutated.
-func (s *synthesizer) suffixFTSS(executed, dropped model.ProcSet, start Time, kRem int) []schedule.Entry {
+// suffixFTSS is SuffixFTSSSet through the memoization cache, run on the
+// calling worker's FTSS state st: identical (executed set, dropped set,
+// start, budget) requests across the whole tree are synthesised once.
+// Returns nil when the suffix is infeasible or empty. The returned entries
+// are shared and must not be mutated.
+func (s *synthesizer) suffixFTSS(st *ftssState, executed, dropped model.ProcSet, start Time, kRem int) []schedule.Entry {
 	key := suffixKey{
 		executed: executed.Key(),
 		dropped:  dropped.Key(),
@@ -531,7 +553,7 @@ func (s *synthesizer) suffixFTSS(executed, dropped model.ProcSet, start Time, kR
 	if e, ok := s.memo.get(key); ok {
 		return e
 	}
-	suffix, err := SuffixFTSSSet(s.app, executed, dropped, start, kRem)
+	suffix, err := st.run(executed, dropped, start, kRem)
 	if err != nil {
 		suffix = nil
 	}
@@ -544,12 +566,12 @@ func (s *synthesizer) suffixFTSS(executed, dropped model.ProcSet, start Time, kR
 // whole completion window [lo, hi]; nil when the candidate is infeasible,
 // identical to the parent's own continuation, or not a strict improvement
 // anywhere.
-func (s *synthesizer) makeCandidate(n *bNode, pos int, kind ArcKind,
+func (s *synthesizer) makeCandidate(st *ftssState, n *bNode, pos int, kind ArcKind,
 	executed, dropped model.ProcSet, lo, genStart, hi Time, kRem int,
 	droppedOF model.ProcessID) *candidate {
 
 	app := s.app
-	suffix := s.suffixFTSS(executed, dropped, genStart, kRem)
+	suffix := s.suffixFTSS(st, executed, dropped, genStart, kRem)
 	if len(suffix) == 0 {
 		s.count(obs.FTQSCandidatesRejected, 1)
 		return nil
@@ -573,7 +595,8 @@ func (s *synthesizer) makeCandidate(n *bNode, pos int, kind ArcKind,
 
 	parentEval := newSuffixEval(app, parentSuffix, parentDropped, s.opts.EvalScenarios)
 	childEval := newSuffixEval(app, suffix, childDropped, s.opts.EvalScenarios)
-	ivs := partitionChild(app, parentEval, childEval, suffix, lo, hi, kRem, s.opts.SweepSamples)
+	// The worker's FTSS run is over, so its candidate prefix is free.
+	ivs := partitionChild(app, &st.cand, parentEval, childEval, suffix, lo, hi, kRem, s.opts.SweepSamples)
 	if len(ivs) == 0 {
 		s.count(obs.FTQSCandidatesRejected, 1)
 		return nil

@@ -44,12 +44,48 @@ func SuffixFTSS(app *model.Application, executed, dropped []model.ProcessID, sta
 // (out-of-scope) fully online rescheduler, which the paper uses as the
 // "ideal but too slow" comparison point.
 func SuffixFTSSSet(app *model.Application, executed, dropped model.ProcSet, start Time, kRemaining int) ([]schedule.Entry, error) {
-	return newFTSSState(app, executed, dropped, start, kRemaining).run()
+	return newFTSSState(newFTSSTables(app)).run(executed, dropped, start, kRemaining)
 }
 
-// ftssState carries the list-scheduler state of one FTSS run.
+// ftssTables are the per-process tables every FTSS run over one
+// application reads instead of copying a model.Process per call: kind,
+// release, aet (see aetOn) and utility function. They depend on the
+// application alone, so FTQS builds them once per synthesis and shares
+// them, read-only, between its workers.
+type ftssTables struct {
+	app     *model.Application
+	kind    []model.Kind
+	release []Time
+	aet     []Time
+	util    []utility.Function
+}
+
+func newFTSSTables(app *model.Application) *ftssTables {
+	n := app.N()
+	t := &ftssTables{
+		app:     app,
+		kind:    make([]model.Kind, n),
+		release: make([]Time, n),
+		aet:     make([]Time, n),
+		util:    make([]utility.Function, n),
+	}
+	for id := 0; id < n; id++ {
+		pid := model.ProcessID(id)
+		p := app.ProcRef(pid)
+		t.kind[id] = p.Kind
+		t.release[id] = p.Release
+		t.aet[id] = app.Recovery().AttemptTime(t.rawAETOn(pid))
+		t.util[id] = app.UtilityOf(pid)
+	}
+	return t
+}
+
+// ftssState carries the list-scheduler state of FTSS runs. Its n-sized
+// tables are allocated once, by newFTSSState, and every run resets them in
+// place, so a reused state (FTQS keeps one per worker) allocates only the
+// entries a run returns. A state must not be shared between goroutines.
 type ftssState struct {
-	app   *model.Application
+	*ftssTables
 	kRem  int  // faults still to tolerate
 	start Time // absolute time at which the (suffix) schedule begins
 
@@ -60,19 +96,16 @@ type ftssState struct {
 	dropped   []bool
 	ready     []model.ProcessID // the ready list R
 
-	// Per-process tables, read instead of copying a model.Process per
-	// call: kind, release, aet (see aetOn) and utility function.
-	kind    []model.Kind
-	release []Time
-	aet     []Time
-	util    []utility.Function
-
 	// hardPlaced counts the hard processes placed so far. The unscheduled
 	// hard set changes only when it grows (hard processes are never
 	// dropped), so softTail stays current while softTailAt equals it.
 	hardPlaced, softTailAt int
+	// drops counts the processes dropped so far. The stale coefficients
+	// under the dropped set alone depend on nothing else, so baseAlpha
+	// stays current while baseAlphaAt equals it.
+	drops, baseAlphaAt int
 
-	// Scratch reused by every call of the run.
+	// Scratch reused by every call of every run.
 	cand      schedule.Prefix       // S_iH analysis: placed copied, then P_i and the hard tail
 	softTail  []schedule.Entry      // the hard tail every soft candidate shares; see sharedTail
 	ownTail   []schedule.Entry      // a hard candidate's hard tail (it excludes the candidate)
@@ -81,27 +114,21 @@ type ftssState struct {
 	inTail    []bool                // hardTail's placed members
 	dmod      []Time                // hardTail's modified deadlines
 	status    []utility.StaleStatus // alphaInto's input
-	alpha     []float64             // softProjection's coefficients
-	baseAlpha []float64             // coefficients under the dropped set alone
+	alpha     []float64             // softProjection's coefficients with one more process dropped
+	baseAlpha []float64             // coefficients under the dropped set alone; see droppedAlpha
 	remaining []bool                // softProjection's unprojected soft processes
 	blockers  []int                 // softProjection's count of remaining predecessors
 	sched     []model.ProcessID     // schedulableSet's result
 	snapshot  []model.ProcessID     // determineDropping's copy of the ready list
+	pending   []model.ProcessID     // forcedDropping's unscheduled processes
 }
 
-func newFTSSState(app *model.Application, executed, dropped model.ProcSet, start Time, kRem int) *ftssState {
-	n := app.N()
-	st := &ftssState{
-		app:        app,
-		kRem:       kRem,
-		start:      start,
-		nowE:       start,
+func newFTSSState(tab *ftssTables) *ftssState {
+	n := tab.app.N()
+	return &ftssState{
+		ftssTables: tab,
 		scheduled:  make([]bool, n),
 		dropped:    make([]bool, n),
-		kind:       make([]model.Kind, n),
-		release:    make([]Time, n),
-		aet:        make([]Time, n),
-		util:       make([]utility.Function, n),
 		inSet:      make([]bool, n),
 		inTail:     make([]bool, n),
 		dmod:       make([]Time, n),
@@ -110,26 +137,30 @@ func newFTSSState(app *model.Application, executed, dropped model.ProcSet, start
 		baseAlpha:  make([]float64, n),
 		remaining:  make([]bool, n),
 		blockers:   make([]int, n),
-		softTailAt: -1,
 	}
-	for id := 0; id < n; id++ {
+}
+
+// reset prepares the state for a run after the executed and dropped
+// processes, from start with kRem faults to tolerate. Scratch that every
+// use overwrites before reading is left as it is.
+func (st *ftssState) reset(executed, dropped model.ProcSet, start Time, kRem int) {
+	st.kRem, st.start, st.nowE = kRem, start, start
+	st.entries = st.entries[:0]
+	st.hardPlaced, st.softTailAt = 0, -1
+	st.drops, st.baseAlphaAt = 0, -1
+	for id := range st.scheduled {
 		pid := model.ProcessID(id)
-		p := app.ProcRef(pid)
 		st.scheduled[id] = executed.Has(pid)
 		st.dropped[id] = dropped.Has(pid)
-		st.kind[id] = p.Kind
-		st.release[id] = p.Release
-		st.aet[id] = app.Recovery().AttemptTime(st.rawAETOn(pid))
-		st.util[id] = app.UtilityOf(pid)
 	}
-	for id := 0; id < n; id++ {
+	st.ready = st.ready[:0]
+	for id := range st.scheduled {
 		pid := model.ProcessID(id)
 		if !st.scheduled[id] && !st.dropped[id] && st.predsDone(pid) {
 			st.ready = append(st.ready, pid)
 		}
 	}
-	st.placed.Reset(app, start, kRem)
-	return st
+	st.placed.Reset(st.app, start, kRem)
 }
 
 // aetOn returns the expected fault-free attempt time of p on its primary
@@ -145,16 +176,16 @@ func (st *ftssState) aetOn(p model.ProcessID) Time { return st.aet[p] }
 // rawAETOn is the speed-scaled expected execution time on the primary
 // core, without attempt overheads (the quantity checkpoint segment
 // geometry is computed over).
-func (st *ftssState) rawAETOn(p model.ProcessID) Time {
-	return st.app.Platform().Scale(st.app.CoreOf(p), st.app.ProcRef(p).AET)
+func (t *ftssTables) rawAETOn(p model.ProcessID) Time {
+	return t.app.Platform().Scale(t.app.CoreOf(p), t.app.ProcRef(p).AET)
 }
 
 // recAETOn is the expected re-run time after a fault, scaled on the
 // recovery core. Recovery re-runs take no checkpoints (a checkpoint
 // rollback re-runs only the final, checkpoint-free segment — see
 // recoveryBeneficial), so no attempt inflation applies.
-func (st *ftssState) recAETOn(p model.ProcessID) Time {
-	return st.app.Platform().Scale(st.app.RecoveryCoreOf(p), st.app.ProcRef(p).AET)
+func (t *ftssTables) recAETOn(p model.ProcessID) Time {
+	return t.app.Platform().Scale(t.app.RecoveryCoreOf(p), t.app.ProcRef(p).AET)
 }
 
 func (st *ftssState) predsDone(p model.ProcessID) bool {
@@ -166,47 +197,58 @@ func (st *ftssState) predsDone(p model.ProcessID) bool {
 	return true
 }
 
-// run executes the FTSS main loop (paper Fig. 8).
-func (st *ftssState) run() ([]schedule.Entry, error) {
+// run executes the FTSS main loop (paper Fig. 8) after the executed and
+// dropped processes, from start with kRem faults to tolerate, and returns
+// a fresh slice of the placed entries.
+func (st *ftssState) run(executed, dropped model.ProcSet, start Time, kRem int) ([]schedule.Entry, error) {
+	st.reset(executed, dropped, start, kRem)
 	for len(st.ready) > 0 {
 		st.determineDropping()
 		if len(st.ready) == 0 {
 			continue // everything ready was dropped; successors now ready
 		}
-		sched := st.schedulableSet()
-		for len(sched) == 0 {
-			// Sacrificing a re-execution of an already placed soft
-			// process only costs fault-scenario utility, whereas
-			// dropping a ready process costs its whole utility; try
-			// the cheap option first (cf. the paper's Fig. 4
-			// discussion, where P3's re-execution is dropped so that
-			// P2 can execute).
-			if st.stripOneRecovery() {
-				sched = st.schedulableSet()
-				continue
-			}
-			if !st.forcedDropping() {
-				return nil, st.unschedulable()
-			}
-			if len(st.ready) == 0 {
-				break
-			}
-			sched = st.schedulableSet()
+		if err := st.placeNext(); err != nil {
+			return nil, err
 		}
-		if len(st.ready) == 0 {
-			continue
-		}
-		if len(sched) == 0 {
-			return nil, st.unschedulable()
-		}
-		best := st.bestProcess(sched)
-		st.place(best)
 	}
 	// Defensive final verification; the per-placement checks imply it.
-	if err := schedule.CheckSchedulable(st.app, st.entries, st.start, st.kRem); err != nil {
+	st.cand.Reset(st.app, st.start, st.kRem)
+	for _, e := range st.entries {
+		st.cand.Extend(e)
+	}
+	if err := st.cand.Err(); err != nil {
 		return nil, unschedulableFrom(err)
 	}
-	return st.entries, nil
+	if len(st.entries) == 0 {
+		return nil, nil
+	}
+	return slices.Clone(st.entries), nil
+}
+
+// placeNext implements lines 4-15 for the current ready list: it places
+// the best process of the schedulable set, first making room by stripping
+// recoveries and forced dropping while that set is empty. It places
+// nothing when forced dropping empties the ready list.
+func (st *ftssState) placeNext() error {
+	sched := st.schedulableSet()
+	for len(sched) == 0 {
+		// Sacrificing a re-execution of an already placed soft process
+		// only costs fault-scenario utility, whereas dropping a ready
+		// process costs its whole utility; try the cheap option first
+		// (cf. the paper's Fig. 4 discussion, where P3's re-execution is
+		// dropped so that P2 can execute).
+		if !st.stripOneRecovery() {
+			if !st.forcedDropping() {
+				return st.unschedulable()
+			}
+			if len(st.ready) == 0 {
+				return nil
+			}
+		}
+		sched = st.schedulableSet()
+	}
+	st.place(st.bestProcess(sched))
+	return nil
 }
 
 // unschedulable diagnoses why the run is stuck: the placed entries plus
@@ -249,35 +291,34 @@ func (st *ftssState) addReadySuccessors(p model.ProcessID) {
 // drop marks a soft process as dropped and promotes its ready successors.
 func (st *ftssState) drop(p model.ProcessID) {
 	st.dropped[p] = true
+	st.drops++
 	st.removeReady(p)
 	st.addReadySuccessors(p)
 }
 
 // determineDropping implements line 3 of FTSS: every ready soft process is
 // evaluated with the dropping heuristic and dropped when executing it does
-// not increase the projected utility.
+// not increase the projected utility. The heuristic builds two evaluation
+// schedules over the unscheduled soft processes, S_i' (with P_i) and S_i”
+// (without), and compares their projected utilities (paper §5.2: "In
+// schedule S_i”, if U(S_i') <= U(S_i”), P_i is dropped and the stale value
+// is passed instead"). S_i' keeps every candidate, so it is the same
+// schedule for all of them and changes only when a process is dropped.
 func (st *ftssState) determineDropping() {
 	// Iterate over a snapshot: drops mutate the ready list.
 	st.snapshot = append(st.snapshot[:0], st.ready...)
+	with, withAt := 0.0, -1
 	for _, p := range st.snapshot {
 		if st.kind[p] != model.Soft || st.dropped[p] {
 			continue
 		}
-		with, without := st.dropDelta(p)
-		if with <= without {
+		if withAt != st.drops {
+			with, withAt = st.softProjection(model.NoProcess), st.drops
+		}
+		if with <= st.softProjection(p) {
 			st.drop(p)
 		}
 	}
-}
-
-// dropDelta builds the two evaluation schedules S_i' (with p) and S_i”
-// (without p) over the unscheduled soft processes and returns their
-// projected utilities (paper §5.2: "In schedule S_i”, if U(S_i') <=
-// U(S_i”), P_i is dropped and the stale value is passed instead").
-func (st *ftssState) dropDelta(p model.ProcessID) (with, without float64) {
-	with = st.softProjection(model.NoProcess)
-	without = st.softProjection(p)
-	return with, without
 }
 
 // softProjection estimates the utility obtainable from the still
@@ -293,10 +334,16 @@ func (st *ftssState) softProjection(excluded model.ProcessID) float64 {
 	app := st.app
 	// Stale coefficients: everything that is not dropped is assumed to
 	// execute.
-	alpha := st.alphaInto(st.alpha, excluded)
+	var alpha []float64
+	if excluded == model.NoProcess {
+		alpha = st.droppedAlpha()
+	} else {
+		alpha = st.alphaInto(st.alpha, excluded)
+	}
 	left := 0
 	for id := range st.remaining {
-		st.remaining[id] = !st.scheduled[id] && st.status[id] != utility.Dropped && st.kind[id] == model.Soft
+		st.remaining[id] = !st.scheduled[id] && !st.dropped[id] &&
+			model.ProcessID(id) != excluded && st.kind[id] == model.Soft
 		if st.remaining[id] {
 			left++
 		}
@@ -352,9 +399,21 @@ func (st *ftssState) softProjection(excluded model.ProcessID) float64 {
 	return total
 }
 
+// droppedAlpha returns the stale coefficients under the assumption that
+// every process outside the dropped set executes, recomputed only after a
+// drop. The slice is overwritten by nothing else, so it stays valid across
+// softProjection calls.
+func (st *ftssState) droppedAlpha() []float64 {
+	if st.baseAlphaAt != st.drops {
+		st.alphaInto(st.baseAlpha, model.NoProcess)
+		st.baseAlphaAt = st.drops
+	}
+	return st.baseAlpha
+}
+
 // alphaInto computes into dst the stale coefficients under the
 // assumption that every process outside the dropped set and extra (if
-// any) executes; st.status keeps that status until the next call.
+// any) executes.
 func (st *ftssState) alphaInto(dst []float64, extra model.ProcessID) []float64 {
 	for id := range st.status {
 		if st.dropped[id] || model.ProcessID(id) == extra {
@@ -394,14 +453,28 @@ func (st *ftssState) schedulableSet() []model.ProcessID {
 	return st.sched
 }
 
-// tailFor returns the hard tail of candidate p's S_iH: the shared tail
-// for a soft candidate, which the hard set never contains, and a tail
-// without p for a hard one.
+// tailFor returns the hard tail of ready candidate p's S_iH: the shared
+// tail for a soft candidate, which the hard set never contains, and the
+// shared tail without p for a hard one.
+//
+// The second is exactly hardTail's walk over the set without p. A ready p
+// has no predecessor in the set, so removing it changes no modified
+// deadline d′. Every process s that p's removal frees has the edge p→s in
+// the set, so d′(p) ≤ d′(s) − WCET(s) < d′(s) (Validate enforces WCET > 0):
+// none of them can win a step the walk with p gave to a process picked
+// before p, since p was ready and lost those steps. Once p is placed, the
+// two walks see the same ready processes.
 func (st *ftssState) tailFor(p model.ProcessID) []schedule.Entry {
+	shared := st.sharedTail()
 	if st.kind[p] != model.Hard {
-		return st.sharedTail()
+		return shared
 	}
-	st.ownTail = st.hardTail(p, st.ownTail)
+	st.ownTail = st.ownTail[:0]
+	for _, e := range shared {
+		if e.Proc != p {
+			st.ownTail = append(st.ownTail, e)
+		}
+	}
 	return st.ownTail
 }
 
@@ -409,7 +482,7 @@ func (st *ftssState) tailFor(p model.ProcessID) []schedule.Entry {
 // recomputed only after a hard process has been placed.
 func (st *ftssState) sharedTail() []schedule.Entry {
 	if st.softTailAt != st.hardPlaced {
-		st.softTail = st.hardTail(model.NoProcess, st.softTail)
+		st.softTail = st.hardTail(st.softTail)
 		st.softTailAt = st.hardPlaced
 	}
 	return st.softTail
@@ -450,8 +523,8 @@ func (st *ftssState) recoveriesFor(p model.ProcessID) int {
 	return 0
 }
 
-// hardTail returns, in buf's storage, the unscheduled hard processes
-// (other than exclude) in a precedence-feasible earliest-deadline order,
+// hardTail returns, in buf's storage, the unscheduled hard processes in a
+// precedence-feasible earliest-deadline order,
 // each with the full remaining recovery budget. Deadlines are first
 // tightened along hard→hard edges within the set (Blazewicz/Chetto
 // modification, d'_i = min(d_i, d'_s − wcet_s)) so that picking the
@@ -459,15 +532,14 @@ func (st *ftssState) recoveriesFor(p model.ProcessID) int {
 // feasibility-optimal order in the classical model; edges passing through
 // soft processes impose nothing here because S_iH assumes every other
 // soft process dropped (stale inputs).
-func (st *ftssState) hardTail(exclude model.ProcessID, buf []schedule.Entry) []schedule.Entry {
+func (st *ftssState) hardTail(buf []schedule.Entry) []schedule.Entry {
 	app := st.app
 	set := st.tailSet[:0]
 	for id := range st.inSet {
-		pid := model.ProcessID(id)
-		st.inSet[id] = pid != exclude && !st.scheduled[id] && !st.dropped[id] && st.kind[id] == model.Hard
+		st.inSet[id] = !st.scheduled[id] && !st.dropped[id] && st.kind[id] == model.Hard
 		st.inTail[id] = false
 		if st.inSet[id] {
-			set = append(set, pid)
+			set = append(set, model.ProcessID(id))
 		}
 	}
 	st.tailSet = set
@@ -567,15 +639,20 @@ func (st *ftssState) stripOneRecovery() bool {
 // application can never be declared unschedulable here. Returns false when
 // no soft process is left to sacrifice.
 func (st *ftssState) forcedDropping() bool {
+	// The cost of dropping p is the dropping heuristic's U(S_i') − U(S_i”)
+	// (see determineDropping); S_i' is the same for every candidate.
 	pick := func(candidates []model.ProcessID) model.ProcessID {
 		best := model.NoProcess
 		bestCost := 0.0
+		with, haveWith := 0.0, false
 		for _, p := range candidates {
 			if st.kind[p] != model.Soft {
 				continue
 			}
-			with, without := st.dropDelta(p)
-			cost := with - without // utility lost by dropping p
+			if !haveWith {
+				with, haveWith = st.softProjection(model.NoProcess), true
+			}
+			cost := with - st.softProjection(p) // utility lost by dropping p
 			if best == model.NoProcess || cost < bestCost ||
 				(cost == bestCost && p < best) {
 				best, bestCost = p, cost
@@ -587,13 +664,13 @@ func (st *ftssState) forcedDropping() bool {
 		st.drop(p)
 		return true
 	}
-	var pending []model.ProcessID
-	for id := 0; id < st.app.N(); id++ {
+	st.pending = st.pending[:0]
+	for id := range st.scheduled {
 		if !st.scheduled[id] && !st.dropped[id] {
-			pending = append(pending, model.ProcessID(id))
+			st.pending = append(st.pending, model.ProcessID(id))
 		}
 	}
-	if p := pick(pending); p != model.NoProcess {
+	if p := pick(st.pending); p != model.NoProcess {
 		st.drop(p)
 		return true
 	}
@@ -616,10 +693,9 @@ func (st *ftssState) forcedDropping() bool {
 func (st *ftssState) bestProcess(sched []model.ProcessID) model.ProcessID {
 	bestSoft := model.NoProcess
 	bestScore := 0.0
-	// The dropped set does not change while candidates are scored, and
-	// rolloutProjection computes its coefficients into st.alpha, so alpha
-	// is never overwritten under the score expression.
-	alpha := st.alphaInto(st.baseAlpha, model.NoProcess)
+	// The dropped set does not change while candidates are scored, so
+	// alpha stays valid under the score expression.
+	alpha := st.droppedAlpha()
 	for _, p := range sched {
 		if st.kind[p] != model.Soft {
 			continue
@@ -730,9 +806,10 @@ func (st *ftssState) recoveryBeneficial(p model.ProcessID, f int) bool {
 	}
 	startP := st.nowE - atP
 	failed := startP + atP + oh + Time(f-1)*(rerun+oh)
-	// Option A: recover; p completes at failed + rerun. tailProjection
-	// computes its coefficients into st.alpha, not withAlpha.
-	withAlpha := st.alphaInto(st.baseAlpha, model.NoProcess)
+	// Option A: recover; p completes at failed + rerun. Option B's
+	// tailProjection computes its coefficients into st.alpha, not
+	// withAlpha.
+	withAlpha := st.droppedAlpha()
 	doneAt := failed + rerun
 	utilWith := withAlpha[p]*st.util[p].Value(doneAt) + st.tailProjection(doneAt, model.NoProcess)
 	// Option B: abandon p (drop it); the rest starts at failed - overhead
@@ -746,6 +823,7 @@ func (st *ftssState) recoveryBeneficial(p model.ProcessID, f int) bool {
 func (st *ftssState) tailProjection(from Time, extraDropped model.ProcessID) float64 {
 	saved := st.nowE
 	st.nowE = from
-	defer func() { st.nowE = saved }()
-	return st.softProjection(extraDropped)
+	total := st.softProjection(extraDropped)
+	st.nowE = saved
+	return total
 }

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"math/rand"
 	"slices"
 	"testing"
 
 	"ftsched/internal/apps"
+	"ftsched/internal/gen"
 	"ftsched/internal/model"
 	"ftsched/internal/schedule"
 	"ftsched/internal/utility"
@@ -140,6 +142,15 @@ func TestFTSSFig8(t *testing.T) {
 	}
 }
 
+// ftssStateAt returns a fresh FTSS state reset for a run after the
+// executed and dropped processes, from start with kRem faults to tolerate,
+// so a test can step the list scheduler by hand.
+func ftssStateAt(app *model.Application, executed, dropped model.ProcSet, start Time, kRem int) *ftssState {
+	st := newFTSSState(newFTSSTables(app))
+	st.reset(executed, dropped, start, kRem)
+	return st
+}
+
 func schedulableWithK(app *model.Application, s *schedule.FSchedule) error {
 	return schedule.CheckSchedulable(app, s.Entries, 0, app.K())
 }
@@ -152,8 +163,8 @@ func TestFig8DroppingEvaluation(t *testing.T) {
 	p1 := app.IDByName("P1")
 	executed := model.NewProcSet(app.N())
 	executed.Add(p1)
-	st := newFTSSState(app, executed, model.NewProcSet(app.N()), 30, app.K()) // after P1's WCET
-	with, without := st.dropDelta(app.IDByName("P2"))
+	st := ftssStateAt(app, executed, model.NewProcSet(app.N()), 30, app.K()) // after P1's WCET
+	with, without := st.softProjection(model.NoProcess), st.softProjection(app.IDByName("P2"))
 	if with <= without {
 		t.Errorf("U(S2') = %g should exceed U(S2'') = %g", with, without)
 	}
@@ -177,7 +188,7 @@ func TestFig8HardTailSchedulability(t *testing.T) {
 	p1 := app.IDByName("P1")
 	executed := model.NewProcSet(app.N())
 	executed.Add(p1)
-	st := newFTSSState(app, executed, model.NewProcSet(app.N()), 30, app.K())
+	st := ftssStateAt(app, executed, model.NewProcSet(app.N()), 30, app.K())
 	if !slices.Contains(st.schedulableSet(), app.IDByName("P2")) {
 		t.Error("P2 must lead to a schedulable solution (paper: P5 completes at 170 <= 220)")
 	}
@@ -350,5 +361,184 @@ func TestFTSSReleaseRespected(t *testing.T) {
 	li := s.IndexOf(a.IDByName("Late"))
 	if c.Start[li] < 600 {
 		t.Errorf("Late started at %d before its release 600", c.Start[li])
+	}
+}
+
+// tieApp is a fixture whose hard processes tie: H2, H4 and H7 share the
+// deadline 200, and H3's modified deadline min(180, 200 − 20) equals H5's
+// deadline, so the hard tail's EDF walk breaks ties by process ID. Soft
+// processes gate H2 and H7, so hard candidates become ready at different
+// steps.
+func tieApp(t *testing.T) *model.Application {
+	t.Helper()
+	a := model.NewApplication("ties", 420, 1, 5)
+	step := func(hi float64) utility.Function {
+		return utility.MustStep([]model.Time{120, 220, 320}, []float64{hi, hi / 2, hi / 4})
+	}
+	h0 := a.AddProcess(model.Process{Name: "H0", Kind: model.Hard, BCET: 5, AET: 8, WCET: 10, Deadline: 200})
+	s1 := a.AddProcess(model.Process{Name: "S1", Kind: model.Soft, BCET: 10, AET: 20, WCET: 30, Utility: step(40)})
+	h2 := a.AddProcess(model.Process{Name: "H2", Kind: model.Hard, BCET: 10, AET: 15, WCET: 20, Deadline: 200})
+	h3 := a.AddProcess(model.Process{Name: "H3", Kind: model.Hard, BCET: 5, AET: 8, WCET: 10, Deadline: 180})
+	h4 := a.AddProcess(model.Process{Name: "H4", Kind: model.Hard, BCET: 10, AET: 15, WCET: 20, Deadline: 200})
+	h5 := a.AddProcess(model.Process{Name: "H5", Kind: model.Hard, BCET: 10, AET: 15, WCET: 20, Deadline: 180})
+	s6 := a.AddProcess(model.Process{Name: "S6", Kind: model.Soft, BCET: 10, AET: 20, WCET: 30, Utility: step(30)})
+	h7 := a.AddProcess(model.Process{Name: "H7", Kind: model.Hard, BCET: 10, AET: 15, WCET: 20, Deadline: 200})
+	for _, e := range [][2]model.ProcessID{{h0, s1}, {h0, h3}, {h0, h5}, {h0, s6}, {s1, h2}, {h3, h4}, {s6, h7}} {
+		a.MustAddEdge(e[0], e[1])
+	}
+	if err := a.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
+
+// tailFixtures returns the cruise controller, the paper's Fig. 1, Fig. 4
+// and Fig. 8 applications, two generated ones and tieApp, each under
+// re-execution, restart and checkpoint recovery, on the canonical platform
+// and on a two-core biased mapping.
+func tailFixtures(t *testing.T) []*model.Application {
+	t.Helper()
+	bases := []*model.Application{
+		apps.CruiseController(), apps.Fig1(), apps.Fig1ReducedPeriod(), apps.Fig8(), tieApp(t),
+	}
+	for _, g := range []struct {
+		n    int
+		seed int64
+	}{{10, 1}, {20, 2}} {
+		app, err := gen.Generate(rand.New(rand.NewSource(g.seed)), gen.Default(g.n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		bases = append(bases, app)
+	}
+	plat := model.MustNewPlatform(
+		model.Core{Name: "lp", Speed: 1, PowerActive: 1, PowerIdle: 0.05},
+		model.Core{Name: "hp", Speed: 2, PowerActive: 3, PowerIdle: 0.15},
+	)
+	var out []*model.Application
+	for _, base := range bases {
+		for _, rec := range []model.RecoveryModel{
+			model.ReExecutionModel(), model.RestartModel(15), model.CheckpointModel(40, 3, 7),
+		} {
+			app := base
+			var err error
+			if !rec.IsCanonical() {
+				if app, err = app.WithRecovery(rec); err != nil {
+					t.Fatal(err)
+				}
+			}
+			mapped, err := app.WithPlatform(plat, model.BiasedMapping(app, plat))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, app, mapped)
+		}
+	}
+	return out
+}
+
+// ftssRun is the input of one FTSS run.
+type ftssRun struct {
+	executed, dropped model.ProcSet
+	start             Time
+	kRem              int
+}
+
+// suffixRuns returns the root run of app and, after every prefix of its
+// root schedule, suffix runs starting at the prefix's best-case and
+// worst-case completion — the requests FTQS makes, which reach forced
+// dropping and recovery stripping far more often than the root does.
+func suffixRuns(app *model.Application) []ftssRun {
+	none := model.NewProcSet(app.N())
+	runs := []ftssRun{{none, none, 0, app.K()}}
+	root, err := FTSS(app)
+	if err != nil {
+		return runs
+	}
+	best := schedule.BestCaseCompletions(app, root.Entries, 0)
+	worst := schedule.WorstCaseCompletions(app, root.Entries, 0, app.K())
+	executed := model.NewProcSet(app.N())
+	for i, e := range root.Entries {
+		executed.Add(e.Proc)
+		// A process the root dropped stays dropped once a successor ran.
+		dropped := model.NewProcSet(app.N())
+		for id := 0; id < app.N(); id++ {
+			pid := model.ProcessID(id)
+			if executed.Has(pid) {
+				continue
+			}
+			for _, s := range app.Succs(pid) {
+				if executed.Has(s) {
+					dropped.Add(pid)
+				}
+			}
+		}
+		for _, start := range []Time{best.Finish[i], worst.WorstCase[i]} {
+			runs = append(runs, ftssRun{executed.Clone(), dropped, start, app.K()})
+		}
+	}
+	return runs
+}
+
+// TestOwnTailMatchesWalk: the hard tail tailFor derives for a ready hard
+// candidate from the shared tail equals hardTail's full EDF walk over the
+// unscheduled hard set without the candidate, at every step of every run.
+func TestOwnTailMatchesWalk(t *testing.T) {
+	checked := 0
+	for _, app := range tailFixtures(t) {
+		for ri, r := range suffixRuns(app) {
+			st := ftssStateAt(app, r.executed, r.dropped, r.start, r.kRem)
+			for step := 0; len(st.ready) > 0; step++ {
+				st.determineDropping()
+				if len(st.ready) == 0 {
+					continue
+				}
+				for _, p := range st.ready {
+					if st.kind[p] != model.Hard {
+						continue
+					}
+					got := st.tailFor(p)
+					st.scheduled[p] = true // leaves p out of the walk's set
+					want := st.hardTail(nil)
+					st.scheduled[p] = false
+					if !slices.Equal(got, want) {
+						t.Fatalf("%s (%s, mapped=%v) run %d step %d, candidate %s:\nderived %v\nwalk    %v",
+							app.Name(), app.Recovery(), app.Platform().NCores() > 1, ri, step,
+							app.Proc(p).Name, got, want)
+					}
+					checked++
+				}
+				if st.placeNext() != nil {
+					break
+				}
+			}
+		}
+	}
+	if checked < 1000 {
+		t.Errorf("only %d hard candidates checked", checked)
+	}
+	t.Logf("%d hard candidate tails checked", checked)
+}
+
+// TestFTSSRunAllocs: a warmed FTSS state allocates only the entries slice
+// a run returns, which the suffix memo keeps; every per-run table is reset
+// in place. Root and suffix runs are measured, on the canonical and a
+// mapped platform.
+func TestFTSSRunAllocs(t *testing.T) {
+	for _, app := range tailFixtures(t) {
+		st := newFTSSState(newFTSSTables(app))
+		for ri, r := range suffixRuns(app) {
+			entries, err := st.run(r.executed, r.dropped, r.start, r.kRem)
+			if err != nil || len(entries) == 0 {
+				continue // the error path builds its diagnosis
+			}
+			allocs := testing.AllocsPerRun(10, func() {
+				st.run(r.executed, r.dropped, r.start, r.kRem)
+			})
+			if allocs != 1 {
+				t.Fatalf("%s (%s, mapped=%v) run %d: %.1f allocations per run, want 1 (the returned entries)",
+					app.Name(), app.Recovery(), app.Platform().NCores() > 1, ri, allocs)
+			}
+		}
 	}
 }

@@ -190,14 +190,19 @@ func (e *suffixEval) horizon() Time {
 // maxSafeStart returns the largest start time t in [lo, hi] for which the
 // suffix remains schedulable with k remaining faults, or lo-1 when even lo
 // is unsafe. Schedulability is monotone in the start time (starting later
-// never helps), so binary search applies.
-func maxSafeStart(app *model.Application, entries []schedule.Entry, lo, hi Time, k int) Time {
-	if !schedule.Schedulable(app, entries, lo, k) {
+// never helps), so binary search applies. Every probe analyses the suffix
+// in p, reset in place.
+func maxSafeStart(p *schedule.Prefix, app *model.Application, entries []schedule.Entry, lo, hi Time, k int) Time {
+	safe := func(start Time) bool {
+		p.Reset(app, start, k)
+		return p.Fits(entries)
+	}
+	if !safe(lo) {
 		return lo - 1
 	}
 	for lo < hi {
 		mid := lo + (hi-lo+1)/2
-		if schedule.Schedulable(app, entries, mid, k) {
+		if safe(mid) {
 			lo = mid
 		} else {
 			hi = mid - 1
@@ -233,89 +238,83 @@ func partition(lo, hi Time, samples int, diff func(Time) float64) []interval {
 	if stride < 1 {
 		stride = 1
 	}
-	var probes []Time
-	for t := lo; t <= hi; t += stride {
-		probes = append(probes, t)
-	}
-	if probes[len(probes)-1] != hi {
-		probes = append(probes, hi)
-	}
-
-	// refine finds the exact boundary between a winning and a losing
-	// probe by bisection. winT wins throughout, so only the midpoint is
-	// evaluated.
-	refine := func(winT, loseT Time) Time {
-		for {
-			var a, b Time
-			if winT < loseT {
-				a, b = winT, loseT
-			} else {
-				a, b = loseT, winT
-			}
-			if b-a <= 1 {
-				return winT
-			}
-			mid := (a + b) / 2
-			if diff(mid) > 0 {
-				winT = mid
-			} else {
-				loseT = mid
-			}
-		}
-	}
-
+	// The probes are lo, lo+stride, … up to hi, and hi itself. cur is the
+	// open interval while open holds.
 	var out []interval
-	var cur *interval
+	var cur interval
+	open := false
 	var gainSum float64
 	var gainN int
-	flush := func() {
-		if cur != nil {
-			if gainN > 0 {
-				cur.Gain = gainSum / float64(gainN)
-			}
-			out = append(out, *cur)
-			cur = nil
-			gainSum, gainN = 0, 0
-		}
-	}
 	prevWin := false
 	var prevT Time
-	for i, t := range probes {
+	for t := lo; ; {
 		d := diff(t)
 		w := d > 0
 		switch {
-		case w && cur == nil:
+		case w && !open:
 			start := t
-			if i > 0 && !prevWin {
-				start = refine(t, prevT)
+			if t > lo && !prevWin {
+				start = refine(t, prevT, diff)
 			}
-			cur = &interval{Lo: start, Hi: t}
-			gainSum += d
-			gainN++
+			cur, open = interval{Lo: start, Hi: t}, true
+			gainSum, gainN = d, 1
 		case w:
 			cur.Hi = t
 			gainSum += d
 			gainN++
-		case !w && cur != nil:
-			cur.Hi = refine(prevT, t)
-			flush()
+		case !w && open:
+			cur.Hi = refine(prevT, t, diff)
+			cur.Gain = gainSum / float64(gainN)
+			out = append(out, cur)
+			open = false
 		}
 		prevWin, prevT = w, t
+		if t == hi {
+			break
+		}
+		t = min(t+stride, hi)
 	}
-	flush()
+	if open {
+		cur.Gain = gainSum / float64(gainN)
+		out = append(out, cur)
+	}
 	return out
+}
+
+// refine finds the exact boundary between a winning probe winT and a
+// losing probe loseT by bisection and returns the last winning time. winT
+// wins throughout, so only the midpoint is evaluated.
+func refine(winT, loseT Time, diff func(Time) float64) Time {
+	for {
+		var a, b Time
+		if winT < loseT {
+			a, b = winT, loseT
+		} else {
+			a, b = loseT, winT
+		}
+		if b-a <= 1 {
+			return winT
+		}
+		mid := (a + b) / 2
+		if diff(mid) > 0 {
+			winT = mid
+		} else {
+			loseT = mid
+		}
+	}
 }
 
 // partitionChild runs interval partitioning for one candidate child. It
 // compares the parent's remaining entries (after pos) against the child's
 // suffix for every completion time of the guarded entry in [lo, hi], and
 // returns the arcs to attach. kRem is the fault budget of the child's
-// suffix analysis; the parent evaluator and child evaluator carry the
-// dropped-set assumptions of their respective scenarios.
-func partitionChild(app *model.Application, parentEval, childEval *suffixEval,
+// suffix analysis, run in the scratch prefix safe; the parent evaluator
+// and child evaluator carry the dropped-set assumptions of their
+// respective scenarios.
+func partitionChild(app *model.Application, safe *schedule.Prefix, parentEval, childEval *suffixEval,
 	childSuffix []schedule.Entry, lo, hi Time, kRem, samples int) []interval {
 
-	safeMax := maxSafeStart(app, childSuffix, lo, hi, kRem)
+	safeMax := maxSafeStart(safe, app, childSuffix, lo, hi, kRem)
 	if safeMax < lo {
 		return nil
 	}

@@ -115,19 +115,19 @@ func TestMaxSafeStart(t *testing.T) {
 	entries := []schedule.Entry{{Proc: p2, Recoveries: 0}}
 	// P2 alone (soft) only constrains the period 300: latest start is
 	// 300 - 70 = 230.
-	got := maxSafeStart(app, entries, 0, 1000, 0)
+	got := maxSafeStart(new(schedule.Prefix), app, entries, 0, 1000, 0)
 	if got != 230 {
 		t.Errorf("maxSafeStart = %d, want 230", got)
 	}
 	// Unsafe even at lo.
-	if got := maxSafeStart(app, entries, 250, 1000, 0); got != 249 {
+	if got := maxSafeStart(new(schedule.Prefix), app, entries, 250, 1000, 0); got != 249 {
 		t.Errorf("unsafe lo: got %d, want lo-1", got)
 	}
 	// Hard process bounded by its deadline minus recovery.
 	p1 := app.IDByName("P1")
 	he := []schedule.Entry{{Proc: p1, Recoveries: 1}}
 	// WCC = start + 70 + 80 <= 180 → start <= 30.
-	if got := maxSafeStart(app, he, 0, 1000, 1); got != 30 {
+	if got := maxSafeStart(new(schedule.Prefix), app, he, 0, 1000, 1); got != 30 {
 		t.Errorf("hard maxSafeStart = %d, want 30", got)
 	}
 }

@@ -126,11 +126,12 @@ func TestSuffixMemo(t *testing.T) {
 	app := apps.Fig8()
 	s := newSynthesizer(app, FTQSOptions{M: 4}.withDefaults())
 
+	st := s.worker(0)
 	n := app.N()
 	p0 := model.ProcessID(0)
 	p1 := model.ProcessID(1)
-	first := s.suffixFTSS(procSetOf(n, p0, p1), procSetOf(n), 100, 1)
-	second := s.suffixFTSS(procSetOf(n, p1, p0), procSetOf(n), 100, 1) // same set, fresh ProcSet value
+	first := s.suffixFTSS(st, procSetOf(n, p0, p1), procSetOf(n), 100, 1)
+	second := s.suffixFTSS(st, procSetOf(n, p1, p0), procSetOf(n), 100, 1) // same set, fresh ProcSet value
 	if !sameEntries(first, second) {
 		t.Error("memoized suffix differs for the same executed set")
 	}
@@ -139,12 +140,12 @@ func TestSuffixMemo(t *testing.T) {
 		t.Errorf("hits=%d misses=%d, want 1/1", hits, misses)
 	}
 	// A different start time is a different synthesis.
-	s.suffixFTSS(procSetOf(n, p0, p1), procSetOf(n), 101, 1)
+	s.suffixFTSS(st, procSetOf(n, p0, p1), procSetOf(n), 101, 1)
 	if h, m := s.memo.stats(); h != 1 || m != 2 {
 		t.Errorf("hits=%d misses=%d after new start, want 1/2", h, m)
 	}
 	// A different dropped set is a different synthesis.
-	s.suffixFTSS(procSetOf(n, p0), procSetOf(n, p1), 100, 1)
+	s.suffixFTSS(st, procSetOf(n, p0), procSetOf(n, p1), 100, 1)
 	if h, m := s.memo.stats(); h != 1 || m != 3 {
 		t.Errorf("hits=%d misses=%d after new dropped set, want 1/3", h, m)
 	}

@@ -24,13 +24,6 @@ func (s ProcSet) Add(id ProcessID) { s[uint(id)>>6] |= 1 << (uint(id) & 63) }
 // Remove deletes id.
 func (s ProcSet) Remove(id ProcessID) { s[uint(id)>>6] &^= 1 << (uint(id) & 63) }
 
-// Clear empties the set in place.
-func (s ProcSet) Clear() {
-	for i := range s {
-		s[i] = 0
-	}
-}
-
 // Count returns the number of processes in the set.
 func (s ProcSet) Count() int {
 	c := 0
@@ -47,9 +40,6 @@ func (s ProcSet) Clone() ProcSet {
 	return cp
 }
 
-// CopyFrom overwrites the set with src (the sets must be the same size).
-func (s ProcSet) CopyFrom(src ProcSet) { copy(s, src) }
-
 // ProcSetOf returns the set of the given ids, sized for n processes.
 func ProcSetOf(n int, ids []ProcessID) ProcSet {
 	s := NewProcSet(n)
@@ -57,19 +47,6 @@ func ProcSetOf(n int, ids []ProcessID) ProcSet {
 		s.Add(id)
 	}
 	return s
-}
-
-// AppendIDs appends the members in ascending ID order to buf and returns
-// the extended slice (pass buf[:0] to reuse a scratch buffer).
-func (s ProcSet) AppendIDs(buf []ProcessID) []ProcessID {
-	for wi, w := range s {
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			buf = append(buf, ProcessID(wi*64+b))
-			w &= w - 1
-		}
-	}
-	return buf
 }
 
 // procKeyWords is the inline capacity of a ProcKey: sets over up to

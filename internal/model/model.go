@@ -603,16 +603,6 @@ func (a *Application) RecoveryCoreOf(id ProcessID) CoreID {
 	return a.recCore[id]
 }
 
-// ProcMapping returns a copy of the process→core mapping (for
-// serialisation). Without an explicit mapping every assignment is core 0.
-func (a *Application) ProcMapping() Mapping {
-	n := len(a.procs)
-	m := Mapping{Primary: make([]CoreID, n), Recovery: make([]CoreID, n)}
-	copy(m.Primary, a.primCore)
-	copy(m.Recovery, a.recCore)
-	return m
-}
-
 // WithPlatform returns a copy of the (validated) application mapped onto
 // the given platform. The mapping must assign every process a primary and
 // a recovery core within the platform's core range; BiasedMapping builds
