@@ -36,7 +36,10 @@ func (e *DecodeError) Error() string {
 	}
 	s += e.Msg
 	if e.Err != nil {
-		s += ": " + e.Err.Error()
+		if e.Msg != "" {
+			s += ": "
+		}
+		s += e.Err.Error()
 	}
 	return s
 }

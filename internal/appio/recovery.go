@@ -116,6 +116,9 @@ func ParseRecoverySpec(spec string) (model.RecoveryModel, error) {
 	jr := &jsonRecovery{}
 	switch kind {
 	case "", "reexec", "re-execution":
+		if len(fields) != 1 {
+			return model.RecoveryModel{}, &DecodeError{Path: "recovery", Msg: fmt.Sprintf("want reexec (got %q)", spec)}
+		}
 		return model.ReExecutionModel(), nil
 	case "restart":
 		if len(fields) != 2 {

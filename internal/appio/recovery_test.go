@@ -144,11 +144,25 @@ func TestParseRecoverySpecErrors(t *testing.T) {
 		"martian", "restart", "restart:x", "restart:-5", "restart:1:2",
 		"checkpoint", "checkpoint:10", "checkpoint:10:2", "checkpoint:0:0:0",
 		"checkpoint:10:10:0", "checkpoint:10:2:-1", "checkpoint:a:b:c",
+		"reexec:40", ":5", "re-execution:1:2:3",
 	} {
 		var de *DecodeError
 		if _, err := ParseRecoverySpec(spec); !errors.As(err, &de) {
 			t.Errorf("ParseRecoverySpec(%q) = %v, want *DecodeError", spec, err)
 		}
+	}
+	// A DecodeError that wraps a cause without a message of its own prints
+	// no empty segment between the path and the cause.
+	for spec, want := range map[string]string{
+		"checkpoint:0:0:0": "appio: recovery: model: recovery Spacing: must be positive (got 0)",
+		"reexec:40":        `appio: recovery: want reexec (got "reexec:40")`,
+	} {
+		if _, err := ParseRecoverySpec(spec); err == nil || err.Error() != want {
+			t.Errorf("ParseRecoverySpec(%q) error = %v, want %s", spec, err, want)
+		}
+	}
+	if _, err := ParseCoreSpec("a:1:1:0,a:1:1:0"); err == nil || err.Error() != `appio: platform: model: duplicate core name "a"` {
+		t.Errorf("ParseCoreSpec with a duplicate core: error = %v", err)
 	}
 	for spec, want := range map[string]model.RecoveryModel{
 		"":                    model.ReExecutionModel(),

@@ -10,9 +10,9 @@
 // a well-defined readiness condition and a schedule is a topological order
 // of the scheduled subset. The paper's graphs are also polar (§2: a single
 // source and a single sink delimit every operation cycle); the schedulers
-// do not need that, and model.Application.IsPolar checks it for callers
-// that do. model.Application.Validate enforces acyclicity, positive WCETs
-// and BCET ≤ AET ≤ WCET before anything in this package runs.
+// do not need that. model.Application.Validate enforces acyclicity,
+// positive WCETs and BCET ≤ AET ≤ WCET before anything in this package
+// runs.
 //
 // Execution is non-preemptive (paper §2.2): once a process starts it runs
 // to completion (or to a fault), so a schedule is fully described by an

@@ -46,7 +46,7 @@ func TestFTQSFig1Tree(t *testing.T) {
 	if arc == nil {
 		t.Fatalf("no completion arc after P1; tree:\n%s", tree.Format())
 	}
-	child := tree.Node(arc.Child)
+	child := &tree.Nodes[arc.Child]
 	if !orderIs(app, child.Schedule.Entries[1:], "P2", "P3") {
 		t.Errorf("child suffix = %v, want [P2 P3]", names(app, child.Schedule.Entries[1:]))
 	}
@@ -64,8 +64,8 @@ func TestFTQSFig1Tree(t *testing.T) {
 	for _, a := range rootArcs {
 		if a.Kind == FaultRecovered && a.Pos == 0 {
 			hasFault = true
-			if tree.Node(a.Child).KRem != 0 {
-				t.Errorf("fault child KRem = %d, want 0", tree.Node(a.Child).KRem)
+			if tree.Nodes[a.Child].KRem != 0 {
+				t.Errorf("fault child KRem = %d, want 0", tree.Nodes[a.Child].KRem)
 			}
 		}
 	}
@@ -86,7 +86,7 @@ func TestFTQSSafetyOfGuards(t *testing.T) {
 		for id := range tree.Nodes {
 			n := &tree.Nodes[id]
 			for _, a := range tree.NodeArcs(NodeID(id)) {
-				child := tree.Node(a.Child)
+				child := &tree.Nodes[a.Child]
 				suffix := child.Schedule.Entries[child.SwitchPos:]
 				if !schedule.Schedulable(app, suffix, a.Hi, child.KRem) {
 					t.Errorf("%s: arc to S%d unsafe at guard end %d", app.Name(), a.Child, a.Hi)
@@ -141,7 +141,7 @@ func TestFTQSTreeInvariants(t *testing.T) {
 				t.Errorf("node %d has no parent", i)
 				continue
 			}
-			parent := tree.Node(n.Parent)
+			parent := &tree.Nodes[n.Parent]
 			if n.Depth != parent.Depth+1 {
 				t.Errorf("node %d depth %d, parent depth %d", i, n.Depth, parent.Depth)
 			}
@@ -249,8 +249,8 @@ func TestTreeNext(t *testing.T) {
 	if n == root {
 		t.Fatal("no switch for early completion")
 	}
-	if !orderIs(app, tree.Node(n).Schedule.Entries[1:], "P2", "P3") {
-		t.Errorf("switched to %v", names(app, tree.Node(n).Schedule.Entries))
+	if !orderIs(app, tree.Nodes[n].Schedule.Entries[1:], "P2", "P3") {
+		t.Errorf("switched to %v", names(app, tree.Nodes[n].Schedule.Entries))
 	}
 	// Past the guard, stay.
 	if got := tree.Next(root, 0, 41, CompletedOK); got != root {

@@ -122,9 +122,6 @@ func (t *Tree) Size() int { return len(t.Nodes) }
 // valid as long as Tree.Nodes is not reallocated.
 func (t *Tree) Root() *Node { return &t.Nodes[0] }
 
-// Node returns the node with the given ID.
-func (t *Tree) Node(id NodeID) *Node { return &t.Nodes[id] }
-
 // NodeArcs returns the outgoing arcs of a node: a subslice of the arc
 // arena, which must not be appended to.
 func (t *Tree) NodeArcs(id NodeID) []Arc {

@@ -296,10 +296,6 @@ func (in *Injector) Decision(i int64) Decision {
 // Injected reports the number of faults injected so far.
 func (in *Injector) Injected() int64 { return in.hits.Load() }
 
-// Intercepted reports the number of requests that consumed a schedule
-// index (targeted API requests, faulted or not).
-func (in *Injector) Intercepted() int64 { return in.next.Load() }
-
 // targets reports whether a request participates in fault injection:
 // POST /v1/ API calls of the targeted tenant. Health probes and metrics
 // scrapes (GETs) never do.

@@ -269,14 +269,14 @@ func TestTargeting(t *testing.T) {
 	if code := post("/v1/eval", "other"); code != http.StatusOK {
 		t.Errorf("POST for untargeted tenant = %d, want 200 (exempt)", code)
 	}
-	if in.Intercepted() != 0 {
-		t.Fatalf("exempt requests consumed %d schedule indices, want 0", in.Intercepted())
+	if in.next.Load() != 0 {
+		t.Fatalf("exempt requests consumed %d schedule indices, want 0", in.next.Load())
 	}
 	if code := post("/v1/eval", "acme"); code != http.StatusServiceUnavailable {
 		t.Errorf("POST for targeted tenant = %d, want injected 503", code)
 	}
-	if in.Intercepted() != 1 || in.Injected() != 1 {
-		t.Errorf("intercepted/injected = %d/%d, want 1/1", in.Intercepted(), in.Injected())
+	if in.next.Load() != 1 || in.Injected() != 1 {
+		t.Errorf("intercepted/injected = %d/%d, want 1/1", in.next.Load(), in.Injected())
 	}
 
 	// Without a tenant filter the default tenant is targeted too.

@@ -25,9 +25,6 @@ func TestAccessors(t *testing.T) {
 	if got := a.Succs(ids[0]); len(got) != 2 {
 		t.Errorf("Succs(P1) = %v", got)
 	}
-	if a.Rank(ids[0]) != 0 {
-		t.Errorf("Rank(P1) = %d", a.Rank(ids[0]))
-	}
 }
 
 func TestAccessorPanics(t *testing.T) {
@@ -36,7 +33,6 @@ func TestAccessorPanics(t *testing.T) {
 		"Proc":    func() { a.Proc(ProcessID(99)) },
 		"Preds":   func() { a.Preds(ProcessID(-1)) },
 		"Succs":   func() { a.Succs(ProcessID(99)) },
-		"Rank":    func() { a.Rank(ProcessID(99)) },
 		"MustAdd": func() { b := NewApplication("x", 10, 0, 1); b.MustAddEdge(0, 0) },
 	} {
 		func() {

@@ -1,7 +1,5 @@
 package model
 
-import "math/bits"
-
 // ProcSet is a bitset over ProcessID, sized for one application. It is the
 // canonical representation of executed/dropped process state across the
 // synthesis and runtime layers: membership tests are branch-free word
@@ -23,15 +21,6 @@ func (s ProcSet) Add(id ProcessID) { s[uint(id)>>6] |= 1 << (uint(id) & 63) }
 
 // Remove deletes id.
 func (s ProcSet) Remove(id ProcessID) { s[uint(id)>>6] &^= 1 << (uint(id) & 63) }
-
-// Count returns the number of processes in the set.
-func (s ProcSet) Count() int {
-	c := 0
-	for _, w := range s {
-		c += bits.OnesCount64(w)
-	}
-	return c
-}
 
 // Clone returns an independent copy of the set.
 func (s ProcSet) Clone() ProcSet {

@@ -115,7 +115,6 @@ type Application struct {
 
 	validated bool
 	topo      []ProcessID
-	rank      []int // rank[id] = position of id in topo order
 }
 
 // canonicalPlatform backs Platform() for applications without an explicit
@@ -264,10 +263,6 @@ func (a *Application) Validate() error {
 		return err
 	}
 	a.topo = topo
-	a.rank = make([]int, len(a.procs))
-	for i, id := range topo {
-		a.rank[id] = i
-	}
 	a.validated = true
 	return nil
 }
@@ -407,13 +402,6 @@ func (a *Application) Topo() []ProcessID {
 	return a.topo
 }
 
-// Rank returns the position of id in the topological order.
-func (a *Application) Rank(id ProcessID) int {
-	a.mustBeValidated()
-	a.mustID(id)
-	return a.rank[id]
-}
-
 // HardIDs returns the IDs of all hard processes, in ID order.
 func (a *Application) HardIDs() []ProcessID {
 	var out []ProcessID
@@ -434,35 +422,6 @@ func (a *Application) SoftIDs() []ProcessID {
 		}
 	}
 	return out
-}
-
-// Sources returns the processes without predecessors.
-func (a *Application) Sources() []ProcessID {
-	var out []ProcessID
-	for id := range a.procs {
-		if len(a.pred[id]) == 0 {
-			out = append(out, ProcessID(id))
-		}
-	}
-	return out
-}
-
-// Sinks returns the processes without successors.
-func (a *Application) Sinks() []ProcessID {
-	var out []ProcessID
-	for id := range a.procs {
-		if len(a.succ[id]) == 0 {
-			out = append(out, ProcessID(id))
-		}
-	}
-	return out
-}
-
-// IsPolar reports whether the graph has exactly one source and one sink, as
-// the paper's model assumes. The schedulers do not require polarity; the
-// predicate is provided so callers can check conformance.
-func (a *Application) IsPolar() bool {
-	return len(a.Sources()) == 1 && len(a.Sinks()) == 1
 }
 
 // StaleCoefficients computes the stale-value coefficients α (§2.1) of
@@ -635,16 +594,6 @@ func (a *Application) WithPlatform(p *Platform, m Mapping) (*Application, error)
 	cp.primCore = append([]CoreID(nil), m.Primary...)
 	cp.recCore = append([]CoreID(nil), m.Recovery...)
 	return cp, nil
-}
-
-// TotalWCET returns the sum of all WCETs — a lower bound on the no-fault
-// length of any schedule that drops nothing.
-func (a *Application) TotalWCET() Time {
-	var sum Time
-	for _, p := range a.procs {
-		sum += p.WCET
-	}
-	return sum
 }
 
 // IDByName returns the process with the given name, or NoProcess.

@@ -50,20 +50,11 @@ func TestFig1Application(t *testing.T) {
 	if got := a.Topo()[0]; got != ids[0] {
 		t.Errorf("topo[0] = %d, want P1", got)
 	}
-	if len(a.Sources()) != 1 {
-		t.Errorf("sources = %v, want [P1]", a.Sources())
-	}
-	if a.IsPolar() {
-		t.Error("fig1 graph has two sinks; IsPolar should be false")
-	}
 	if got := a.IDByName("P3"); got != ids[2] {
 		t.Errorf("IDByName(P3) = %d, want %d", got, ids[2])
 	}
 	if got := a.IDByName("nope"); got != NoProcess {
 		t.Errorf("IDByName(nope) = %d, want NoProcess", got)
-	}
-	if got := a.TotalWCET(); got != 220 {
-		t.Errorf("TotalWCET = %d, want 220", got)
 	}
 	if !strings.Contains(a.String(), "3 processes") {
 		t.Errorf("String() = %q", a.String())
@@ -489,9 +480,6 @@ func TestTopoOrderProperty(t *testing.T) {
 				if pos[ProcessID(id)] >= pos[s] {
 					return false
 				}
-			}
-			if a.Rank(ProcessID(id)) != pos[ProcessID(id)] {
-				return false
 			}
 		}
 		return true

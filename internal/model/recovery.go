@@ -165,10 +165,7 @@ func (m RecoveryModel) Checkpoints(d Time) Time {
 // one fault-free attempt: the duration plus the checkpoint overheads taken
 // along the way. Identity for re-execution and restart.
 func (m RecoveryModel) AttemptTime(d Time) Time {
-	if m.Kind != RecoverCheckpoint || d <= 0 {
-		return d
-	}
-	return d + (d-1)/m.Spacing*m.Overhead
+	return d + m.Checkpoints(d)*m.Overhead
 }
 
 // ResumeTime returns the execution re-run after a fault hit an attempt of
@@ -177,10 +174,7 @@ func (m RecoveryModel) AttemptTime(d Time) Time {
 // checkpoint model. The final segment contains no further checkpoints, so
 // every subsequent fault re-runs the same segment.
 func (m RecoveryModel) ResumeTime(d Time) Time {
-	if m.Kind != RecoverCheckpoint || d <= 0 {
-		return d
-	}
-	return d - (d-1)/m.Spacing*m.Spacing
+	return d - m.Checkpoints(d)*m.Spacing
 }
 
 // WorstResumeTime bounds ResumeTime over every duration in [0, d]: d

@@ -121,14 +121,6 @@ type HistogramSnapshot struct {
 	Buckets []Bucket
 }
 
-// Mean returns Sum/Count, or 0 for an empty histogram.
-func (h HistogramSnapshot) Mean() float64 {
-	if h.Count == 0 {
-		return 0
-	}
-	return float64(h.Sum) / float64(h.Count)
-}
-
 // Snapshot is a point-in-time copy of a Metrics collector, keyed by the
 // stable metric names. It is what the expvar endpoint serialises and what
 // library users inspect programmatically.

@@ -150,10 +150,6 @@ const (
 	numCounters
 )
 
-// NumCounters is the size of the counter enumeration, for sinks that back
-// counters with fixed arrays.
-const NumCounters = int(numCounters)
-
 // counterNames are the Prometheus/expvar metric names, indexed by Counter.
 var counterNames = [numCounters]string{
 	FTQSNodesExpanded:       "ftsched_ftqs_nodes_expanded_total",
@@ -321,9 +317,6 @@ const (
 
 	numHistograms
 )
-
-// NumHistograms is the size of the histogram enumeration.
-const NumHistograms = int(numHistograms)
 
 var histogramNames = [numHistograms]string{
 	DispatchGuardDepth: "ftsched_dispatch_guard_search_depth",

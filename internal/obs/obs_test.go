@@ -58,9 +58,6 @@ func TestMetricsCountersAndHistograms(t *testing.T) {
 	if le0 != 2 {
 		t.Errorf("≤0 bucket holds %d samples, want 2 (negative slack)", le0)
 	}
-	if want := float64(2) / 3; math.Abs(hs.Mean()-want) > 1e-12 {
-		t.Errorf("Mean() = %v, want %v", hs.Mean(), want)
-	}
 
 	m.Reset()
 	s = m.Snapshot()
@@ -72,9 +69,9 @@ func TestMetricsCountersAndHistograms(t *testing.T) {
 func TestMetricsOutOfRangeIgnored(t *testing.T) {
 	m := NewMetrics()
 	m.Add(Counter(-1), 1)
-	m.Add(Counter(NumCounters), 1)
+	m.Add(numCounters, 1)
 	m.Observe(Histogram(-1), 1)
-	m.Observe(Histogram(NumHistograms), 1)
+	m.Observe(numHistograms, 1)
 	m.ObserveN(MCUtility, 1, 0) // n <= 0 is a no-op
 	s := m.Snapshot()
 	for name, v := range s.Counters {

@@ -87,9 +87,6 @@ func WithSink(s obs.Sink) Option {
 	}
 }
 
-// Sink returns the sink events are routed to (nil when disabled).
-func (d *Dispatcher) Sink() obs.Sink { return d.sink }
-
 // NewDispatcher compiles a tree. The tree must stay unmodified while the
 // Dispatcher is in use (trimming recompiles after each mutation).
 //

@@ -102,7 +102,11 @@ func randomEntries(rng *rand.Rand, app *model.Application) []Entry {
 		}
 	}
 	if rng.Intn(4) > 0 {
-		slices.SortFunc(out, func(a, b Entry) int { return app.Rank(a.Proc) - app.Rank(b.Proc) })
+		rank := make([]int, app.N())
+		for i, id := range app.Topo() {
+			rank[id] = i
+		}
+		slices.SortFunc(out, func(a, b Entry) int { return rank[a.Proc] - rank[b.Proc] })
 	}
 	return out
 }

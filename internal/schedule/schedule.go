@@ -28,13 +28,6 @@ type FSchedule struct {
 	Entries []Entry
 }
 
-// Clone returns a deep copy of the schedule.
-func (s *FSchedule) Clone() *FSchedule {
-	cp := &FSchedule{Entries: make([]Entry, len(s.Entries))}
-	copy(cp.Entries, s.Entries)
-	return cp
-}
-
 // IndexOf returns the position of the process in the schedule, or -1 if the
 // process is dropped.
 func (s *FSchedule) IndexOf(p model.ProcessID) int {
@@ -61,15 +54,6 @@ func (s *FSchedule) Dropped(app *model.Application) []model.ProcessID {
 		if !in[id] {
 			out = append(out, model.ProcessID(id))
 		}
-	}
-	return out
-}
-
-// Order returns the bare process order of the schedule.
-func (s *FSchedule) Order() []model.ProcessID {
-	out := make([]model.ProcessID, len(s.Entries))
-	for i, e := range s.Entries {
-		out[i] = e.Proc
 	}
 	return out
 }

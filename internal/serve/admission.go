@@ -66,12 +66,6 @@ type Tenant struct {
 	maxIn    int64 // 0 = unlimited
 }
 
-// Name returns the tenant name.
-func (t *Tenant) Name() string { return t.name }
-
-// Metrics returns the tenant's collector.
-func (t *Tenant) Metrics() *obs.Metrics { return t.metrics }
-
 // admit applies the tenant's admission policy. On success the caller owns
 // one in-flight slot and must release it with done(). Rejections are the
 // typed wire errors the contract promises: never a dropped connection.

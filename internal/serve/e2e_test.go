@@ -71,7 +71,7 @@ func TestScrapeDuringDrainObservesCounters(t *testing.T) {
 
 	drained := make(chan error, 1)
 	go func() { drained <- s.Drain(t.Context()) }()
-	for !s.Draining() {
+	for !s.draining.Load() {
 		time.Sleep(time.Millisecond)
 	}
 

@@ -125,9 +125,6 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // Metrics returns the process-wide collector (for obs.Serve).
 func (s *Server) Metrics() *obs.Metrics { return s.metrics }
 
-// Cache returns the compiled-tree cache (tests and the health endpoint).
-func (s *Server) Cache() *Cache { return s.cache }
-
 // Drain stops admitting new work and waits for every accepted request to
 // complete (or ctx to expire). After Drain returns nil, zero accepted
 // requests are still executing — the graceful-shutdown contract ftserved
@@ -143,9 +140,6 @@ func (s *Server) Drain(ctx context.Context) error {
 		return ctx.Err()
 	}
 }
-
-// Draining reports whether the server has begun draining.
-func (s *Server) Draining() bool { return s.draining.Load() }
 
 // endpoint is one wire operation: decode and execute, returning the
 // response value or a typed error.

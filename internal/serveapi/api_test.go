@@ -357,7 +357,8 @@ func TestChaosConfigRoundTrip(t *testing.T) {
 func TestFTQSOptionsRoundTrip(t *testing.T) {
 	in := core.FTQSOptions{M: 16, SweepSamples: 128, MinGain: 0.001, EvalScenarios: 32,
 		DisableRevival: true, Workers: 3}
-	data, err := json.Marshal(OptionsJSON(in))
+	data, err := json.Marshal(FTQSOptionsJSON{M: 16, SweepSamples: 128, MinGain: 0.001, EvalScenarios: 32,
+		DisableRevival: true, Workers: 3})
 	if err != nil {
 		t.Fatalf("marshal: %v", err)
 	}

@@ -9,18 +9,6 @@ import (
 	"ftsched/internal/sim"
 )
 
-// OptionsJSON converts synthesis options to their wire form.
-func OptionsJSON(o core.FTQSOptions) FTQSOptionsJSON {
-	return FTQSOptionsJSON{
-		M:              o.M,
-		SweepSamples:   o.SweepSamples,
-		MinGain:        o.MinGain,
-		EvalScenarios:  o.EvalScenarios,
-		DisableRevival: o.DisableRevival,
-		Workers:        o.Workers,
-	}
-}
-
 // Core converts wire options back to core.FTQSOptions (Sink stays nil; the
 // server attaches its own).
 func (o FTQSOptionsJSON) Core() core.FTQSOptions {
