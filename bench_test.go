@@ -19,11 +19,8 @@ import (
 // across application sizes).
 func BenchmarkFig9a(b *testing.B) {
 	cfg := experiments.Fig9Config{
-		Sizes:       []int{10, 30, 50},
-		AppsPerSize: 2,
-		Scenarios:   200,
-		M:           24,
-		Seed:        1,
+		Budget: experiments.Budget{Apps: 2, Scenarios: 200, M: 24, Seed: 1},
+		Sizes:  []int{10, 30, 50},
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -73,11 +70,9 @@ func BenchmarkFig9b(b *testing.B) {
 // the quasi-static tree grows).
 func BenchmarkTable1(b *testing.B) {
 	cfg := experiments.Table1Config{
-		Apps:      2,
+		Budget:    experiments.Budget{Apps: 2, Scenarios: 200, Seed: 2},
 		Processes: 30,
 		Ms:        []int{1, 8, 34},
-		Scenarios: 200,
-		Seed:      2,
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -94,7 +89,7 @@ func BenchmarkTable1(b *testing.B) {
 // BenchmarkCruiseController regenerates the CC case study (k = 2,
 // µ = 10% WCET, 39 schedules).
 func BenchmarkCruiseController(b *testing.B) {
-	cfg := experiments.CCConfig{Scenarios: 500, M: 39, Seed: 3}
+	cfg := experiments.Budget{Scenarios: 500, M: 39, Seed: 3}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		res, err := experiments.CruiseController(cfg)

@@ -1,7 +1,8 @@
 // Command ftexperiments regenerates the evaluation of Izosimov et al.
 // (DATE 2008): Fig. 9a, Fig. 9b, Table 1 and the cruise-controller case
 // study, plus beyond-the-paper studies (overhead, optgap, hardratio,
-// ftcost, chaos).
+// ftcost, energy, recovery, chaos). -exp all runs every study in that
+// order; experiments.Studies holds each study's default budget.
 //
 // Usage:
 //
@@ -10,7 +11,13 @@
 //	ftexperiments -exp table1 -apps 50 -scenarios 20000
 //	ftexperiments -exp cc -scenarios 20000
 //	ftexperiments -exp energy                   # heterogeneous-platform study
+//	ftexperiments -exp recovery                 # recovery-model study
 //	ftexperiments -exp chaos -scenarios 5000    # out-of-model containment
+//
+// A zero flag keeps the study's default. -apps reaches every study but cc
+// and chaos, which run fixtures only; -m reaches every study but table1,
+// which sweeps its own tree bounds; -scenarios is chaos's cycle count per
+// policy; -trim is table1's alone.
 //
 // See EXPERIMENTS.md for recorded outputs and their comparison to the
 // paper's numbers.
@@ -19,7 +26,10 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
+	"strings"
 	"time"
 
 	"ftsched/internal/cli"
@@ -39,25 +49,77 @@ func exit(code int) {
 	os.Exit(code)
 }
 
-func main() {
-	var (
-		exp         = flag.String("exp", "all", "experiment: fig9, table1, cc, all")
-		apps        = flag.Int("apps", 0, "applications per configuration (0 = default)")
-		scenarios   = flag.Int("scenarios", 0, "Monte-Carlo scenarios (0 = default)")
-		seed        = flag.Int64("seed", 0, "random seed (0 = default)")
-		m           = flag.Int("m", 0, "FTQS tree bound for fig9/cc (0 = default)")
-		trim        = flag.Bool("trim", false, "apply simulation-based arc trimming (table1)")
-		workers     = flag.Int("workers", 0, "goroutines for FTQS synthesis and Monte-Carlo evaluation (0 = all CPUs, 1 = serial; results are identical for any value)")
-		metricsAddr = flag.String("metrics-addr", "", "serve Prometheus /metrics, expvar /debug/vars and /debug/pprof on this address (e.g. :8080) for the lifetime of the run")
-	)
-	flag.Parse()
+// options is the parsed command line; budget carries the budget flags.
+type options struct {
+	exp, metricsAddr string
+	budget           experiments.Budget
+	trim             bool
+}
 
-	metrics, err := cli.ServeMetrics("ftexperiments", *metricsAddr)
+// parseFlags defines the command's flags on fs and parses args.
+func parseFlags(fs *flag.FlagSet, args []string) (options, error) {
+	var o options
+	fs.StringVar(&o.exp, "exp", "all", "experiment: "+studyList()+" or all")
+	fs.IntVar(&o.budget.Apps, "apps", 0, "generated applications per study point (0 = default; cc and chaos run fixtures only)")
+	fs.IntVar(&o.budget.Scenarios, "scenarios", 0, "Monte-Carlo scenarios; chaos: cycles per policy (0 = default)")
+	fs.Int64Var(&o.budget.Seed, "seed", 0, "random seed (0 = default)")
+	fs.IntVar(&o.budget.M, "m", 0, "FTQS tree bound (0 = default; table1 sweeps its own bounds)")
+	fs.BoolVar(&o.trim, "trim", false, "apply simulation-based arc trimming (table1)")
+	fs.IntVar(&o.budget.Workers, "workers", 0, "goroutines for FTQS synthesis and Monte-Carlo evaluation (0 = all CPUs, 1 = serial; results are identical for any value)")
+	fs.StringVar(&o.metricsAddr, "metrics-addr", "", "serve Prometheus /metrics, expvar /debug/vars and /debug/pprof on this address (e.g. :8080) for the lifetime of the run")
+	return o, fs.Parse(args)
+}
+
+// studyList names every study in run order, aliases in parentheses.
+func studyList() string {
+	names := make([]string, len(experiments.Studies))
+	for i, s := range experiments.Studies {
+		names[i] = s.Name
+		if len(s.Aliases) > 0 {
+			names[i] += " (" + strings.Join(s.Aliases, ", ") + ")"
+		}
+	}
+	return strings.Join(names, ", ")
+}
+
+// selectStudies returns the studies -exp name runs.
+func selectStudies(name string) ([]experiments.Study, error) {
+	if name == "all" {
+		return experiments.Studies, nil
+	}
+	for _, s := range experiments.Studies {
+		if s.Name == name || slices.Contains(s.Aliases, name) {
+			return []experiments.Study{s}, nil
+		}
+	}
+	return nil, fmt.Errorf("unknown experiment %q (want %s or all)", name, studyList())
+}
+
+// runStudy runs s under its default budget overridden by the flags and
+// prints the report and a footer with the budget and elapsed time to w.
+func runStudy(w io.Writer, s experiments.Study, o options) error {
+	t0 := time.Now()
+	rep, footer, err := s.Run(s.Budget.With(o.budget), o.trim)
+	if err != nil {
+		return err
+	}
+	fmt.Fprint(w, rep.Format())
+	fmt.Fprintf(w, "(%s, %s)\n\n", footer, time.Since(t0).Round(time.Millisecond))
+	return nil
+}
+
+func main() {
+	o, _ := parseFlags(flag.CommandLine, os.Args[1:]) // exits 2 on a flag error
+	studies, err := selectStudies(o.exp)
+	if err != nil {
+		fatal(err)
+	}
+	metrics, err := cli.ServeMetrics("ftexperiments", o.metricsAddr)
 	if err != nil {
 		fatal(err)
 	}
 	shutdownMetrics = metrics.Shutdown
-	sink := metrics.Sink()
+	o.budget.Sink = metrics.Sink()
 	if metrics != nil {
 		// A signal mid-run flushes the metrics endpoint before exiting, so
 		// the final scrape still observes the completed experiments'
@@ -68,290 +130,10 @@ func main() {
 			fatal(fmt.Errorf("interrupted by %v", s))
 		}()
 	}
-
-	runFig9 := func() {
-		cfg := experiments.DefaultFig9()
-		if *apps > 0 {
-			cfg.AppsPerSize = *apps
-		}
-		if *scenarios > 0 {
-			cfg.Scenarios = *scenarios
-		}
-		if *seed != 0 {
-			cfg.Seed = *seed
-		}
-		if *m > 0 {
-			cfg.M = *m
-		}
-		cfg.Workers = *workers
-		cfg.Sink = sink
-		t0 := time.Now()
-		res, err := experiments.Fig9(cfg)
-		if err != nil {
+	for _, s := range studies {
+		if err := runStudy(os.Stdout, s, o); err != nil {
 			fatal(err)
 		}
-		fmt.Print(res.Format())
-		fmt.Printf("(%d apps/size, %d scenarios, M=%d, %s)\n\n",
-			cfg.AppsPerSize, cfg.Scenarios, cfg.M, time.Since(t0).Round(time.Millisecond))
-	}
-	runTable1 := func() {
-		cfg := experiments.DefaultTable1()
-		if *apps > 0 {
-			cfg.Apps = *apps
-		}
-		if *scenarios > 0 {
-			cfg.Scenarios = *scenarios
-		}
-		if *seed != 0 {
-			cfg.Seed = *seed
-		}
-		cfg.Trim = *trim
-		cfg.Workers = *workers
-		cfg.Sink = sink
-		t0 := time.Now()
-		res, err := experiments.Table1(cfg)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Print(res.Format())
-		fmt.Printf("(%d apps × %d processes, %d scenarios, %s)\n\n",
-			cfg.Apps, cfg.Processes, cfg.Scenarios, time.Since(t0).Round(time.Millisecond))
-	}
-	runCC := func() {
-		cfg := experiments.DefaultCC()
-		if *scenarios > 0 {
-			cfg.Scenarios = *scenarios
-		}
-		if *seed != 0 {
-			cfg.Seed = *seed
-		}
-		if *m > 0 {
-			cfg.M = *m
-		}
-		cfg.Workers = *workers
-		cfg.Sink = sink
-		t0 := time.Now()
-		res, err := experiments.CruiseController(cfg)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Print(res.Format())
-		fmt.Printf("(%d scenarios, %s)\n\n", cfg.Scenarios, time.Since(t0).Round(time.Millisecond))
-	}
-
-	runOverhead := func() {
-		cfg := experiments.DefaultOverhead()
-		if *apps > 0 {
-			cfg.Apps = *apps
-		}
-		if *scenarios > 0 {
-			cfg.Scenarios = *scenarios
-		}
-		if *seed != 0 {
-			cfg.Seed = *seed
-		}
-		if *m > 0 {
-			cfg.M = *m
-		}
-		cfg.Workers = *workers
-		cfg.Sink = sink
-		t0 := time.Now()
-		res, err := experiments.Overhead(cfg)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Print(res.Format())
-		fmt.Printf("(%d apps × %d processes, %d scenarios, %s)\n\n",
-			cfg.Apps, cfg.Processes, cfg.Scenarios, time.Since(t0).Round(time.Millisecond))
-	}
-
-	runOptGap := func() {
-		cfg := experiments.DefaultOptGap()
-		if *apps > 0 {
-			cfg.Apps = *apps
-		}
-		if *scenarios > 0 {
-			cfg.Scenarios = *scenarios
-		}
-		if *seed != 0 {
-			cfg.Seed = *seed
-		}
-		if *m > 0 {
-			cfg.M = *m
-		}
-		cfg.Workers = *workers
-		cfg.Sink = sink
-		t0 := time.Now()
-		res, err := experiments.OptGap(cfg)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Print(res.Format())
-		fmt.Printf("(%d apps × %d processes, %d scenarios, %s)\n\n",
-			cfg.Apps, cfg.Processes, cfg.Scenarios, time.Since(t0).Round(time.Millisecond))
-	}
-
-	runHardRatio := func() {
-		cfg := experiments.DefaultHardRatio()
-		if *apps > 0 {
-			cfg.Apps = *apps
-		}
-		if *scenarios > 0 {
-			cfg.Scenarios = *scenarios
-		}
-		if *seed != 0 {
-			cfg.Seed = *seed
-		}
-		if *m > 0 {
-			cfg.M = *m
-		}
-		cfg.Workers = *workers
-		cfg.Sink = sink
-		t0 := time.Now()
-		res, err := experiments.HardRatio(cfg)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Print(res.Format())
-		fmt.Printf("(%d apps × %d processes per point, %d scenarios, %s)\n\n",
-			cfg.Apps, cfg.Processes, cfg.Scenarios, time.Since(t0).Round(time.Millisecond))
-	}
-
-	runFTCost := func() {
-		cfg := experiments.DefaultFTCost()
-		if *apps > 0 {
-			cfg.Apps = *apps
-		}
-		if *scenarios > 0 {
-			cfg.Scenarios = *scenarios
-		}
-		if *seed != 0 {
-			cfg.Seed = *seed
-		}
-		if *m > 0 {
-			cfg.M = *m
-		}
-		cfg.Workers = *workers
-		cfg.Sink = sink
-		t0 := time.Now()
-		res, err := experiments.FTCost(cfg)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Print(res.Format())
-		fmt.Printf("(%d apps × %d processes, %d scenarios, %s)\n\n",
-			cfg.Apps, cfg.Processes, cfg.Scenarios, time.Since(t0).Round(time.Millisecond))
-	}
-
-	runEnergy := func() {
-		cfg := experiments.DefaultEnergy()
-		if *apps > 0 {
-			cfg.Apps = *apps
-		}
-		if *scenarios > 0 {
-			cfg.Scenarios = *scenarios
-		}
-		if *seed != 0 {
-			cfg.Seed = *seed
-		}
-		if *m > 0 {
-			cfg.M = *m
-		}
-		cfg.Workers = *workers
-		cfg.Sink = sink
-		t0 := time.Now()
-		res, err := experiments.Energy(cfg)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Print(res.Format())
-		fmt.Printf("(%d generated apps × %d processes, %d scenarios, %s)\n\n",
-			cfg.Apps, cfg.Processes, cfg.Scenarios, time.Since(t0).Round(time.Millisecond))
-	}
-
-	runRecovery := func() {
-		cfg := experiments.DefaultRecovery()
-		if *apps > 0 {
-			cfg.Apps = *apps
-		}
-		if *scenarios > 0 {
-			cfg.Scenarios = *scenarios
-		}
-		if *seed != 0 {
-			cfg.Seed = *seed
-		}
-		if *m > 0 {
-			cfg.M = *m
-		}
-		cfg.Workers = *workers
-		cfg.Sink = sink
-		t0 := time.Now()
-		res, err := experiments.Recovery(cfg)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Print(res.Format())
-		fmt.Printf("(%d generated apps × %d processes, %d scenarios, %s)\n\n",
-			cfg.Apps, cfg.Processes, cfg.Scenarios, time.Since(t0).Round(time.Millisecond))
-	}
-
-	runChaos := func() {
-		cfg := experiments.DefaultChaos()
-		if *scenarios > 0 {
-			cfg.Cycles = *scenarios
-		}
-		if *seed != 0 {
-			cfg.Seed = *seed
-		}
-		if *m > 0 {
-			cfg.M = *m
-		}
-		cfg.Workers = *workers
-		cfg.Sink = sink
-		t0 := time.Now()
-		res, err := experiments.Chaos(cfg)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Print(res.Format())
-		fmt.Printf("(%d cycles per policy, seed %d, %s)\n\n",
-			cfg.Cycles, cfg.Seed, time.Since(t0).Round(time.Millisecond))
-	}
-
-	switch *exp {
-	case "fig9", "fig9a", "fig9b":
-		runFig9()
-	case "table1":
-		runTable1()
-	case "cc", "cruise":
-		runCC()
-	case "overhead":
-		runOverhead()
-	case "optgap":
-		runOptGap()
-	case "hardratio":
-		runHardRatio()
-	case "ftcost":
-		runFTCost()
-	case "energy":
-		runEnergy()
-	case "recovery":
-		runRecovery()
-	case "chaos":
-		runChaos()
-	case "all":
-		runFig9()
-		runTable1()
-		runCC()
-		runOverhead()
-		runOptGap()
-		runHardRatio()
-		runFTCost()
-		runEnergy()
-		runRecovery()
-		runChaos()
-	default:
-		fatal(fmt.Errorf("unknown experiment %q (want fig9, table1, cc, overhead, optgap, hardratio, ftcost, energy, recovery, chaos or all)", *exp))
 	}
 	exit(0)
 }

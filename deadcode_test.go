@@ -43,9 +43,10 @@ const (
 	unreferenced
 	// testOnly: only test files use the name.
 	testOnly
-	// ifaceMethod: a method whose name and signature match a method of an
-	// interface declared in the module or in an imported standard-library
-	// package, so it may be reached through that interface.
+	// ifaceMethod: a method whose receiver type, T or *T, implements an
+	// interface with a method of that name, declared in the module or in an
+	// imported standard-library package, so it may be reached through that
+	// interface.
 	ifaceMethod
 )
 
@@ -114,7 +115,9 @@ func TestInternalExportsReferenced(t *testing.T) {
 
 // TestExportClassifier runs the classifier on a small in-memory module with
 // names of each class, among them a method reached only through an
-// interface and a generic func, field and method used only as instances.
+// interface, a method that shares a name and signature with an interface
+// method but whose type implements no interface, and a generic func, field
+// and method used only as instances.
 func TestExportClassifier(t *testing.T) {
 	src := map[string]string{
 		"go.mod": "module m\n",
@@ -127,6 +130,21 @@ func Total(shapes []Shape) (sum float64) {
 		sum += s.Area()
 	}
 	return sum
+}
+
+type Named interface {
+	Name() string
+	Rank() int
+}
+
+func Best(ns []Named) string {
+	best := ns[0]
+	for _, n := range ns {
+		if n.Rank() > best.Rank() {
+			best = n
+		}
+	}
+	return best.Name()
 }
 `,
 		"internal/a/a.go": `package a
@@ -160,6 +178,10 @@ func Max[T int | float64](a, b T) T {
 type Box[T any] struct{ V T }
 
 func (Box[T]) Len() int { return 1 }
+
+type Tag struct{}
+
+func (Tag) Name() string { return "tag" }
 `,
 		"internal/a/a_test.go": `package a
 
@@ -177,7 +199,7 @@ import "m/internal/a"
 
 func main() {
 	b := a.Box[int]{V: 3}
-	println(a.Total([]a.Shape{a.Square{Side: 2}}), a.Max(1, 2), b.V, b.Len())
+	println(a.Total([]a.Shape{a.Square{Side: 2}}), a.Max(1, 2), b.V, b.Len(), a.Best(nil), a.Tag{} == a.Tag{})
 }
 `,
 	}
@@ -205,6 +227,12 @@ func main() {
 		"a.Box":          live,
 		"a.Box.V":        live,
 		"a.Box.Len":      live,
+		"a.Named":        live,
+		"a.Named.Name":   live,
+		"a.Named.Rank":   live,
+		"a.Best":         live,
+		"a.Tag":          live,
+		"a.Tag.Name":     unreferenced, // Named wants Rank too
 	}
 	for name, class := range want {
 		if got, ok := scan.classes[name]; !ok || got != class {
@@ -487,8 +515,8 @@ func (l *loader) uses(info *types.Info) map[token.Pos]bool {
 	return used
 }
 
-// ifaceSet maps a method name to the interface methods of that name.
-type ifaceSet map[string][]*types.Func
+// ifaceSet maps a method name to the interfaces with a method of that name.
+type ifaceSet map[string][]*types.Interface
 
 // interfaceMethods collects the methods of every interface type declared in
 // the module's non-test files, of the exported interface types of every
@@ -498,8 +526,8 @@ func (l *loader) interfaceMethods() ifaceSet {
 	add := func(t types.Type) {
 		if iface, ok := t.Underlying().(*types.Interface); ok {
 			for i := 0; i < iface.NumMethods(); i++ {
-				m := iface.Method(i)
-				set[m.Name()] = append(set[m.Name()], m)
+				name := iface.Method(i).Name()
+				set[name] = append(set[name], iface)
 			}
 		}
 	}
@@ -582,11 +610,15 @@ func (l *loader) inlineInterfaces(pkg *types.Package) []types.Type {
 	return out
 }
 
-// satisfies reports whether some other interface method has m's name and
-// signature.
+// satisfies reports whether the receiver type of the concrete method m, T
+// or *T, implements an interface with a method of m's name.
 func (s ifaceSet) satisfies(m *types.Func) bool {
-	for _, im := range s[m.Name()] {
-		if im != m && types.Identical(im.Type(), m.Type()) {
+	recv := m.Type().(*types.Signature).Recv().Type()
+	if p, ok := recv.(*types.Pointer); ok {
+		recv = p.Elem()
+	}
+	for _, iface := range s[m.Name()] {
+		if types.Implements(recv, iface) || types.Implements(types.NewPointer(recv), iface) {
 			return true
 		}
 	}

@@ -171,7 +171,7 @@ func FTQSFromRootContext(ctx context.Context, app *model.Application, root *sche
 			}
 			b.attachChild(n, c)
 		}
-		n.arcs = dedupeSortArcs(n.arcs)
+		n.arcs = SortArcs(n.arcs)
 	}
 	return b.build(), nil
 }
@@ -231,7 +231,7 @@ func (b *treeBuilder) attachChild(n *bNode, c candidate) {
 // build flattens the builder into the arena representation: nodes in
 // NodeID order, each node's arcs contiguous in the shared arc slice (they
 // are already in the canonical (Pos, Kind, Gain-descending) order, because
-// the coordinator runs dedupeSortArcs after expanding each node).
+// the coordinator runs SortArcs after expanding each node).
 func (b *treeBuilder) build() *Tree {
 	total := 0
 	for _, n := range b.nodes {

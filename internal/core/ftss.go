@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 
@@ -44,8 +45,18 @@ func SuffixFTSS(app *model.Application, executed, dropped []model.ProcessID, sta
 // (out-of-scope) fully online rescheduler, which the paper uses as the
 // "ideal but too slow" comparison point.
 func SuffixFTSSSet(app *model.Application, executed, dropped model.ProcSet, start Time, kRemaining int) ([]schedule.Entry, error) {
-	return newFTSSState(newFTSSTables(app)).run(executed, dropped, start, kRemaining)
+	st := newFTSSState(newFTSSTables(app))
+	entries, err := st.run(executed, dropped, start, kRemaining)
+	if err == errStuck {
+		err = st.unschedulable()
+	}
+	return entries, err
 }
+
+// errStuck is run's report that no ready process can be placed. The stuck
+// state stays in the ftssState, and only callers that return the error
+// diagnose it with unschedulable, so memoised suffix runs build no error.
+var errStuck = errors.New("core: FTSS stuck")
 
 // ftssTables are the per-process tables every FTSS run over one
 // application reads instead of copying a model.Process per call: kind,
@@ -180,14 +191,6 @@ func (t *ftssTables) rawAETOn(p model.ProcessID) Time {
 	return t.app.Platform().Scale(t.app.CoreOf(p), t.app.ProcRef(p).AET)
 }
 
-// recAETOn is the expected re-run time after a fault, scaled on the
-// recovery core. Recovery re-runs take no checkpoints (a checkpoint
-// rollback re-runs only the final, checkpoint-free segment — see
-// recoveryBeneficial), so no attempt inflation applies.
-func (t *ftssTables) recAETOn(p model.ProcessID) Time {
-	return t.app.Platform().Scale(t.app.RecoveryCoreOf(p), t.app.ProcRef(p).AET)
-}
-
 func (st *ftssState) predsDone(p model.ProcessID) bool {
 	for _, q := range st.app.Preds(p) {
 		if !st.scheduled[q] && !st.dropped[q] {
@@ -199,7 +202,8 @@ func (st *ftssState) predsDone(p model.ProcessID) bool {
 
 // run executes the FTSS main loop (paper Fig. 8) after the executed and
 // dropped processes, from start with kRem faults to tolerate, and returns
-// a fresh slice of the placed entries.
+// a fresh slice of the placed entries, or errStuck when no ready process
+// can be placed.
 func (st *ftssState) run(executed, dropped model.ProcSet, start Time, kRem int) ([]schedule.Entry, error) {
 	st.reset(executed, dropped, start, kRem)
 	for len(st.ready) > 0 {
@@ -228,7 +232,8 @@ func (st *ftssState) run(executed, dropped model.ProcSet, start Time, kRem int) 
 // placeNext implements lines 4-15 for the current ready list: it places
 // the best process of the schedulable set, first making room by stripping
 // recoveries and forced dropping while that set is empty. It places
-// nothing when forced dropping empties the ready list.
+// nothing when forced dropping empties the ready list, and returns
+// errStuck when nothing is schedulable and nothing can be dropped.
 func (st *ftssState) placeNext() error {
 	sched := st.schedulableSet()
 	for len(sched) == 0 {
@@ -239,7 +244,7 @@ func (st *ftssState) placeNext() error {
 		// dropped so that P2 can execute).
 		if !st.stripOneRecovery() {
 			if !st.forcedDropping() {
-				return st.unschedulable()
+				return errStuck
 			}
 			if len(st.ready) == 0 {
 				return nil
@@ -793,17 +798,12 @@ func (st *ftssState) recoveryBeneficial(p model.ProcessID, f int) bool {
 	// started at nowE - attempt time (it was just placed), ran its primary
 	// attempt plus f-1 recovery re-runs, each followed by the per-fault
 	// overhead (µ, restart latency, or rollback cost). Re-execution and
-	// restart re-run the whole expected duration on the recovery core;
-	// a checkpoint rollback re-runs only the final segment of the
-	// primary-core attempt.
+	// restart re-run the whole expected duration, a checkpoint rollback
+	// only the final segment; recovery re-runs take no checkpoints, so no
+	// attempt inflation applies.
 	atP := st.aetOn(p)
 	oh := app.RecoveryOverhead(p)
-	var rerun Time
-	if rec.Kind == model.RecoverCheckpoint {
-		rerun = rec.ResumeTime(st.rawAETOn(p))
-	} else {
-		rerun = st.recAETOn(p)
-	}
+	rerun := rec.ResumeTime(app.Platform().Scale(app.RerunCoreOf(p), app.ProcRef(p).AET))
 	startP := st.nowE - atP
 	failed := startP + atP + oh + Time(f-1)*(rerun+oh)
 	// Option A: recover; p completes at failed + rerun. Option B's

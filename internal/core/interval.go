@@ -336,7 +336,3 @@ func maxTime(a, b Time) Time {
 	}
 	return b
 }
-
-// dedupeSortArcs orders a node's arcs into the canonical order; it is the
-// synthesis-side name for SortArcs.
-func dedupeSortArcs(arcs []Arc) []Arc { return SortArcs(arcs) }

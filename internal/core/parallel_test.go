@@ -208,7 +208,7 @@ func TestSuffixMemoHitsDuringSynthesis(t *testing.T) {
 			}
 			b.attachChild(n, c)
 		}
-		n.arcs = dedupeSortArcs(n.arcs)
+		n.arcs = SortArcs(n.arcs)
 	}
 	hits, misses := s.memo.stats()
 	if misses == 0 {

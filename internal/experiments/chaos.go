@@ -7,33 +7,8 @@ import (
 	"ftsched/internal/apps"
 	"ftsched/internal/chaos"
 	"ftsched/internal/core"
-	"ftsched/internal/obs"
 	"ftsched/internal/runtime"
 )
-
-// ChaosConfig parametrises the out-of-model containment evaluation: a
-// seeded chaos campaign (WCET overruns and >k fault bursts aimed at soft
-// processes) on the paper's Fig. 8 application, run once per degrade
-// policy and once more with watchdog clamping. The paper's guarantees
-// stop at its fault model; this experiment measures what each policy
-// still delivers beyond it.
-type ChaosConfig struct {
-	Cycles int
-	Seed   int64
-	// M bounds the Fig. 8 quasi-static tree.
-	M int
-	// Workers bounds the campaign goroutines (0 = GOMAXPROCS; reports
-	// are bit-identical for any value).
-	Workers int
-	// Sink receives dispatch and chaos events (nil disables
-	// instrumentation; results are identical either way).
-	Sink obs.Sink
-}
-
-// DefaultChaos returns a CI-friendly configuration.
-func DefaultChaos() ChaosConfig {
-	return ChaosConfig{Cycles: 2000, Seed: 11, M: 16}
-}
 
 // ChaosRow is one policy's campaign outcome.
 type ChaosRow struct {
@@ -44,17 +19,22 @@ type ChaosRow struct {
 
 // ChaosResult aggregates the per-policy campaigns.
 type ChaosResult struct {
-	Cfg  ChaosConfig
+	Cfg  Budget
 	Rows []ChaosRow
 }
 
-// Chaos runs the containment comparison. The containment contract itself
-// — no panics, no detection gaps, no in-model misses, no misses the
-// policy promised to absorb — is enforced here: a violation is an error,
-// not a table row.
-func Chaos(cfg ChaosConfig) (*ChaosResult, error) {
+// Chaos runs the out-of-model containment evaluation: a seeded chaos
+// campaign of cfg.Scenarios cycles (WCET overruns and >k fault bursts aimed
+// at soft processes) on the paper's Fig. 8 application, with an FTQS tree
+// of at most cfg.M schedules, run once per degrade policy and once more
+// with watchdog clamping. The paper's guarantees stop at its fault model;
+// this experiment measures what each policy still delivers beyond it. The
+// containment contract itself — no panics, no detection gaps, no in-model
+// misses, no misses the policy promised to absorb — is enforced here: a
+// violation is an error, not a table row.
+func Chaos(cfg Budget) (*ChaosResult, error) {
 	app := apps.Fig8()
-	tree, err := core.FTQS(app, core.FTQSOptions{M: cfg.M, Sink: cfg.Sink})
+	tree, err := core.FTQS(app, cfg.ftqsOptions())
 	if err != nil {
 		return nil, err
 	}
@@ -69,7 +49,7 @@ func Chaos(cfg ChaosConfig) (*ChaosResult, error) {
 		{runtime.PolicyBestEffort, false},
 	} {
 		rep, err := chaos.Run(tree, chaos.Config{
-			Cycles:        cfg.Cycles,
+			Cycles:        cfg.Scenarios,
 			Seed:          cfg.Seed,
 			Workers:       cfg.Workers,
 			Policy:        row.policy,

@@ -11,7 +11,7 @@ func TestChaosShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment harness")
 	}
-	cfg := ChaosConfig{Cycles: 400, Seed: 11, M: 16}
+	cfg := Budget{Scenarios: 400, Seed: 11, M: 16}
 	res, err := Chaos(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -21,8 +21,8 @@ func TestChaosShape(t *testing.T) {
 	}
 	for _, row := range res.Rows {
 		rep := row.Report
-		if rep.Cycles != cfg.Cycles {
-			t.Errorf("%s: %d cycles, want %d", row.Policy, rep.Cycles, cfg.Cycles)
+		if rep.Cycles != cfg.Scenarios {
+			t.Errorf("%s: %d cycles, want %d", row.Policy, rep.Cycles, cfg.Scenarios)
 		}
 		if rep.Injected == 0 || rep.Overruns == 0 || rep.ExtraFaults == 0 {
 			t.Errorf("%s (clamp=%v): vacuous campaign %+v", row.Policy, row.Clamp, rep)

@@ -16,46 +16,58 @@ import (
 	"ftsched/internal/sim"
 )
 
-// EnergyConfig parametrises the heterogeneous-platform study: an extension
-// experiment beyond the paper (which assumes a single computation node)
-// answering "what do utility, energy and the certified fault bound look
-// like when the same application runs on a low-power core with recoveries
-// offloaded to a high-performance core?". Each workload is synthesised and
-// evaluated twice — on the canonical single-core platform and on the
-// two-core LP+HP platform with the deterministic biased mapping — through
-// the same FTQS pipeline and the same mapped dispatcher.
-type EnergyConfig struct {
-	// Apps is the number of generated applications evaluated on top of the
-	// three fixtures (Fig. 1, Fig. 8, cruise controller).
-	Apps int
-	// Processes is the size of each generated application.
+// WorkloadConfig parametrises the energy and recovery studies, extension
+// experiments beyond the paper: each evaluates the paper fixtures plus Apps
+// generated applications of Processes processes, at Faults faults per
+// scenario clamped to each application's k.
+type WorkloadConfig struct {
+	Budget
 	Processes int
-	// M bounds the FTQS tree.
-	M int
-	// Scenarios is the Monte-Carlo sample per configuration.
-	Scenarios int
-	// Faults is the number of faults injected per scenario, clamped to each
-	// application's k.
-	Faults int
-	Seed   int64
-	// Workers bounds synthesis, evaluation and certification goroutines
-	// (0 = GOMAXPROCS); results are identical for any value.
-	Workers int
-	// Sink receives synthesis, simulation and certification events (nil
-	// disables instrumentation; results are identical either way).
-	Sink obs.Sink
+	Faults    int
 }
 
-// DefaultEnergy returns a CI-friendly configuration.
-func DefaultEnergy() EnergyConfig {
-	return EnergyConfig{
-		Apps:      2,
-		Processes: 10,
-		M:         16,
-		Scenarios: 500,
-		Faults:    1,
-		Seed:      11,
+type workload struct {
+	name string
+	app  *model.Application
+}
+
+// workloads returns the fixtures followed by cfg.Apps generated
+// applications named gen-00, gen-01, ...
+func (cfg WorkloadConfig) workloads(fixtures ...workload) ([]workload, error) {
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	for a := 0; a < cfg.Apps; a++ {
+		app, err := generateSchedulable(rng, gen.Default(cfg.Processes), 50)
+		if err != nil {
+			return nil, err
+		}
+		fixtures = append(fixtures, workload{fmt.Sprintf("gen-%02d", a), app})
 	}
+	return fixtures, nil
+}
+
+// evaluation is one workload's FTQS tree, its Monte-Carlo statistics at
+// the clamped fault count, and its certified fault bound.
+type evaluation struct {
+	tree   *core.Tree
+	stats  sim.MCStats
+	faults int
+	certK  int
+}
+
+// evaluate synthesises app's FTQS tree, evaluates it at cfg.Faults clamped
+// to app's k, failing on any hard violation, and finds its certified fault
+// bound.
+func (cfg WorkloadConfig) evaluate(app *model.Application, seed int64) (evaluation, error) {
+	tree, err := core.FTQS(app, cfg.ftqsOptions())
+	if err != nil {
+		return evaluation{}, err
+	}
+	ev := evaluation{tree: tree, faults: min(cfg.Faults, app.K())}
+	if ev.stats, err = cfg.monteCarlo(tree, ev.faults, seed); err != nil {
+		return evaluation{}, err
+	}
+	ev.certK, err = certifiedK(tree, cfg.Workers, cfg.Sink)
+	return ev, err
 }
 
 // HeteroPlatform is the reference two-core platform of the study: a
@@ -94,28 +106,25 @@ type EnergyRow struct {
 // EnergyResult aggregates the study.
 type EnergyResult struct {
 	Rows []EnergyRow
-	Cfg  EnergyConfig
+	Cfg  WorkloadConfig
 }
 
-// Energy runs the study: fixtures first, then generated applications, each
-// on the canonical platform and on HeteroPlatform.
-func Energy(cfg EnergyConfig) (*EnergyResult, error) {
-	type workload struct {
-		name string
-		app  *model.Application
-	}
-	loads := []workload{
-		{"paper-fig1", apps.Fig1()},
-		{"paper-fig8", apps.Fig8()},
-		{"cruise-ctrl", apps.CruiseController()},
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	for a := 0; a < cfg.Apps; a++ {
-		app, err := generateSchedulable(rng, gen.Default(cfg.Processes), 50)
-		if err != nil {
-			return nil, err
-		}
-		loads = append(loads, workload{fmt.Sprintf("gen-%02d", a), app})
+// Energy runs the heterogeneous-platform study, answering "what do
+// utility, energy and the certified fault bound look like when the same
+// application runs on a low-power core with recoveries offloaded to a
+// high-performance core?" (the paper assumes a single computation node).
+// Each workload — the Fig. 1, Fig. 8 and cruise-controller fixtures, then
+// the generated applications — is synthesised and evaluated twice through
+// the same FTQS pipeline and mapped dispatcher: on the canonical
+// single-core platform and on HeteroPlatform with the biased mapping.
+func Energy(cfg WorkloadConfig) (*EnergyResult, error) {
+	loads, err := cfg.workloads(
+		workload{"paper-fig1", apps.Fig1()},
+		workload{"paper-fig8", apps.Fig8()},
+		workload{"cruise-ctrl", apps.CruiseController()},
+	)
+	if err != nil {
+		return nil, err
 	}
 	hetero := HeteroPlatform()
 	res := &EnergyResult{Cfg: cfg}
@@ -139,30 +148,12 @@ func Energy(cfg EnergyConfig) (*EnergyResult, error) {
 	return res, nil
 }
 
-func energyRow(name, platName string, app *model.Application, cfg EnergyConfig, seed int64) (EnergyRow, error) {
-	tree, err := core.FTQS(app, core.FTQSOptions{M: cfg.M, Workers: cfg.Workers, Sink: cfg.Sink})
+func energyRow(name, platName string, app *model.Application, cfg WorkloadConfig, seed int64) (EnergyRow, error) {
+	ev, err := cfg.evaluate(app, seed)
 	if err != nil {
 		return EnergyRow{}, err
 	}
-	faults := cfg.Faults
-	if faults > app.K() {
-		faults = app.K()
-	}
-	st, err := sim.MonteCarlo(tree, sim.MCConfig{
-		Scenarios: cfg.Scenarios, Faults: faults, Seed: seed,
-		Workers: cfg.Workers, Sink: cfg.Sink,
-	})
-	if err != nil {
-		return EnergyRow{}, err
-	}
-	if st.HardViolations > 0 {
-		return EnergyRow{}, fmt.Errorf("%d hard-deadline violations (faults=%d)", st.HardViolations, faults)
-	}
-	nominal, err := nominalCoreEnergy(tree)
-	if err != nil {
-		return EnergyRow{}, err
-	}
-	ck, err := certifiedK(tree, cfg.Workers, cfg.Sink)
+	nominal, err := nominalCoreEnergy(ev.tree)
 	if err != nil {
 		return EnergyRow{}, err
 	}
@@ -171,12 +162,13 @@ func energyRow(name, platName string, app *model.Application, cfg EnergyConfig, 
 	for c := range cores {
 		cores[c] = plat.Core(model.CoreID(c)).Name
 	}
+	st := ev.stats
 	return EnergyRow{
 		App: name, Platform: platName,
-		Utility: st.MeanUtility, Faults: faults,
+		Utility: st.MeanUtility, Faults: ev.faults,
 		MeanEnergy: st.MeanEnergy, MeanActive: st.MeanEnergyActive, MeanIdle: st.MeanEnergyIdle,
 		Cores: cores, CoreEnergy: nominal,
-		CertifiedK: ck,
+		CertifiedK: ev.certK,
 	}, nil
 }
 

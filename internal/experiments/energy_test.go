@@ -9,13 +9,10 @@ func TestEnergyShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment harness")
 	}
-	cfg := EnergyConfig{
-		Apps:      1,
+	cfg := WorkloadConfig{
+		Budget:    Budget{Apps: 1, M: 8, Scenarios: 200, Seed: 11},
 		Processes: 8,
-		M:         8,
-		Scenarios: 200,
 		Faults:    1,
-		Seed:      11,
 	}
 	res, err := Energy(cfg)
 	if err != nil {

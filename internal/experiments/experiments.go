@@ -9,10 +9,12 @@
 //     quasi-static tree grows through M ∈ {1, 2, 8, 13, 23, 34, 79, 89};
 //   - the cruise-controller case study (k = 2, µ = 10% WCET, 39 schedules).
 //
-// The paper simulates 20 000 execution scenarios per configuration on 450
-// generated applications; the configs below default to CI-friendly sizes
-// and scale up via their fields (see EXPERIMENTS.md for the settings used
-// to produce the recorded results).
+// It also runs the extension studies beyond the paper (overhead, optgap,
+// hardratio, ftcost, energy, recovery, chaos). Studies lists them all, each
+// with a CI-friendly default Budget. The paper simulates 20 000 execution
+// scenarios per configuration on 450 generated applications; larger
+// budgets scale up to that (see EXPERIMENTS.md for the settings used to
+// produce the recorded results).
 package experiments
 
 import (
@@ -26,11 +28,15 @@ import (
 	"ftsched/internal/core"
 	"ftsched/internal/gen"
 	"ftsched/internal/model"
-	"ftsched/internal/obs"
 	"ftsched/internal/report"
 	"ftsched/internal/sim"
 	"ftsched/internal/stats"
 )
+
+// ftqsOptions bounds an FTQS synthesis by the budget's M, workers and sink.
+func (b Budget) ftqsOptions() core.FTQSOptions {
+	return core.FTQSOptions{M: b.M, Workers: b.Workers, Sink: b.Sink}
+}
 
 // synthesise builds the three competitors for one application. M bounds
 // the FTQS tree. FTSF may fail where FTSS succeeds — its value-maximal
@@ -38,12 +44,12 @@ import (
 // slack is patched in, no matter how many soft processes are dropped; in
 // that case ftsf is nil and the caller scores the baseline as delivering
 // zero utility (the system cannot be deployed with that schedule).
-func synthesise(app *model.Application, m, workers int, sink obs.Sink) (ftqs, ftss, ftsf *core.Tree, err error) {
+func (b Budget) synthesise(app *model.Application) (ftqs, ftss, ftsf *core.Tree, err error) {
 	root, err := core.FTSS(app)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	tree, err := core.FTQSFromRoot(app, root, core.FTQSOptions{M: m, Workers: workers, Sink: sink})
+	tree, err := core.FTQSFromRoot(app, root, b.ftqsOptions())
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -54,19 +60,21 @@ func synthesise(app *model.Application, m, workers int, sink obs.Sink) (ftqs, ft
 	return tree, sim.StaticTree(app, root), sim.StaticTree(app, bf), nil
 }
 
-// meanUtility runs the Monte-Carlo evaluation and fails on any hard
-// violation — the experiments double as an end-to-end safety check.
-// workers spreads the evaluation over goroutines (0 = GOMAXPROCS);
-// results are identical for any value.
-func meanUtility(tree *core.Tree, scenarios, faults int, seed int64, workers int, sink obs.Sink) (float64, error) {
-	st, err := sim.MonteCarlo(tree, sim.MCConfig{Scenarios: scenarios, Faults: faults, Seed: seed, Workers: workers, Sink: sink})
-	if err != nil {
-		return 0, err
+// monteCarlo runs the budget's Monte-Carlo evaluation of tree under faults
+// and fails on any hard violation — the experiments double as an
+// end-to-end safety check.
+func (b Budget) monteCarlo(tree *core.Tree, faults int, seed int64) (sim.MCStats, error) {
+	st, err := sim.MonteCarlo(tree, sim.MCConfig{Scenarios: b.Scenarios, Faults: faults, Seed: seed, Workers: b.Workers, Sink: b.Sink})
+	if err == nil && st.HardViolations > 0 {
+		err = fmt.Errorf("experiments: %d hard-deadline violations (faults=%d)", st.HardViolations, faults)
 	}
-	if st.HardViolations > 0 {
-		return 0, fmt.Errorf("experiments: %d hard-deadline violations (faults=%d)", st.HardViolations, faults)
-	}
-	return st.MeanUtility, nil
+	return st, err
+}
+
+// meanUtility is the mean utility of monteCarlo.
+func (b Budget) meanUtility(tree *core.Tree, faults int, seed int64) (float64, error) {
+	st, err := b.monteCarlo(tree, faults, seed)
+	return st.MeanUtility, err
 }
 
 // generateSchedulable draws applications until FTSS succeeds (unschedulable
@@ -89,36 +97,12 @@ func generateSchedulable(rng *rand.Rand, cfg gen.Config, maxAttempts int) (*mode
 // Fig. 9 (both panels)
 // ---------------------------------------------------------------------------
 
-// Fig9Config parametrises the Fig. 9 reproduction. The paper: sizes 10..50
-// step 5, 50 applications per size (450 total), k = 3, µ = 15 ms, 20 000
-// scenarios.
+// Fig9Config parametrises the Fig. 9 reproduction; Apps counts the
+// applications per size. The paper: sizes 10..50 step 5, 50 applications
+// per size (450 total), k = 3, µ = 15 ms, 20 000 scenarios.
 type Fig9Config struct {
-	Sizes       []int
-	AppsPerSize int
-	Scenarios   int
-	M           int // FTQS tree bound
-	Seed        int64
-	// Workers bounds both the FTQS synthesis goroutines and the
-	// Monte-Carlo evaluation goroutines (0 = GOMAXPROCS). Results are
-	// identical for any value; see core.FTQSOptions.Workers and
-	// sim.MCConfig.Workers.
-	Workers int
-	// Sink receives synthesis and simulation events from every run of
-	// the experiment (nil disables instrumentation; results are
-	// identical either way).
-	Sink obs.Sink
-}
-
-// DefaultFig9 returns a configuration that finishes in seconds; pass the
-// paper's numbers (AppsPerSize 50, Scenarios 20000) for the full run.
-func DefaultFig9() Fig9Config {
-	return Fig9Config{
-		Sizes:       []int{10, 15, 20, 25, 30, 35, 40, 45, 50},
-		AppsPerSize: 5,
-		Scenarios:   500,
-		M:           32,
-		Seed:        1,
-	}
+	Budget
+	Sizes []int
 }
 
 // Fig9Row is one application-size point of Fig. 9: mean utilities
@@ -149,17 +133,17 @@ func Fig9(cfg Fig9Config) (*Fig9Result, error) {
 	for _, size := range cfg.Sizes {
 		row := Fig9Row{Size: size}
 		acc := make(map[string][]float64)
-		for a := 0; a < cfg.AppsPerSize; a++ {
+		for a := 0; a < cfg.Apps; a++ {
 			app, err := generateSchedulable(rng, gen.Default(size), 50)
 			if err != nil {
 				return nil, err
 			}
-			ftqs, ftss, ftsf, err := synthesise(app, cfg.M, cfg.Workers, cfg.Sink)
+			ftqs, ftss, ftsf, err := cfg.synthesise(app)
 			if err != nil {
 				return nil, err
 			}
 			seed := rng.Int63()
-			base, err := meanUtility(ftqs, cfg.Scenarios, 0, seed, cfg.Workers, cfg.Sink)
+			base, err := cfg.meanUtility(ftqs, 0, seed)
 			if err != nil {
 				return nil, err
 			}
@@ -171,7 +155,7 @@ func Fig9(cfg Fig9Config) (*Fig9Result, error) {
 					acc[key] = append(acc[key], 0)
 					return nil
 				}
-				u, err := meanUtility(tree, cfg.Scenarios, faults, seed, cfg.Workers, cfg.Sink)
+				u, err := cfg.meanUtility(tree, faults, seed)
 				if err != nil {
 					return err
 				}
@@ -280,38 +264,19 @@ func (r *Fig9Result) Format() string {
 // Table 1
 // ---------------------------------------------------------------------------
 
-// Table1Config parametrises the tree-size experiment. The paper: 50
-// applications with 30 processes each, 50/50 hard/soft, tree sizes
-// {1, 2, 8, 13, 23, 34, 79, 89}.
+// Table1Config parametrises the tree-size experiment; it reads no
+// Budget.M, since Ms lists the tree bounds. The paper: 50 applications with
+// 30 processes each, 50/50 hard/soft, tree sizes {1, 2, 8, 13, 23, 34, 79,
+// 89}.
 type Table1Config struct {
-	Apps      int
+	Budget
 	Processes int
 	Ms        []int
-	Scenarios int
-	Seed      int64
 	// Trim enables simulation-based arc trimming after synthesis (an
 	// extension beyond the paper; see sim.Trim). It restores the
 	// monotone utility-vs-tree-size shape that estimation noise can
 	// otherwise bend downwards for large M.
 	Trim bool
-	// Workers bounds both the FTQS synthesis goroutines and the
-	// Monte-Carlo evaluation goroutines (0 = GOMAXPROCS); results are
-	// identical for any value.
-	Workers int
-	// Sink receives synthesis and simulation events (nil disables
-	// instrumentation; results are identical either way).
-	Sink obs.Sink
-}
-
-// DefaultTable1 returns a CI-friendly configuration.
-func DefaultTable1() Table1Config {
-	return Table1Config{
-		Apps:      5,
-		Processes: 30,
-		Ms:        []int{1, 2, 8, 13, 23, 34, 79, 89},
-		Scenarios: 500,
-		Seed:      2,
-	}
 }
 
 // Table1Row is one tree-size row: utilities normalised to the FTSS
@@ -356,7 +321,7 @@ func Table1(cfg Table1Config) (*Table1Result, error) {
 		}
 		seed := rng.Int63()
 		st := sim.StaticTree(app, root)
-		base, err := meanUtility(st, cfg.Scenarios, 0, seed, cfg.Workers, cfg.Sink)
+		base, err := cfg.meanUtility(st, 0, seed)
 		if err != nil {
 			return nil, err
 		}
@@ -386,7 +351,7 @@ func Table1(cfg Table1Config) (*Table1Result, error) {
 			row.MeanNodes += float64(tree.Size())
 			row.MemoryBytes += float64(tree.MemoryFootprint())
 			for f := 0; f <= 3 && f <= c.app.K(); f++ {
-				u, err := meanUtility(tree, cfg.Scenarios, f, c.seed, cfg.Workers, cfg.Sink)
+				u, err := cfg.meanUtility(tree, f, c.seed)
 				if err != nil {
 					return nil, err
 				}
@@ -424,27 +389,9 @@ func (r *Table1Result) Format() string {
 // Cruise controller case study
 // ---------------------------------------------------------------------------
 
-// CCConfig parametrises the case study. The paper: k = 2, µ = 10% WCET,
-// FTQS with 39 schedules.
-type CCConfig struct {
-	Scenarios int
-	M         int
-	Seed      int64
-	// Workers bounds both the FTQS synthesis goroutines and the
-	// Monte-Carlo evaluation goroutines (0 = GOMAXPROCS); results are
-	// identical for any value.
-	Workers int
-	// Sink receives synthesis and simulation events (nil disables
-	// instrumentation; results are identical either way).
-	Sink obs.Sink
-}
-
-// DefaultCC mirrors the paper's setup with a CI-friendly scenario count.
-func DefaultCC() CCConfig { return CCConfig{Scenarios: 2000, M: 39, Seed: 3} }
-
 // CCResult holds the case-study outcomes.
 type CCResult struct {
-	Cfg CCConfig
+	Cfg Budget
 	// Mean utilities (absolute) per algorithm and fault count.
 	FTQS, FTSS, FTSF [3]float64
 	// ImprovementOverFTSS/FTSF: FTQS no-fault gain in percent.
@@ -455,22 +402,23 @@ type CCResult struct {
 	TreeNodes                  int
 }
 
-// CruiseController reproduces the paper's CC case study.
-func CruiseController(cfg CCConfig) (*CCResult, error) {
+// CruiseController reproduces the paper's CC case study (k = 2, µ = 10%
+// WCET, FTQS with 39 schedules) on the budget's Scenarios, M and Seed.
+func CruiseController(cfg Budget) (*CCResult, error) {
 	app := apps.CruiseController()
-	ftqs, ftss, ftsf, err := synthesise(app, cfg.M, cfg.Workers, cfg.Sink)
+	ftqs, ftss, ftsf, err := cfg.synthesise(app)
 	if err != nil {
 		return nil, err
 	}
 	res := &CCResult{Cfg: cfg, TreeNodes: ftqs.Size()}
 	for f := 0; f <= 2; f++ {
-		if res.FTQS[f], err = meanUtility(ftqs, cfg.Scenarios, f, cfg.Seed, cfg.Workers, cfg.Sink); err != nil {
+		if res.FTQS[f], err = cfg.meanUtility(ftqs, f, cfg.Seed); err != nil {
 			return nil, err
 		}
-		if res.FTSS[f], err = meanUtility(ftss, cfg.Scenarios, f, cfg.Seed, cfg.Workers, cfg.Sink); err != nil {
+		if res.FTSS[f], err = cfg.meanUtility(ftss, f, cfg.Seed); err != nil {
 			return nil, err
 		}
-		if res.FTSF[f], err = meanUtility(ftsf, cfg.Scenarios, f, cfg.Seed, cfg.Workers, cfg.Sink); err != nil {
+		if res.FTSF[f], err = cfg.meanUtility(ftsf, f, cfg.Seed); err != nil {
 			return nil, err
 		}
 	}

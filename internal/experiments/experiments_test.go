@@ -14,11 +14,8 @@ func TestFig9Shape(t *testing.T) {
 		t.Skip("experiment harness")
 	}
 	cfg := Fig9Config{
-		Sizes:       []int{10, 20, 30},
-		AppsPerSize: 3,
-		Scenarios:   300,
-		M:           24,
-		Seed:        11,
+		Budget: Budget{Apps: 3, Scenarios: 300, M: 24, Seed: 11},
+		Sizes:  []int{10, 20, 30},
 	}
 	res, err := Fig9(cfg)
 	if err != nil {
@@ -68,11 +65,9 @@ func TestTable1Shape(t *testing.T) {
 		t.Skip("experiment harness")
 	}
 	cfg := Table1Config{
-		Apps:      3,
+		Budget:    Budget{Apps: 3, Scenarios: 300, Seed: 5},
 		Processes: 30,
 		Ms:        []int{1, 2, 8, 23},
-		Scenarios: 300,
-		Seed:      5,
 	}
 	res, err := Table1(cfg)
 	if err != nil {
@@ -118,7 +113,7 @@ func TestCruiseControllerShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment harness")
 	}
-	cfg := CCConfig{Scenarios: 1500, M: 39, Seed: 3}
+	cfg := Budget{Scenarios: 1500, M: 39, Seed: 3}
 	res, err := CruiseController(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -7,7 +7,6 @@ import (
 
 	"ftsched/internal/core"
 	"ftsched/internal/gen"
-	"ftsched/internal/obs"
 	"ftsched/internal/stats"
 )
 
@@ -19,31 +18,9 @@ import (
 // scheduler (k = 0 — effectively Cortés et al. [3], the paper's
 // non-fault-tolerant predecessor).
 type FTCostConfig struct {
+	Budget
 	Ks        []int
-	Apps      int
 	Processes int
-	M         int
-	Scenarios int
-	Seed      int64
-	// Workers bounds both the FTQS synthesis goroutines and the
-	// Monte-Carlo evaluation goroutines (0 = GOMAXPROCS); results are
-	// identical for any value.
-	Workers int
-	// Sink receives synthesis and simulation events (nil disables
-	// instrumentation; results are identical either way).
-	Sink obs.Sink
-}
-
-// DefaultFTCost returns a CI-friendly configuration.
-func DefaultFTCost() FTCostConfig {
-	return FTCostConfig{
-		Ks:        []int{0, 1, 2, 3, 4},
-		Apps:      5,
-		Processes: 30,
-		M:         32,
-		Scenarios: 500,
-		Seed:      9,
-	}
 }
 
 // FTCostRow is one point of the sweep.
@@ -103,12 +80,12 @@ func FTCost(cfg FTCostConfig) (*FTCostResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			tree, err := core.FTQS(app, core.FTQSOptions{M: cfg.M, Workers: cfg.Workers, Sink: cfg.Sink})
+			tree, err := core.FTQS(app, cfg.ftqsOptions())
 			if err != nil {
 				ok = false
 				break
 			}
-			u, err := meanUtility(tree, cfg.Scenarios, 0, seed, cfg.Workers, cfg.Sink)
+			u, err := cfg.meanUtility(tree, 0, seed)
 			if err != nil {
 				return nil, err
 			}
@@ -116,16 +93,7 @@ func FTCost(cfg FTCostConfig) (*FTCostResult, error) {
 			if k == 0 {
 				zero = u
 			}
-			nSoft := len(app.SoftIDs())
-			if nSoft > 0 {
-				dropped := 0
-				for _, id := range app.SoftIDs() {
-					if !tree.Root().Schedule.Contains(id) {
-						dropped++
-					}
-				}
-				dr[k] = 100 * float64(dropped) / float64(nSoft)
-			}
+			dr[k], _ = droppedSoftPct(app, tree.Root().Schedule)
 		}
 		if !ok || zero == 0 {
 			continue

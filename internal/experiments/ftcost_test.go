@@ -10,12 +10,9 @@ func TestFTCostShape(t *testing.T) {
 		t.Skip("experiment harness")
 	}
 	cfg := FTCostConfig{
+		Budget:    Budget{Apps: 3, M: 16, Scenarios: 200, Seed: 9},
 		Ks:        []int{0, 2, 4},
-		Apps:      3,
 		Processes: 20,
-		M:         16,
-		Scenarios: 200,
-		Seed:      9,
 	}
 	res, err := FTCost(cfg)
 	if err != nil {
@@ -47,7 +44,7 @@ func TestFTCostValidation(t *testing.T) {
 	if _, err := FTCost(FTCostConfig{}); err == nil {
 		t.Error("empty Ks accepted")
 	}
-	if _, err := FTCost(FTCostConfig{Ks: []int{-1}, Apps: 1, Processes: 5, M: 2, Scenarios: 10}); err == nil {
+	if _, err := FTCost(FTCostConfig{Budget: Budget{Apps: 1, M: 2, Scenarios: 10}, Ks: []int{-1}, Processes: 5}); err == nil {
 		t.Error("negative k accepted")
 	}
 }

@@ -6,7 +6,8 @@ import (
 	"strings"
 
 	"ftsched/internal/gen"
-	"ftsched/internal/obs"
+	"ftsched/internal/model"
+	"ftsched/internal/schedule"
 	"ftsched/internal/stats"
 )
 
@@ -17,31 +18,9 @@ import (
 // no worst-case pressure forcing the pessimistic drops that revival
 // recovers.
 type HardRatioConfig struct {
+	Budget
 	Ratios    []float64
-	Apps      int
 	Processes int
-	M         int
-	Scenarios int
-	Seed      int64
-	// Workers bounds both the FTQS synthesis goroutines and the
-	// Monte-Carlo evaluation goroutines (0 = GOMAXPROCS); results are
-	// identical for any value.
-	Workers int
-	// Sink receives synthesis and simulation events (nil disables
-	// instrumentation; results are identical either way).
-	Sink obs.Sink
-}
-
-// DefaultHardRatio returns a CI-friendly configuration.
-func DefaultHardRatio() HardRatioConfig {
-	return HardRatioConfig{
-		Ratios:    []float64{0.1, 0.25, 0.5, 0.75, 0.9},
-		Apps:      5,
-		Processes: 30,
-		M:         32,
-		Scenarios: 500,
-		Seed:      8,
-	}
 }
 
 // HardRatioRow is one point of the sweep: FTSS and FTSF normalised to the
@@ -75,19 +54,19 @@ func HardRatio(cfg HardRatioConfig) (*HardRatioResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			ftqs, ftss, ftsf, err := synthesise(app, cfg.M, cfg.Workers, cfg.Sink)
+			ftqs, ftss, ftsf, err := cfg.synthesise(app)
 			if err != nil {
 				return nil, err
 			}
 			seed := rng.Int63()
-			base, err := meanUtility(ftqs, cfg.Scenarios, 0, seed, cfg.Workers, cfg.Sink)
+			base, err := cfg.meanUtility(ftqs, 0, seed)
 			if err != nil {
 				return nil, err
 			}
 			if base == 0 {
 				continue
 			}
-			us, err := meanUtility(ftss, cfg.Scenarios, 0, seed, cfg.Workers, cfg.Sink)
+			us, err := cfg.meanUtility(ftss, 0, seed)
 			if err != nil {
 				return nil, err
 			}
@@ -96,21 +75,14 @@ func HardRatio(cfg HardRatioConfig) (*HardRatioResult, error) {
 				row.FTSFFailures++
 				ftsfAcc = append(ftsfAcc, 0)
 			} else {
-				ub, err := meanUtility(ftsf, cfg.Scenarios, 0, seed, cfg.Workers, cfg.Sink)
+				ub, err := cfg.meanUtility(ftsf, 0, seed)
 				if err != nil {
 					return nil, err
 				}
 				ftsfAcc = append(ftsfAcc, stats.Ratio(ub, base))
 			}
-			nSoft := len(app.SoftIDs())
-			if nSoft > 0 {
-				dropped := 0
-				for _, id := range app.SoftIDs() {
-					if !ftss.Root().Schedule.Contains(id) {
-						dropped++
-					}
-				}
-				dropAcc = append(dropAcc, 100*float64(dropped)/float64(nSoft))
+			if pct, ok := droppedSoftPct(app, ftss.Root().Schedule); ok {
+				dropAcc = append(dropAcc, pct)
 			}
 			row.Apps++
 		}
@@ -120,6 +92,22 @@ func HardRatio(cfg HardRatioConfig) (*HardRatioResult, error) {
 		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
+}
+
+// droppedSoftPct returns the percentage of app's soft processes that s
+// drops, and false when app has no soft process.
+func droppedSoftPct(app *model.Application, s *schedule.FSchedule) (float64, bool) {
+	soft := app.SoftIDs()
+	if len(soft) == 0 {
+		return 0, false
+	}
+	dropped := 0
+	for _, id := range soft {
+		if !s.Contains(id) {
+			dropped++
+		}
+	}
+	return 100 * float64(dropped) / float64(len(soft)), true
 }
 
 // Format renders the sweep.

@@ -10,12 +10,9 @@ func TestHardRatioShape(t *testing.T) {
 		t.Skip("experiment harness")
 	}
 	cfg := HardRatioConfig{
+		Budget:    Budget{Apps: 3, M: 16, Scenarios: 200, Seed: 8},
 		Ratios:    []float64{0.25, 0.75},
-		Apps:      3,
 		Processes: 20,
-		M:         16,
-		Scenarios: 200,
-		Seed:      8,
 	}
 	res, err := HardRatio(cfg)
 	if err != nil {

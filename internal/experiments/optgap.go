@@ -7,7 +7,6 @@ import (
 
 	"ftsched/internal/core"
 	"ftsched/internal/gen"
-	"ftsched/internal/obs"
 	"ftsched/internal/optimal"
 	"ftsched/internal/schedule"
 	"ftsched/internal/sim"
@@ -18,24 +17,9 @@ import (
 // scored against the exact subset-DP optimum (internal/optimal) on small
 // instances — quality evidence the paper could not report.
 type OptGapConfig struct {
-	Apps      int
+	Budget
 	Processes int // <= optimal.MaxProcesses
-	M         int // FTQS tree bound
-	Scenarios int // Monte-Carlo scenarios for the FTQS comparison
 	K         int
-	Seed      int64
-	// Workers bounds both the FTQS synthesis goroutines and the
-	// Monte-Carlo evaluation goroutines (0 = GOMAXPROCS); results are
-	// identical for any value.
-	Workers int
-	// Sink receives synthesis and simulation events (nil disables
-	// instrumentation; results are identical either way).
-	Sink obs.Sink
-}
-
-// DefaultOptGap returns a CI-friendly configuration.
-func DefaultOptGap() OptGapConfig {
-	return OptGapConfig{Apps: 30, Processes: 12, M: 24, Scenarios: 400, K: 2, Seed: 6}
 }
 
 // OptGapResult aggregates the experiment.
@@ -77,7 +61,7 @@ func OptGap(cfg OptGapConfig) (*OptGapResult, error) {
 		if err != nil {
 			continue
 		}
-		tree, err := core.FTQSFromRoot(app, ftss, core.FTQSOptions{M: cfg.M, Workers: cfg.Workers, Sink: cfg.Sink})
+		tree, err := core.FTQSFromRoot(app, ftss, cfg.ftqsOptions())
 		if err != nil {
 			return nil, err
 		}
@@ -85,18 +69,18 @@ func OptGap(cfg OptGapConfig) (*OptGapResult, error) {
 		sumFTSS += schedule.ExpectedUtility(app, ftss)
 
 		seed := rng.Int63()
-		base, err := meanUtility(sim.StaticTree(app, opt.Schedule), cfg.Scenarios, 0, seed, cfg.Workers, cfg.Sink)
+		base, err := cfg.meanUtility(sim.StaticTree(app, opt.Schedule), 0, seed)
 		if err != nil {
 			return nil, err
 		}
 		if base == 0 {
 			continue
 		}
-		us, err := meanUtility(sim.StaticTree(app, ftss), cfg.Scenarios, 0, seed, cfg.Workers, cfg.Sink)
+		us, err := cfg.meanUtility(sim.StaticTree(app, ftss), 0, seed)
 		if err != nil {
 			return nil, err
 		}
-		uq, err := meanUtility(tree, cfg.Scenarios, 0, seed, cfg.Workers, cfg.Sink)
+		uq, err := cfg.meanUtility(tree, 0, seed)
 		if err != nil {
 			return nil, err
 		}

@@ -9,7 +9,7 @@ func TestOptGapShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment harness")
 	}
-	cfg := OptGapConfig{Apps: 10, Processes: 10, M: 16, Scenarios: 200, K: 2, Seed: 6}
+	cfg := OptGapConfig{Budget: Budget{Apps: 10, M: 16, Scenarios: 200, Seed: 6}, Processes: 10, K: 2}
 	res, err := OptGap(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -8,7 +8,6 @@ import (
 
 	"ftsched/internal/core"
 	"ftsched/internal/gen"
-	"ftsched/internal/obs"
 	"ftsched/internal/runtime"
 	"ftsched/internal/sim"
 	"ftsched/internal/stats"
@@ -20,21 +19,8 @@ import (
 // is not a table in the paper, but it substantiates the claim the whole
 // approach rests on.
 type OverheadConfig struct {
-	Apps      int
+	Budget
 	Processes int
-	M         int
-	Scenarios int
-	Seed      int64
-	// Workers bounds the FTQS synthesis goroutines (0 = GOMAXPROCS).
-	Workers int
-	// Sink receives synthesis events (nil disables instrumentation;
-	// results are identical either way).
-	Sink obs.Sink
-}
-
-// DefaultOverhead returns a CI-friendly configuration.
-func DefaultOverhead() OverheadConfig {
-	return OverheadConfig{Apps: 5, Processes: 30, M: 32, Scenarios: 200, Seed: 4}
 }
 
 // OverheadResult aggregates the comparison.
@@ -73,7 +59,7 @@ func Overhead(cfg OverheadConfig) (*OverheadResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		tree, err := core.FTQSFromRoot(app, root, core.FTQSOptions{M: cfg.M, Workers: cfg.Workers, Sink: cfg.Sink})
+		tree, err := core.FTQSFromRoot(app, root, cfg.ftqsOptions())
 		if err != nil {
 			return nil, err
 		}

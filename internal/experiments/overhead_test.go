@@ -9,7 +9,7 @@ func TestOverheadShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment harness")
 	}
-	cfg := OverheadConfig{Apps: 3, Processes: 20, M: 24, Scenarios: 60, Seed: 4}
+	cfg := OverheadConfig{Budget: Budget{Apps: 3, M: 24, Scenarios: 60, Seed: 4}, Processes: 20}
 	res, err := Overhead(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -3,57 +3,12 @@ package experiments
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"strings"
 
 	"ftsched/internal/apps"
 	"ftsched/internal/core"
-	"ftsched/internal/gen"
 	"ftsched/internal/model"
-	"ftsched/internal/obs"
-	"ftsched/internal/sim"
 )
-
-// RecoveryConfig parametrises the recovery-model study: an extension
-// experiment beyond the paper (which recovers exclusively by re-execution
-// with overhead µ) answering "what do utility, energy and the certified
-// fault bound look like when the same application recovers by full restart
-// or by checkpoint-and-rollback instead?". Each workload is synthesised and
-// evaluated once per recovery model through the same FTQS pipeline and the
-// same compiled dispatcher.
-type RecoveryConfig struct {
-	// Apps is the number of generated applications evaluated on top of the
-	// two paper fixtures (Fig. 1, Fig. 8).
-	Apps int
-	// Processes is the size of each generated application.
-	Processes int
-	// M bounds the FTQS tree.
-	M int
-	// Scenarios is the Monte-Carlo sample per configuration.
-	Scenarios int
-	// Faults is the number of faults injected per scenario, clamped to each
-	// application's k.
-	Faults int
-	Seed   int64
-	// Workers bounds synthesis, evaluation and certification goroutines
-	// (0 = GOMAXPROCS); results are identical for any value.
-	Workers int
-	// Sink receives synthesis, simulation and certification events (nil
-	// disables instrumentation; results are identical either way).
-	Sink obs.Sink
-}
-
-// DefaultRecovery returns a CI-friendly configuration.
-func DefaultRecovery() RecoveryConfig {
-	return RecoveryConfig{
-		Apps:      2,
-		Processes: 10,
-		M:         16,
-		Scenarios: 500,
-		Faults:    1,
-		Seed:      13,
-	}
-}
 
 // RecoveryRow is one (application, recovery model) evaluation.
 type RecoveryRow struct {
@@ -86,7 +41,7 @@ type RecoveryRow struct {
 // RecoveryResult aggregates the study.
 type RecoveryResult struct {
 	Rows []RecoveryRow
-	Cfg  RecoveryConfig
+	Cfg  WorkloadConfig
 }
 
 // StudyModels derives the three recovery models the study compares for one
@@ -127,24 +82,20 @@ func StudyModels(app *model.Application) []struct {
 	}
 }
 
-// Recovery runs the study: paper fixtures first, then generated
-// applications, each under the three recovery models of StudyModels.
-func Recovery(cfg RecoveryConfig) (*RecoveryResult, error) {
-	type workload struct {
-		name string
-		app  *model.Application
-	}
-	loads := []workload{
-		{"paper-fig1", apps.Fig1()},
-		{"paper-fig8", apps.Fig8()},
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	for a := 0; a < cfg.Apps; a++ {
-		app, err := generateSchedulable(rng, gen.Default(cfg.Processes), 50)
-		if err != nil {
-			return nil, err
-		}
-		loads = append(loads, workload{fmt.Sprintf("gen-%02d", a), app})
+// Recovery runs the recovery-model study, answering "what do utility,
+// energy and the certified fault bound look like when the same application
+// recovers by full restart or by checkpoint-and-rollback instead?" (the
+// paper recovers exclusively by re-execution with overhead µ). Each
+// workload — the Fig. 1 and Fig. 8 fixtures, then the generated
+// applications — is synthesised and evaluated once per recovery model of
+// StudyModels through the same FTQS pipeline and compiled dispatcher.
+func Recovery(cfg WorkloadConfig) (*RecoveryResult, error) {
+	loads, err := cfg.workloads(
+		workload{"paper-fig1", apps.Fig1()},
+		workload{"paper-fig8", apps.Fig8()},
+	)
+	if err != nil {
+		return nil, err
 	}
 	res := &RecoveryResult{Cfg: cfg}
 	for _, wl := range loads {
@@ -168,43 +119,26 @@ func Recovery(cfg RecoveryConfig) (*RecoveryResult, error) {
 	return res, nil
 }
 
-func recoveryRow(name, modelName string, app *model.Application, cfg RecoveryConfig, seed int64) (RecoveryRow, error) {
+func recoveryRow(name, modelName string, app *model.Application, cfg WorkloadConfig, seed int64) (RecoveryRow, error) {
 	params := fmt.Sprintf("µ=%d", app.Mu())
 	if app.HasRecovery() {
 		params = app.Recovery().String()
 	}
-	tree, err := core.FTQS(app, core.FTQSOptions{M: cfg.M, Workers: cfg.Workers, Sink: cfg.Sink})
-	if err != nil {
-		if errors.Is(err, core.ErrUnschedulable) {
-			return RecoveryRow{App: name, Model: modelName, Params: params}, nil
-		}
-		return RecoveryRow{}, err
+	ev, err := cfg.evaluate(app, seed)
+	if errors.Is(err, core.ErrUnschedulable) {
+		return RecoveryRow{App: name, Model: modelName, Params: params}, nil
 	}
-	faults := cfg.Faults
-	if faults > app.K() {
-		faults = app.K()
-	}
-	st, err := sim.MonteCarlo(tree, sim.MCConfig{
-		Scenarios: cfg.Scenarios, Faults: faults, Seed: seed,
-		Workers: cfg.Workers, Sink: cfg.Sink,
-	})
 	if err != nil {
 		return RecoveryRow{}, err
 	}
-	if st.HardViolations > 0 {
-		return RecoveryRow{}, fmt.Errorf("%d hard-deadline violations (faults=%d)", st.HardViolations, faults)
-	}
-	ck, err := certifiedK(tree, cfg.Workers, cfg.Sink)
-	if err != nil {
-		return RecoveryRow{}, err
-	}
+	st := ev.stats
 	return RecoveryRow{
 		App: name, Model: modelName, Params: params,
 		Schedulable: true,
-		Utility:     st.MeanUtility, Faults: faults,
+		Utility:     st.MeanUtility, Faults: ev.faults,
 		MeanEnergy:     st.MeanEnergy,
 		MeanRecoveries: st.MeanRecoveries,
-		CertifiedK:     ck,
+		CertifiedK:     ev.certK,
 	}, nil
 }
 

@@ -511,21 +511,12 @@ func (a *Application) RecoveryOverhead(id ProcessID) Time {
 
 // WorstRecoveryCost returns the worst-case wall-clock cost one fault on
 // the process adds to the schedule: the per-fault overhead plus the
-// longest possible re-run. Re-execution and restart re-run the whole WCET
-// on the recovery core; a checkpoint rollback re-runs at most one segment
-// (min(Spacing, scaled WCET)) on the primary core, where the checkpoint
-// state lives.
+// longest possible re-run on RerunCoreOf. Re-execution and restart re-run
+// the whole WCET; a checkpoint rollback re-runs at most one segment
+// (min(Spacing, scaled WCET)).
 func (a *Application) WorstRecoveryCost(id ProcessID) Time {
-	p := a.ProcRef(id)
-	plat := a.Platform()
-	switch a.recovery.Kind {
-	case RecoverRestart:
-		return plat.Scale(a.RecoveryCoreOf(id), p.WCET) + a.recovery.Latency
-	case RecoverCheckpoint:
-		return a.recovery.WorstResumeTime(plat.Scale(a.CoreOf(id), p.WCET)) + a.recovery.Rollback
-	default:
-		return plat.Scale(a.RecoveryCoreOf(id), p.WCET) + a.MuOf(id)
-	}
+	rerun := a.Platform().Scale(a.RerunCoreOf(id), a.ProcRef(id).WCET)
+	return a.recovery.WorstResumeTime(rerun) + a.RecoveryOverhead(id)
 }
 
 // Platform returns the platform the application is mapped to. Applications
@@ -560,6 +551,16 @@ func (a *Application) RecoveryCoreOf(id ProcessID) CoreID {
 	}
 	a.mustID(id)
 	return a.recCore[id]
+}
+
+// RerunCoreOf returns the core a re-run of the process executes on after a
+// fault: the primary core under checkpoint rollback, which restores
+// core-local state, and the recovery core otherwise.
+func (a *Application) RerunCoreOf(id ProcessID) CoreID {
+	if a.recovery.Kind == RecoverCheckpoint {
+		return a.CoreOf(id)
+	}
+	return a.RecoveryCoreOf(id)
 }
 
 // WithPlatform returns a copy of the (validated) application mapped onto

@@ -21,14 +21,14 @@ import (
 // schema from the first scrape.
 func (m *Metrics) WritePrometheus(w io.Writer) error {
 	for c := Counter(0); c < numCounters; c++ {
+		name := c.Name()
 		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n",
-			counterNames[c], counterHelp[c], counterNames[c],
-			counterNames[c], m.counters[c].Load()); err != nil {
+			name, counterHelp[c], name, name, m.counters[c].Load()); err != nil {
 			return err
 		}
 	}
 	for h := Histogram(0); h < numHistograms; h++ {
-		name := histogramNames[h]
+		name := h.Name()
 		hs := &m.hists[h]
 		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n",
 			name, histogramHelp[h], name); err != nil {

@@ -262,7 +262,8 @@ var counterHelp = [numCounters]string{
 }
 
 // Name returns the stable metric name of the counter ("" for an
-// out-of-range value).
+// out-of-range value): the name WritePrometheus exports and a custom Sink
+// labels its events with.
 func (c Counter) Name() string {
 	if c < 0 || c >= numCounters {
 		return ""
@@ -351,7 +352,8 @@ var histogramHelp = [numHistograms]string{
 }
 
 // Name returns the stable metric name of the histogram ("" for an
-// out-of-range value).
+// out-of-range value): the name WritePrometheus exports and a custom Sink
+// labels its events with.
 func (h Histogram) Name() string {
 	if h < 0 || h >= numHistograms {
 		return ""

@@ -29,9 +29,8 @@ type kernel struct {
 	soft     []model.ProcessID // the soft processes, by ascending ID
 	rec      model.RecoveryModel
 	overhead []model.Time // per-fault overhead: µ, restart latency or rollback
-	// primCore[p] runs p's first attempt and rerunCore[p] its re-runs: the
-	// recovery core, or the primary one for a checkpoint rollback, which
-	// restores core-local state.
+	// primCore[p] runs p's first attempt and rerunCore[p] its re-runs
+	// (model.Application.RerunCoreOf).
 	primCore, rerunCore []int32
 	cores               []model.Core
 	// rollback: a resume re-runs only the final checkpoint segment, so at
@@ -64,10 +63,7 @@ func newKernel(app *model.Application) kernel {
 		k.procs[id] = app.Proc(pid)
 		k.overhead[id] = app.RecoveryOverhead(pid)
 		k.primCore[id] = int32(app.CoreOf(pid))
-		k.rerunCore[id] = int32(app.RecoveryCoreOf(pid))
-		if k.rollback {
-			k.rerunCore[id] = k.primCore[id]
-		}
+		k.rerunCore[id] = int32(app.RerunCoreOf(pid))
 	}
 	for c := range k.cores {
 		k.cores[c] = plat.Core(model.CoreID(c))
