@@ -68,20 +68,50 @@
 //     tail with the candidate left out. A ready process has no unscheduled
 //     predecessor, so leaving it out changes no modified deadline, and
 //     every successor it would free has a strictly later modified
-//     deadline (WCET > 0), so the EDF walk over the rest is unchanged.
+//     deadline (WCET > 0), so the EDF walk over the rest is unchanged;
+//   - the coefficients with one more process p dropped (S_i”) start from
+//     those under the dropped set alone and rerun the α recurrence only
+//     over p's cone: p and its descendants, in topological order. No other
+//     coefficient depends on p's status, and each cone member is
+//     recomputed from the same predecessor values in the same order. A
+//     state builds a process's cone on first use;
+//   - a projection walks a compact list of the soft processes neither
+//     scheduled nor dropped, and each greedy round scans only the members
+//     whose projected predecessors are all placed. The greedy pick is the
+//     maximum of a strict total order (density, then lowest ID), so the
+//     scan order cannot change it.
+//
+// The worst-case analysis every candidate check extends reads the
+// application's analysis rows (model.Application.Timings: release,
+// deadline, kind, primary core, scaled attempt WCET and worst recovery
+// cost), which a validated application builds once and every
+// schedule.Prefix shares, so no check re-derives a platform scale or a
+// recovery cost.
 //
 // # Interval partitioning
 //
 // Each candidate prices its guard by comparing two suffix evaluators, the
 // parent's continuation and the child's, at completion times across its
-// window (§5.1). An evaluator remembers its last value together with the
-// window of start times over which no utility term can change: a soft
-// entry's completion is max(t + A, B) in the start time t, so it moves by
-// at most |Δt|, and the utility's Span bounds how far it may move before
-// its value changes. Staircase utilities make most probes fall inside that
-// window, and those return the cached value, bit for bit the full walk's.
-// An evaluator is therefore stateful: each candidate builds its own pair,
-// and none is shared between the synthesis workers. The guard's safety
-// bound t_i^c is a binary search over start times; each probe analyses
-// the child's suffix in the worker's FTSS scratch prefix, reset in place.
+// window (§5.1). An evaluator remembers every window of start times over
+// which a walk's value cannot change: a soft entry's completion is
+// max(t + A, B) in the start time t, so it moves by at most |Δt|, and the
+// utility's Span bounds how far it may move before its value changes.
+// Staircase utilities make most probes fall inside a window, and those
+// return the window's value, which is bit for bit the full walk's: the
+// same terms summed in the same order. Each term's value and span come
+// from one lookup (utility.Table.ValueSpan), and each process's utility
+// and quadrature durations from tables built once per synthesis.
+//
+// The parent's continuation after a position is the same for every
+// candidate there, so a worker builds one parent evaluator per position
+// and dropped-set assumption (the node's, or with the guarded entry
+// dropped too), and every candidate at the position probes it: a window
+// one candidate walked answers the others. Evaluators are stateful, so
+// each worker keeps its own parent and child evaluators in its scratch,
+// reset in place, together with the process sets and buffers pricing
+// needs; pricing a position allocates only the candidates it returns and
+// their intervals. None is shared between the synthesis workers. The
+// guard's safety bound t_i^c is a binary search over start times; each
+// probe analyses the child's suffix in the worker's FTSS scratch prefix,
+// reset in place.
 package core

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"time"
 
 	"ftsched/internal/model"
@@ -324,7 +325,7 @@ type candidate struct {
 }
 
 // synthesizer holds the per-run state of one FTQS synthesis: the options,
-// the SuffixFTSS memoization cache, the FTSS state of each worker and the
+// the SuffixFTSS memoization cache, the scratch of each worker and the
 // sink. Candidate generation (generate/candidatesAt/makeCandidate) is a
 // pure function of the immutable application, the node and the options, so
 // the positions of one node are generated concurrently; only the
@@ -333,13 +334,15 @@ type synthesizer struct {
 	app  *model.Application
 	opts FTQSOptions
 	memo *suffixMemo // shared across the whole tree
-	// tables are the FTSS per-process tables every worker reads.
+	// tables and evals are the per-process tables every worker reads: the
+	// FTSS tables and the suffix evaluators'.
 	tables *ftssTables
-	// ftss[w] is worker w's FTSS state, built on first use and reset by
-	// every run. par.For runs each worker index on one goroutine and
-	// returns after every worker has exited, so worker w of one node and
-	// worker w of the next use the state one after the other.
-	ftss []*ftssState
+	evals  *evalTables
+	// pricers[w] is worker w's scratch, its FTSS state included, built on
+	// first use and reset by every use. par.For runs each worker index on
+	// one goroutine and returns after every worker has exited, so worker
+	// w of one node and worker w of the next use it one after the other.
+	pricers []*pricer
 	// sink receives synthesis events; nil when observability is disabled.
 	// Emitting is always sound from worker goroutines (sinks are
 	// concurrency-safe by contract) and never influences the tree.
@@ -356,8 +359,9 @@ func (s *synthesizer) count(c obs.Counter, delta int64) {
 func newSynthesizer(app *model.Application, opts FTQSOptions) *synthesizer {
 	s := &synthesizer{
 		app: app, opts: opts, memo: newSuffixMemo(),
-		tables: newFTSSTables(app),
-		ftss:   make([]*ftssState, opts.Workers),
+		tables:  newFTSSTables(app),
+		evals:   newEvalTables(app, opts.EvalScenarios),
+		pricers: make([]*pricer, opts.Workers),
 	}
 	if obs.Live(opts.Sink) {
 		s.sink = opts.Sink
@@ -365,12 +369,60 @@ func newSynthesizer(app *model.Application, opts FTQSOptions) *synthesizer {
 	return s
 }
 
-// worker returns worker w's FTSS state.
-func (s *synthesizer) worker(w int) *ftssState {
-	if s.ftss[w] == nil {
-		s.ftss[w] = newFTSSState(s.tables)
+// pricer returns worker w's scratch.
+func (s *synthesizer) pricer(w int) *pricer {
+	if s.pricers[w] == nil {
+		n := s.app.N()
+		s.pricers[w] = &pricer{
+			ftss:      newFTSSState(s.tables),
+			executed:  model.NewProcSet(n),
+			dropped:   model.NewProcSet(n),
+			exWithout: model.NewProcSet(n),
+			drWith:    model.NewProcSet(n),
+			in:        model.NewProcSet(n),
+			assume:    make([]bool, n),
+		}
 	}
-	return s.ftss[w]
+	return s.pricers[w]
+}
+
+// pricer is one worker's scratch for generating and pricing the candidates
+// of a position: its FTSS state, the process sets candidatesAt derives,
+// the suffix evaluators and the result buffers. Everything is reset in
+// place, so pricing allocates only the candidates it returns.
+type pricer struct {
+	ftss *ftssState
+	// executed and dropped are candidatesAt's sets; exWithout and drWith
+	// their FaultDropped variants; in is makeCandidate's set of processes
+	// the child assumes executed.
+	executed, dropped, exWithout, drWith, in model.ProcSet
+	// parents[i] evaluates the parent's continuation after a position
+	// under the i-th dropped-set assumption: 0 for the node's dropped set,
+	// 1 with the guarded entry dropped too. Each is built on first use at
+	// the position parentAt[i] and shared by every candidate there, so a
+	// window one candidate walks answers the others' probes.
+	parents  [2]suffixEval
+	parentAt [2]parentKey
+	child    suffixEval
+	assume   []bool // a dropped-set assumption, handed to an evaluator
+	ivs      []interval
+	out      []candidate
+}
+
+// parentKey names the position a parent evaluator was built for.
+type parentKey struct {
+	n   *bNode
+	pos int
+}
+
+// expansion is what every position of one node's expansion reads: the
+// node, its dropped set, and its schedule's best-case timeline and
+// worst-case completions, of which position pos reads entry pos.
+type expansion struct {
+	n           *bNode
+	droppedBase model.ProcSet
+	best        schedule.Completions
+	worst       []Time
 }
 
 // flushMemoStats reports the memoisation statistics to the sink.
@@ -394,27 +446,23 @@ func (s *synthesizer) flushMemoStats() {
 // therefore the tree — is identical to a serial run. The error is ctx.Err()
 // on cancellation.
 func (s *synthesizer) generate(ctx context.Context, n *bNode) ([]candidate, error) {
-	entries := n.Schedule.Entries
-	droppedBase := droppedSet(s.app, n.Schedule)
-	if n.DroppedOnFault != model.NoProcess {
-		droppedBase.Add(n.DroppedOnFault)
-	}
-	nPos := len(entries) - 1 - n.SwitchPos
+	nPos := len(n.Schedule.Entries) - 1 - n.SwitchPos
 	if nPos <= 0 {
 		return nil, nil
 	}
+	x := s.expand(n)
 	perPos := make([][]candidate, nPos)
 	err := par.For(ctx, nPos, s.opts.Workers, func(w int) func(int) error {
-		st := s.worker(w)
+		pr := s.pricer(w)
 		// Each position times itself when a sink is live so worker
 		// utilisation (busy time vs wall clock) can be derived.
 		return func(i int) error {
 			if s.sink == nil {
-				perPos[i] = s.candidatesAt(st, n, n.SwitchPos+i, droppedBase)
+				perPos[i] = s.candidatesAt(pr, x, n.SwitchPos+i)
 				return nil
 			}
 			t0 := time.Now()
-			perPos[i] = s.candidatesAt(st, n, n.SwitchPos+i, droppedBase)
+			perPos[i] = s.candidatesAt(pr, x, n.SwitchPos+i)
 			s.sink.Add(obs.FTQSWorkerBusyNanos, time.Since(t0).Nanoseconds())
 			return nil
 		}
@@ -439,24 +487,39 @@ func (s *synthesizer) generate(ctx context.Context, n *bNode) ([]candidate, erro
 	return cands, nil
 }
 
-// candidatesAt synthesises the candidate children guarded by entry pos of
-// n with the calling worker's FTSS state st. Side-effect-free apart from
-// st: it reads only the immutable application, the node's immutable fields
-// and the shared droppedBase set.
-func (s *synthesizer) candidatesAt(st *ftssState, n *bNode, pos int, droppedBase model.ProcSet) []candidate {
-	app := s.app
+// expand returns what every position of n's expansion reads. Entry pos of
+// a schedule's timeline depends on entries 0..pos only, so one walk over
+// the schedule serves every position.
+func (s *synthesizer) expand(n *bNode) *expansion {
 	entries := n.Schedule.Entries
-	prefix := entries[:pos+1]
-	best := schedule.BestCaseCompletions(app, prefix, 0)
-	worst := schedule.WorstCaseCompletions(app, prefix, 0, n.KRem)
-	bestFinish := best.Finish[pos]
-	bestStart := best.Start[pos]
-	wcHi := worst.WorstCase[pos]
-	e := entries[pos]
-	p := app.Proc(e.Proc)
+	droppedBase := droppedSet(s.app, n.Schedule)
+	if n.DroppedOnFault != model.NoProcess {
+		droppedBase.Add(n.DroppedOnFault)
+	}
+	return &expansion{
+		n: n, droppedBase: droppedBase,
+		best:  schedule.BestCaseCompletions(s.app, entries, 0),
+		worst: schedule.WorstCaseCompletions(s.app, entries, 0, n.KRem).WorstCase,
+	}
+}
 
-	executed := model.NewProcSet(app.N())
-	for _, pe := range prefix {
+// candidatesAt synthesises the candidate children guarded by entry pos of
+// the expanded node with the calling worker's scratch pr. Side-effect-free
+// apart from pr: it reads only the immutable application and the
+// expansion's immutable fields.
+func (s *synthesizer) candidatesAt(pr *pricer, x *expansion, pos int) []candidate {
+	app := s.app
+	n := x.n
+	entries := n.Schedule.Entries
+	bestFinish := x.best.Finish[pos]
+	bestStart := x.best.Start[pos]
+	wcHi := x.worst[pos]
+	e := entries[pos]
+	p := app.ProcRef(e.Proc)
+
+	executed := pr.executed
+	clear(executed)
+	for _, pe := range entries[:pos+1] {
 		executed.Add(pe.Proc)
 	}
 	// A child re-optimises the remainder from scratch, so processes
@@ -466,10 +529,11 @@ func (s *synthesizer) candidatesAt(st *ftssState, n *bNode, pos int, droppedBase
 	// quasi-static utility gain. Re-admission is only sound while
 	// none of the process's successors has executed (otherwise the
 	// consumer already ran on a stale value).
-	dropped := model.NewProcSet(app.N())
+	dropped := pr.dropped
+	clear(dropped)
 	for id := 0; id < app.N(); id++ {
 		pid := model.ProcessID(id)
-		if !droppedBase.Has(pid) {
+		if !x.droppedBase.Has(pid) {
 			continue
 		}
 		revivable := !s.opts.DisableRevival
@@ -484,37 +548,9 @@ func (s *synthesizer) candidatesAt(st *ftssState, n *bNode, pos int, droppedBase
 		}
 	}
 
-	var out []candidate
-	// The paper explores the combinations of best- and worst-case
-	// execution times: every child kind is synthesised twice, once
-	// for the best-possible and once for the worst-possible
-	// completion of the guarded entry (§5.1). Duplicates are
-	// merged by addKind (at most two candidates per kind, so a
-	// direct suffix comparison replaces any signature machinery).
-	addKind := func(kind ArcKind, lo Time, kRem int,
-		exec, drop model.ProcSet, droppedOF model.ProcessID) {
-		var firstSuffix []schedule.Entry
-		haveFirst := false
-		for _, genStart := range []Time{lo, wcHi} {
-			if genStart < lo {
-				continue
-			}
-			c := s.makeCandidate(st, n, pos, kind, exec, drop,
-				lo, genStart, wcHi, kRem, droppedOF)
-			if c == nil {
-				continue
-			}
-			if haveFirst && sameEntries(c.suffix, firstSuffix) {
-				s.count(obs.FTQSCandidatesRejected, 1)
-				continue
-			}
-			firstSuffix, haveFirst = c.suffix, true
-			out = append(out, *c)
-		}
-	}
-
+	pr.out = pr.out[:0]
 	// (a) Completion child.
-	addKind(Completion, bestFinish, n.KRem, executed, dropped, model.NoProcess)
+	s.addKind(pr, x, pos, Completion, bestFinish, wcHi, n.KRem, executed, dropped, model.NoProcess)
 
 	// (b) Fault child with recovery. The earliest fault-recovered
 	// completion is the best-case attempt, the per-fault overhead, and
@@ -523,19 +559,52 @@ func (s *synthesizer) candidatesAt(st *ftssState, n *bNode, pos int, droppedBase
 	if e.Recoveries > 0 && n.KRem > 0 {
 		rec := app.Recovery()
 		lo := bestStart + rec.AttemptTime(p.BCET) + app.RecoveryOverhead(e.Proc) + rec.ResumeTime(p.BCET)
-		addKind(FaultRecovered, lo, n.KRem-1, executed, dropped, model.NoProcess)
+		s.addKind(pr, x, pos, FaultRecovered, lo, wcHi, n.KRem-1, executed, dropped, model.NoProcess)
 	}
 
 	// (c) Fault child with dropping (soft, no recovery budget).
 	if p.Kind == model.Soft && e.Recoveries == 0 && n.KRem > 0 {
 		lo := bestStart + p.BCET
-		exWithout := executed.Clone()
-		exWithout.Remove(e.Proc)
-		drWith := dropped.Clone()
-		drWith.Add(e.Proc)
-		addKind(FaultDropped, lo, n.KRem-1, exWithout, drWith, e.Proc)
+		copy(pr.exWithout, executed)
+		pr.exWithout.Remove(e.Proc)
+		copy(pr.drWith, dropped)
+		pr.drWith.Add(e.Proc)
+		s.addKind(pr, x, pos, FaultDropped, lo, wcHi, n.KRem-1, pr.exWithout, pr.drWith, e.Proc)
 	}
-	return out
+	if len(pr.out) == 0 {
+		return nil
+	}
+	return slices.Clone(pr.out)
+}
+
+// addKind appends to pr.out the candidates of one child kind. The paper
+// explores the combinations of best- and worst-case execution times: every
+// child kind is synthesised twice, once for the best-possible completion
+// lo and once for the worst-possible completion hi of the guarded entry
+// (§5.1). A second candidate with the first one's suffix is a duplicate
+// and is dropped (at most two candidates per kind, so a direct suffix
+// comparison replaces any signature machinery).
+func (s *synthesizer) addKind(pr *pricer, x *expansion, pos int, kind ArcKind, lo, hi Time, kRem int,
+	exec, drop model.ProcSet, droppedOF model.ProcessID) {
+	first := -1
+	for _, genStart := range [2]Time{lo, hi} {
+		if genStart < lo {
+			continue
+		}
+		c, ok := s.makeCandidate(pr, x, pos, kind, exec, drop, lo, genStart, hi, kRem, droppedOF)
+		if !ok {
+			continue
+		}
+		if first >= 0 && sameEntries(c.suffix, pr.out[first].suffix) {
+			s.count(obs.FTQSCandidatesRejected, 1)
+			continue
+		}
+		if first < 0 {
+			first = len(pr.out)
+		}
+		c.intervals = slices.Clone(c.intervals) // it was pr.ivs
+		pr.out = append(pr.out, c)
+	}
 }
 
 // suffixFTSS is SuffixFTSSSet through the memoization cache, run on the
@@ -563,65 +632,77 @@ func (s *synthesizer) suffixFTSS(st *ftssState, executed, dropped model.ProcSet,
 
 // makeCandidate synthesises one sub-schedule (assuming the guarded entry
 // completes at genStart) and prices it with interval partitioning over the
-// whole completion window [lo, hi]; nil when the candidate is infeasible,
-// identical to the parent's own continuation, or not a strict improvement
-// anywhere.
-func (s *synthesizer) makeCandidate(st *ftssState, n *bNode, pos int, kind ArcKind,
+// whole completion window [lo, hi]; false when the candidate is
+// infeasible, identical to the parent's own continuation, or not a strict
+// improvement anywhere. The candidate's intervals are pr.ivs, valid until
+// the next call.
+func (s *synthesizer) makeCandidate(pr *pricer, x *expansion, pos int, kind ArcKind,
 	executed, dropped model.ProcSet, lo, genStart, hi Time, kRem int,
-	droppedOF model.ProcessID) *candidate {
+	droppedOF model.ProcessID) (candidate, bool) {
 
 	app := s.app
-	suffix := s.suffixFTSS(st, executed, dropped, genStart, kRem)
+	suffix := s.suffixFTSS(pr.ftss, executed, dropped, genStart, kRem)
 	if len(suffix) == 0 {
 		s.count(obs.FTQSCandidatesRejected, 1)
-		return nil
+		return candidate{}, false
 	}
-	parentSuffix := n.Schedule.Entries[pos+1:]
-	if kind == Completion && sameEntries(suffix, parentSuffix) {
+	if kind == Completion && sameEntries(suffix, x.n.Schedule.Entries[pos+1:]) {
 		s.count(obs.FTQSCandidatesRejected, 1)
-		return nil
+		return candidate{}, false
 	}
 
-	// Dropped-set assumptions for the two evaluators.
-	parentDropped := droppedAssumption(app, n, droppedOF)
-	childDropped := make([]bool, app.N())
-	in := executed.Clone()
+	parentEval := s.parentEval(pr, x.n, pos, droppedOF)
+	// The child assumes everything outside the executed set and its
+	// suffix dropped.
+	copy(pr.in, executed)
 	for _, e := range suffix {
-		in.Add(e.Proc)
+		pr.in.Add(e.Proc)
 	}
-	for id := 0; id < app.N(); id++ {
-		childDropped[id] = !in.Has(model.ProcessID(id))
+	for id := range pr.assume {
+		pr.assume[id] = !pr.in.Has(model.ProcessID(id))
 	}
-
-	parentEval := newSuffixEval(app, parentSuffix, parentDropped, s.opts.EvalScenarios)
-	childEval := newSuffixEval(app, suffix, childDropped, s.opts.EvalScenarios)
+	pr.child.reset(app, s.evals, suffix, pr.assume)
 	// The worker's FTSS run is over, so its candidate prefix is free.
-	ivs := partitionChild(app, &st.cand, parentEval, childEval, suffix, lo, hi, kRem, s.opts.SweepSamples)
-	if len(ivs) == 0 {
+	pr.ivs = partitionChild(pr.ivs[:0], app, &pr.ftss.cand, parentEval, &pr.child, suffix, lo, hi, kRem, s.opts.SweepSamples)
+	if len(pr.ivs) == 0 {
 		s.count(obs.FTQSCandidatesRejected, 1)
-		return nil
+		return candidate{}, false
 	}
 	var gain float64
-	for _, iv := range ivs {
+	for _, iv := range pr.ivs {
 		gain += iv.Gain * float64(iv.Hi-iv.Lo+1)
 	}
 	gain /= float64(hi - lo + 1)
 	if gain < s.opts.MinGain {
 		s.count(obs.FTQSCandidatesRejected, 1)
-		return nil
+		return candidate{}, false
 	}
-	return &candidate{
+	return candidate{
 		pos: pos, kind: kind, suffix: suffix, kRem: kRem,
-		droppedOF: droppedOF, intervals: ivs, gain: gain,
-	}
+		droppedOF: droppedOF, intervals: pr.ivs, gain: gain,
+	}, true
 }
 
-// droppedAssumption returns the dropped set (as the []bool form the
-// suffix evaluators consume) under which the parent's own continuation is
-// evaluated for a given scenario: the parent's dropped processes, plus the
-// entry abandoned by the fault for FaultDropped arcs.
-func droppedAssumption(app *model.Application, n *bNode, droppedOF model.ProcessID) []bool {
-	d := make([]bool, app.N())
+// parentEval returns pr's evaluator of n's own continuation after pos
+// under the dropped-set assumption of a candidate that abandons droppedOF
+// (NoProcess for none), building it on the position's first call.
+func (s *synthesizer) parentEval(pr *pricer, n *bNode, pos int, droppedOF model.ProcessID) *suffixEval {
+	i := 0
+	if droppedOF != model.NoProcess {
+		i = 1
+	}
+	if key := (parentKey{n, pos}); pr.parentAt[i] != key {
+		droppedAssumption(pr.assume, n, droppedOF)
+		pr.parents[i].reset(s.app, s.evals, n.Schedule.Entries[pos+1:], pr.assume)
+		pr.parentAt[i] = key
+	}
+	return &pr.parents[i]
+}
+
+// droppedAssumption fills d with the dropped set under which the parent's
+// own continuation is evaluated for a given scenario: the parent's dropped
+// processes, plus the entry abandoned by the fault for FaultDropped arcs.
+func droppedAssumption(d []bool, n *bNode, droppedOF model.ProcessID) {
 	for i := range d {
 		d[i] = true
 	}
@@ -634,7 +715,6 @@ func droppedAssumption(app *model.Application, n *bNode, droppedOF model.Process
 	if droppedOF != model.NoProcess {
 		d[droppedOF] = true
 	}
-	return d
 }
 
 // droppedSet marks every process of the application absent from the

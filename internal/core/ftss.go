@@ -60,15 +60,16 @@ var errStuck = errors.New("core: FTSS stuck")
 
 // ftssTables are the per-process tables every FTSS run over one
 // application reads instead of copying a model.Process per call: kind,
-// release, aet (see aetOn) and utility function. They depend on the
-// application alone, so FTQS builds them once per synthesis and shares
-// them, read-only, between its workers.
+// release, aet (see aetOn), utility function and position in the
+// topological order. They depend on the application alone, so FTQS builds
+// them once per synthesis and shares them, read-only, between its workers.
 type ftssTables struct {
 	app     *model.Application
 	kind    []model.Kind
 	release []Time
 	aet     []Time
 	util    []utility.Function
+	topoPos []int
 }
 
 func newFTSSTables(app *model.Application) *ftssTables {
@@ -79,6 +80,10 @@ func newFTSSTables(app *model.Application) *ftssTables {
 		release: make([]Time, n),
 		aet:     make([]Time, n),
 		util:    make([]utility.Function, n),
+		topoPos: make([]int, n),
+	}
+	for i, id := range app.Topo() {
+		t.topoPos[id] = i
 	}
 	for id := 0; id < n; id++ {
 		pid := model.ProcessID(id)
@@ -106,6 +111,9 @@ type ftssState struct {
 	scheduled []bool           // executed before start, or placed
 	dropped   []bool
 	ready     []model.ProcessID // the ready list R
+	// soft lists the soft processes neither scheduled nor dropped, in ID
+	// order: the processes softProjection projects.
+	soft []model.ProcessID
 
 	// hardPlaced counts the hard processes placed so far. The unscheduled
 	// hard set changes only when it grows (hard processes are never
@@ -124,11 +132,14 @@ type ftssState struct {
 	inSet     []bool                // hardTail's membership
 	inTail    []bool                // hardTail's placed members
 	dmod      []Time                // hardTail's modified deadlines
-	status    []utility.StaleStatus // alphaInto's input
+	status    []utility.StaleStatus // the dropped set as α statuses; see droppedAlpha
 	alpha     []float64             // softProjection's coefficients with one more process dropped
 	baseAlpha []float64             // coefficients under the dropped set alone; see droppedAlpha
 	remaining []bool                // softProjection's unprojected soft processes
 	blockers  []int                 // softProjection's count of remaining predecessors
+	front     []model.ProcessID     // softProjection's unblocked remaining processes
+	cones     [][]model.ProcessID   // cone(p), built on first use
+	inCone    []bool                // cone's membership while it builds one
 	sched     []model.ProcessID     // schedulableSet's result
 	snapshot  []model.ProcessID     // determineDropping's copy of the ready list
 	pending   []model.ProcessID     // forcedDropping's unscheduled processes
@@ -148,6 +159,8 @@ func newFTSSState(tab *ftssTables) *ftssState {
 		baseAlpha:  make([]float64, n),
 		remaining:  make([]bool, n),
 		blockers:   make([]int, n),
+		cones:      make([][]model.ProcessID, n),
+		inCone:     make([]bool, n),
 	}
 }
 
@@ -164,11 +177,17 @@ func (st *ftssState) reset(executed, dropped model.ProcSet, start Time, kRem int
 		st.scheduled[id] = executed.Has(pid)
 		st.dropped[id] = dropped.Has(pid)
 	}
-	st.ready = st.ready[:0]
+	st.ready, st.soft = st.ready[:0], st.soft[:0]
 	for id := range st.scheduled {
 		pid := model.ProcessID(id)
-		if !st.scheduled[id] && !st.dropped[id] && st.predsDone(pid) {
+		if st.scheduled[id] || st.dropped[id] {
+			continue
+		}
+		if st.predsDone(pid) {
 			st.ready = append(st.ready, pid)
+		}
+		if st.kind[id] == model.Soft {
+			st.soft = append(st.soft, pid)
 		}
 	}
 	st.placed.Reset(st.app, start, kRem)
@@ -273,13 +292,14 @@ func (st *ftssState) unschedulable() error {
 }
 
 // removeReady deletes p from the ready list.
-func (st *ftssState) removeReady(p model.ProcessID) {
-	for i, q := range st.ready {
-		if q == p {
-			st.ready = append(st.ready[:i], st.ready[i+1:]...)
-			return
-		}
+func (st *ftssState) removeReady(p model.ProcessID) { st.ready = remove(st.ready, p) }
+
+// remove deletes p from list, keeping the order of the rest.
+func remove(list []model.ProcessID, p model.ProcessID) []model.ProcessID {
+	if i := slices.Index(list, p); i >= 0 {
+		return slices.Delete(list, i, i+1)
 	}
+	return list
 }
 
 // addReadySuccessors inserts the successors of p that became ready.
@@ -297,6 +317,7 @@ func (st *ftssState) addReadySuccessors(p model.ProcessID) {
 func (st *ftssState) drop(p model.ProcessID) {
 	st.dropped[p] = true
 	st.drops++
+	st.soft = remove(st.soft, p)
 	st.removeReady(p)
 	st.addReadySuccessors(p)
 }
@@ -335,111 +356,139 @@ func (st *ftssState) determineDropping() {
 // a plain topological order would systematically undervalue keeping a
 // process whose siblings are more urgent. Stale-value coefficients reflect
 // the combined dropped set.
+//
+// The projected set comes from the compact list st.soft, and each greedy
+// round scans only its unblocked members. The pick is the maximum of
+// (density, then lowest ID), a strict total order, so it does not depend
+// on the order the members are scanned in.
 func (st *ftssState) softProjection(excluded model.ProcessID) float64 {
 	app := st.app
 	// Stale coefficients: everything that is not dropped is assumed to
 	// execute.
-	var alpha []float64
-	if excluded == model.NoProcess {
-		alpha = st.droppedAlpha()
-	} else {
-		alpha = st.alphaInto(st.alpha, excluded)
+	alpha := st.droppedAlpha()
+	if excluded != model.NoProcess {
+		alpha = st.alphaWithout(excluded)
 	}
-	left := 0
-	for id := range st.remaining {
-		st.remaining[id] = !st.scheduled[id] && !st.dropped[id] &&
-			model.ProcessID(id) != excluded && st.kind[id] == model.Soft
-		if st.remaining[id] {
-			left++
-		}
+	// rolloutProjection marks a listed process scheduled for the call.
+	for _, id := range st.soft {
+		st.remaining[id] = id != excluded && !st.scheduled[id]
 	}
 	// A remaining process is blocked while any predecessor remains.
-	for id, in := range st.remaining {
-		if !in {
+	front := st.front[:0]
+	for _, id := range st.soft {
+		if !st.remaining[id] {
 			continue
 		}
-		st.blockers[id] = 0
-		for _, q := range app.Preds(model.ProcessID(id)) {
+		b := 0
+		for _, q := range app.Preds(id) {
 			if st.remaining[q] {
-				st.blockers[id]++
+				b++
 			}
+		}
+		st.blockers[id] = b
+		if b == 0 {
+			front = append(front, id)
 		}
 	}
 	now := st.nowE
 	var total float64
-	for ; left > 0; left-- {
-		best := model.NoProcess
-		bestDensity := 0.0
+	for len(front) > 0 {
+		at := -1
+		var bestDensity, bestUtil float64
 		var bestDone Time
-		for id, in := range st.remaining {
-			if !in || st.blockers[id] > 0 {
-				continue
-			}
-			pid := model.ProcessID(id)
+		for i, pid := range front {
 			s := now
-			if st.release[id] > s {
-				s = st.release[id]
+			if st.release[pid] > s {
+				s = st.release[pid]
 			}
-			aet := st.aet[id]
+			aet := st.aet[pid]
 			done := s + aet
-			density := alpha[id] * st.util[id].Value(done)
+			u := alpha[pid] * st.util[pid].Value(done)
+			density := u
 			if aet > 0 {
 				density /= float64(aet)
 			}
-			if best == model.NoProcess || density > bestDensity ||
-				(density == bestDensity && pid < best) {
-				best, bestDensity, bestDone = pid, density, done
+			if at < 0 || density > bestDensity ||
+				(density == bestDensity && pid < front[at]) {
+				at, bestDensity, bestUtil, bestDone = i, density, u, done
 			}
 		}
-		if best == model.NoProcess {
-			break // unreachable for a DAG; defensive
-		}
+		best := front[at]
+		front[at] = front[len(front)-1]
+		front = front[:len(front)-1]
 		st.remaining[best] = false
 		for _, sc := range app.Succs(best) {
-			st.blockers[sc]--
+			if st.remaining[sc] {
+				if st.blockers[sc]--; st.blockers[sc] == 0 {
+					front = append(front, sc)
+				}
+			}
 		}
 		now = bestDone
-		total += alpha[best] * st.util[best].Value(bestDone)
+		total += bestUtil
 	}
+	st.front = front
 	return total
 }
 
 // droppedAlpha returns the stale coefficients under the assumption that
 // every process outside the dropped set executes, recomputed only after a
-// drop. The slice is overwritten by nothing else, so it stays valid across
-// softProjection calls.
+// drop, and leaves st.status holding that dropped set. The slice is
+// overwritten by nothing else, so it stays valid across softProjection
+// calls.
 func (st *ftssState) droppedAlpha() []float64 {
 	if st.baseAlphaAt != st.drops {
-		st.alphaInto(st.baseAlpha, model.NoProcess)
+		for id, d := range st.dropped {
+			st.status[id] = utility.Executed
+			if d {
+				st.status[id] = utility.Dropped
+			}
+		}
+		st.app.StaleCoefficients(st.baseAlpha, st.status)
 		st.baseAlphaAt = st.drops
 	}
 	return st.baseAlpha
 }
 
-// alphaInto computes into dst the stale coefficients under the
-// assumption that every process outside the dropped set and extra (if
-// any) executes.
-func (st *ftssState) alphaInto(dst []float64, extra model.ProcessID) []float64 {
-	for id := range st.status {
-		if st.dropped[id] || model.ProcessID(id) == extra {
-			st.status[id] = utility.Dropped
-		} else {
-			st.status[id] = utility.Executed
-		}
-	}
-	return st.app.StaleCoefficients(dst, st.status)
+// alphaWithout returns, in st.alpha, the stale coefficients under the
+// dropped set with p dropped too: droppedAlpha with the recurrence rerun
+// over p's cone only. No coefficient outside the cone depends on p, so
+// the result is bit for bit a full recomputation.
+func (st *ftssState) alphaWithout(p model.ProcessID) []float64 {
+	copy(st.alpha, st.droppedAlpha())
+	was := st.status[p]
+	st.status[p] = utility.Dropped
+	st.app.UpdateStaleCoefficients(st.alpha, st.cone(p), st.status)
+	st.status[p] = was
+	return st.alpha
 }
 
-// staleAlpha computes stale coefficients under the assumption that every
-// process outside the dropped set executes.
-func staleAlpha(app *model.Application, dropped []bool) []float64 {
-	status := make([]utility.StaleStatus, app.N())
-	for i := range status {
-		if dropped[i] {
-			status[i] = utility.Dropped
+// cone returns p followed by its descendants, in topological order: the
+// processes whose stale coefficient can depend on p's status. It depends
+// on the application alone and is built on first use.
+func (st *ftssState) cone(p model.ProcessID) []model.ProcessID {
+	if c := st.cones[p]; c != nil {
+		return c
+	}
+	topo := st.app.Topo()
+	c := []model.ProcessID{p}
+	st.inCone[p] = true
+	// Descendants follow p in the topological order, and each has a
+	// predecessor in the cone.
+	for _, q := range topo[st.topoPos[p]+1:] {
+		for _, j := range st.app.Preds(q) {
+			if st.inCone[j] {
+				st.inCone[q] = true
+				c = append(c, q)
+				break
+			}
 		}
 	}
-	return app.StaleCoefficients(nil, status)
+	for _, q := range c {
+		st.inCone[q] = false
+	}
+	st.cones[p] = c
+	return c
 }
 
 // schedulableSet implements GetSchedulable (line 4): the subset A of the
@@ -753,6 +802,9 @@ func (st *ftssState) place(p model.ProcessID) {
 	st.entries = append(st.entries, schedule.Entry{Proc: p, Recoveries: st.recoveriesFor(p)})
 	st.scheduled[p] = true
 	st.removeReady(p)
+	if st.kind[p] == model.Soft {
+		st.soft = remove(st.soft, p)
+	}
 
 	s := st.nowE
 	if st.release[p] > s {

@@ -474,7 +474,7 @@ func suffixRuns(app *model.Application) []ftssRun {
 			}
 		}
 		for _, start := range []Time{best.Finish[i], worst.WorstCase[i]} {
-			runs = append(runs, ftssRun{executed.Clone(), dropped, start, app.K()})
+			runs = append(runs, ftssRun{slices.Clone(executed), dropped, start, app.K()})
 		}
 	}
 	return runs

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"ftsched/internal/model"
 	"ftsched/internal/schedule"
 	"ftsched/internal/utility"
@@ -36,10 +38,10 @@ import (
 // and the sample index — common random numbers — so comparing two
 // evaluators is a paired comparison with no sampling noise between them.
 //
-// The evaluator remembers its last evaluation and the window of start
-// times over which that value cannot change (see from), so it is stateful:
-// each candidate builds its own, and one must not be shared between
-// goroutines.
+// The evaluator remembers every window of start times over which a walk's
+// value cannot change (see from), so it is stateful and must not be shared
+// between goroutines. Synthesis keeps one per worker for each role and
+// resets it in place.
 type suffixEval struct {
 	// ents[i] is what an evaluation reads of entries[i] in place of the
 	// process.
@@ -48,10 +50,23 @@ type suffixEval struct {
 	// sample j; there are rows samples.
 	durs []Time
 	rows int
-	// val is the last evaluation, exact for every start time in the
-	// closed window [winLo, winHi] (empty before the first).
+	// val is the value of the window [winLo, winHi] last walked or
+	// looked up (empty before the first).
 	winLo, winHi Time
 	val          float64
+	// wins holds every window walked since the reset, sorted by start
+	// and disjoint.
+	wins []evalWindow
+	// Scratch for the stale coefficients.
+	status []utility.StaleStatus
+	alpha  []float64
+}
+
+// evalWindow is a closed window of start times and the value of every
+// walk that starts in it.
+type evalWindow struct {
+	lo, hi Time
+	val    float64
 }
 
 // evalEntry is one suffix entry as the evaluator reads it: its release,
@@ -59,20 +74,87 @@ type suffixEval struct {
 // hard process) and its stale coefficient.
 type evalEntry struct {
 	release Time
-	util    spanFunc
+	util    valueSpanner
 	alpha   float64
 }
 
-// spanFunc is a utility function that reports where its value is
-// constant; pointSpan adapts one that cannot, with zero-width intervals.
-type spanFunc interface {
+// valueSpanner is a utility function read through one lookup per probe:
+// its value at t and the interval around t on which that value holds
+// (utility.Spanner's Span). *utility.Table has it fused; splitSpan and
+// pointSpan adapt other functions.
+type valueSpanner interface {
+	ValueSpan(t Time) (v float64, lo, hi Time)
+	Horizon() Time
+}
+
+// splitSpan adapts a Spanner without a fused lookup.
+type splitSpan struct {
 	utility.Function
 	utility.Spanner
 }
 
+func (f splitSpan) ValueSpan(t Time) (v float64, lo, hi Time) {
+	lo, hi = f.Span(t)
+	return f.Value(t), lo, hi
+}
+
+// pointSpan adapts a function that cannot report where it is constant,
+// with zero-width intervals.
 type pointSpan struct{ utility.Function }
 
-func (pointSpan) Span(t Time) (lo, hi Time) { return t, t }
+func (f pointSpan) ValueSpan(t Time) (v float64, lo, hi Time) { return f.Value(t), t, t }
+
+// evalTables are the per-process facts every suffix evaluator of one
+// application reads besides the release: the utility lookup (nil for a
+// hard process) and the attempt time in every quadrature sample. They
+// depend on the application and the quadrature size alone, so a synthesis
+// builds them once and shares them, read-only, between its workers.
+type evalTables struct {
+	rows int
+	util []valueSpanner
+	// durs[p*rows+j] is process p's attempt time in sample j: wall-clock,
+	// so the recovery model's per-attempt checkpoint overheads are baked
+	// in (identity under re-execution and restart) and the evaluation
+	// loop stays a plain sum.
+	durs []Time
+}
+
+func newEvalTables(app *model.Application, scenarios int) *evalTables {
+	if scenarios < 1 {
+		scenarios = 1
+	}
+	n := app.N()
+	t := &evalTables{
+		rows: scenarios,
+		util: make([]valueSpanner, n),
+		durs: make([]Time, n*scenarios),
+	}
+	rec := app.Recovery()
+	for id := range t.util {
+		pid := model.ProcessID(id)
+		p := app.ProcRef(pid)
+		if p.Kind == model.Soft {
+			u := app.UtilityOf(pid)
+			if vs, ok := u.(valueSpanner); ok {
+				t.util[id] = vs
+			} else if sp, ok := u.(utility.Spanner); ok {
+				t.util[id] = splitSpan{u, sp}
+			} else {
+				t.util[id] = pointSpan{u}
+			}
+		}
+		d := t.durs[id*scenarios : (id+1)*scenarios]
+		if scenarios == 1 {
+			d[0] = rec.AttemptTime(p.AET)
+			continue
+		}
+		span := float64(p.WCET - p.BCET)
+		for j := range d {
+			d[j] = rec.AttemptTime(p.BCET + Time(quadFrac(j, scenarios, pid)*span+0.5))
+		}
+	}
+	return t
+}
 
 // newSuffixEval prepares an evaluator for the given suffix entries. dropped
 // marks the processes assumed dropped in this scenario (everything not
@@ -80,45 +162,47 @@ func (pointSpan) Span(t Time) (lo, hi Time) { return t, t }
 // which the suffix was synthesised). scenarios selects the quadrature size
 // (1 = paper-faithful average execution times).
 func newSuffixEval(app *model.Application, entries []schedule.Entry, dropped []bool, scenarios int) *suffixEval {
-	if scenarios < 1 {
-		scenarios = 1
-	}
-	alpha := staleAlpha(app, dropped)
-	n := len(entries)
-	e := &suffixEval{
-		ents:  make([]evalEntry, n),
-		durs:  make([]Time, scenarios*n),
-		rows:  scenarios,
-		winLo: 1, // empty window: nothing is cached yet
-	}
-	// The rows are wall-clock attempt times, so the recovery model's
-	// per-attempt checkpoint overheads are baked in at construction
-	// (identity under re-execution and restart) and the evaluation loop
-	// stays a plain sum.
-	rec := app.Recovery()
-	for i, en := range entries {
-		p := app.ProcRef(en.Proc)
-		ent := &e.ents[i]
-		ent.release = p.Release
-		if p.Kind == model.Soft {
-			u := app.UtilityOf(en.Proc)
-			if sf, ok := u.(spanFunc); ok {
-				ent.util = sf
-			} else {
-				ent.util = pointSpan{u}
-			}
-			ent.alpha = alpha[en.Proc]
-		}
-		if scenarios == 1 {
-			e.durs[i] = rec.AttemptTime(p.AET)
-			continue
-		}
-		span := float64(p.WCET - p.BCET)
-		for j := 0; j < scenarios; j++ {
-			e.durs[j*n+i] = rec.AttemptTime(p.BCET + Time(quadFrac(j, scenarios, en.Proc)*span+0.5))
-		}
-	}
+	e := new(suffixEval)
+	e.reset(app, newEvalTables(app, scenarios), entries, dropped)
 	return e
+}
+
+// reset points the evaluator at a new suffix and dropped set, reusing its
+// storage, and forgets every window.
+func (e *suffixEval) reset(app *model.Application, tab *evalTables, entries []schedule.Entry, dropped []bool) {
+	e.status = resize(e.status, app.N())
+	for i, d := range dropped {
+		e.status[i] = utility.Executed
+		if d {
+			e.status[i] = utility.Dropped
+		}
+	}
+	e.alpha = app.StaleCoefficients(e.alpha, e.status)
+	n := len(entries)
+	e.ents = resize(e.ents, n)
+	e.rows = tab.rows
+	e.durs = resize(e.durs, tab.rows*n)
+	e.winLo, e.winHi = 1, 0 // empty window: nothing is cached yet
+	e.wins = e.wins[:0]
+	rows := app.Timings()
+	for i, en := range entries {
+		e.ents[i] = evalEntry{release: rows[en.Proc].Release, util: tab.util[en.Proc]}
+		if e.ents[i].util != nil {
+			e.ents[i].alpha = e.alpha[en.Proc]
+		}
+		for j, d := range tab.durs[int(en.Proc)*tab.rows : int(en.Proc+1)*tab.rows] {
+			e.durs[j*n+i] = d
+		}
+	}
+}
+
+// resize returns s with length n, reallocating only when its capacity is
+// too small.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // quadFrac returns the duration fraction of sample j for a process: a
@@ -140,11 +224,24 @@ func quadFrac(j, scenarios int, p model.ProcessID) float64 {
 // by at most (completion − lo) or forward by at most (hi − completion),
 // where [lo, hi] is the utility's Span at the completion.
 // The walk records the narrowest such reach over every row and soft entry
-// as the window [winLo, winHi]; a later probe inside it sums the very same
-// terms in the same order, so it returns the cached value, bit for bit
-// what a fresh walk gives.
+// as the window [winLo, winHi]; a later probe inside any window walked
+// since the reset sums the very same terms in the same order, so it
+// returns the window's value, bit for bit what a fresh walk gives.
 func (e *suffixEval) from(t Time) float64 {
 	if e.winLo <= t && t <= e.winHi {
+		return e.val
+	}
+	// The first window starting after t; the one before it is the only
+	// one that can hold t.
+	at, _ := slices.BinarySearchFunc(e.wins, t, func(w evalWindow, t Time) int {
+		if w.lo <= t {
+			return -1
+		}
+		return 1
+	})
+	if at > 0 && t <= e.wins[at-1].hi {
+		w := e.wins[at-1]
+		e.winLo, e.winHi, e.val = w.lo, w.hi, w.val
 		return e.val
 	}
 	n := len(e.ents)
@@ -162,16 +259,23 @@ func (e *suffixEval) from(t Time) float64 {
 			if en.util == nil {
 				continue
 			}
-			total += en.alpha * en.util.Value(now)
-			if back > 0 || fwd > 0 {
-				lo, hi := en.util.Span(now)
-				back = min(back, now-lo)
-				fwd = min(fwd, hi-now)
-			}
+			v, lo, hi := en.util.ValueSpan(now)
+			total += en.alpha * v
+			back = min(back, now-lo)
+			fwd = min(fwd, hi-now)
 		}
 	}
 	e.val = total / float64(e.rows)
 	e.winLo, e.winHi = t-back, t+fwd
+	// Clip the new window to the gap it starts in, keeping wins disjoint.
+	w := evalWindow{lo: e.winLo, hi: e.winHi, val: e.val}
+	if at > 0 {
+		w.lo = max(w.lo, e.wins[at-1].hi+1)
+	}
+	if at < len(e.wins) {
+		w.hi = min(w.hi, e.wins[at].lo-1)
+	}
+	e.wins = slices.Insert(e.wins, at, w)
 	return e.val
 }
 
@@ -217,8 +321,8 @@ type interval struct {
 	Gain   float64
 }
 
-// partition sweeps completion times t ∈ [lo, hi] and returns the maximal
-// intervals where diff(t) > 0, together with the mean diff(t) over the
+// partition sweeps completion times t ∈ [lo, hi] and appends to out the
+// maximal intervals where diff(t) > 0, together with the mean diff(t) over the
 // winning probes of each interval. diff is the child's expected utility
 // minus the parent's, so a probe wins exactly when the child is strictly
 // better (for finite doubles, c−p > 0 iff c > p) and its gain is the
@@ -227,9 +331,9 @@ type interval struct {
 // probes are refined by bisection, so guards are exact when the winning
 // set is a union of intervals wider than the probe stride and
 // conservative otherwise.
-func partition(lo, hi Time, samples int, diff func(Time) float64) []interval {
+func partition(out []interval, lo, hi Time, samples int, diff func(Time) float64) []interval {
 	if hi < lo {
-		return nil
+		return out
 	}
 	if samples < 2 {
 		samples = 2
@@ -240,7 +344,6 @@ func partition(lo, hi Time, samples int, diff func(Time) float64) []interval {
 	}
 	// The probes are lo, lo+stride, … up to hi, and hi itself. cur is the
 	// open interval while open holds.
-	var out []interval
 	var cur interval
 	open := false
 	var gainSum float64
@@ -307,16 +410,16 @@ func refine(winT, loseT Time, diff func(Time) float64) Time {
 // partitionChild runs interval partitioning for one candidate child. It
 // compares the parent's remaining entries (after pos) against the child's
 // suffix for every completion time of the guarded entry in [lo, hi], and
-// returns the arcs to attach. kRem is the fault budget of the child's
+// appends the arcs to attach to out. kRem is the fault budget of the child's
 // suffix analysis, run in the scratch prefix safe; the parent evaluator
 // and child evaluator carry the dropped-set assumptions of their
 // respective scenarios.
-func partitionChild(app *model.Application, safe *schedule.Prefix, parentEval, childEval *suffixEval,
+func partitionChild(out []interval, app *model.Application, safe *schedule.Prefix, parentEval, childEval *suffixEval,
 	childSuffix []schedule.Entry, lo, hi Time, kRem, samples int) []interval {
 
 	safeMax := maxSafeStart(safe, app, childSuffix, lo, hi, kRem)
 	if safeMax < lo {
-		return nil
+		return out
 	}
 	// Beyond both horizons the utilities are flat; no need to sweep on.
 	if h := maxTime(parentEval.horizon(), childEval.horizon()); hi > h && h >= lo {
@@ -325,7 +428,7 @@ func partitionChild(app *model.Application, safe *schedule.Prefix, parentEval, c
 	if hi > safeMax {
 		hi = safeMax
 	}
-	return partition(lo, hi, samples, func(t Time) float64 {
+	return partition(out, lo, hi, samples, func(t Time) float64 {
 		return childEval.from(t) - parentEval.from(t)
 	})
 }

@@ -8,6 +8,7 @@ import (
 	"ftsched/internal/apps"
 	"ftsched/internal/model"
 	"ftsched/internal/schedule"
+	"ftsched/internal/utility"
 )
 
 func TestPartitionSimpleWindow(t *testing.T) {
@@ -18,7 +19,7 @@ func TestPartitionSimpleWindow(t *testing.T) {
 		}
 		return 0
 	}
-	ivs := partition(0, 50, 64, diff)
+	ivs := partition(nil, 0, 50, 64, diff)
 	if len(ivs) != 1 {
 		t.Fatalf("intervals = %v, want one", ivs)
 	}
@@ -37,7 +38,7 @@ func TestPartitionMultipleWindows(t *testing.T) {
 		}
 		return -1
 	}
-	ivs := partition(0, 60, 61, diff) // exact sweep: stride 1
+	ivs := partition(nil, 0, 60, 61, diff) // exact sweep: stride 1
 	if len(ivs) != 2 {
 		t.Fatalf("intervals = %v, want two", ivs)
 	}
@@ -47,16 +48,16 @@ func TestPartitionMultipleWindows(t *testing.T) {
 }
 
 func TestPartitionEdgeCases(t *testing.T) {
-	if ivs := partition(10, 5, 8, nil); ivs != nil {
+	if ivs := partition(nil, 10, 5, 8, nil); ivs != nil {
 		t.Error("empty range must yield nil")
 	}
 	all := func(Time) float64 { return 1 }
-	ivs := partition(7, 7, 8, all)
+	ivs := partition(nil, 7, 7, 8, all)
 	if len(ivs) != 1 || ivs[0].Lo != 7 || ivs[0].Hi != 7 {
 		t.Errorf("point range = %v", ivs)
 	}
 	none := func(Time) float64 { return 0 }
-	if ivs := partition(0, 100, 16, none); len(ivs) != 0 {
+	if ivs := partition(nil, 0, 100, 16, none); len(ivs) != 0 {
 		t.Error("no-win sweep must yield nothing")
 	}
 }
@@ -70,7 +71,7 @@ func TestPartitionBoundaryRefinement(t *testing.T) {
 		}
 		return 0
 	}
-	ivs := partition(0, 1000, 16, diff) // stride 62
+	ivs := partition(nil, 0, 1000, 16, diff) // stride 62
 	if len(ivs) != 1 {
 		t.Fatalf("intervals = %v", ivs)
 	}
@@ -96,7 +97,7 @@ func TestPartitionSoundnessProperty(t *testing.T) {
 			return 0
 		}
 		samples := 2 + rng.Intn(64)
-		for _, iv := range partition(lo, hi, samples, diff) {
+		for _, iv := range partition(nil, lo, hi, samples, diff) {
 			if !win(iv.Lo) || !win(iv.Hi) {
 				t.Logf("seed %d: interval [%d,%d] outside window [%d,%d]", seed, iv.Lo, iv.Hi, a, b)
 				return false
@@ -242,4 +243,16 @@ func TestFTQSDeterminism(t *testing.T) {
 	if t1.Format() != t2.Format() {
 		t.Error("FTQS is not deterministic")
 	}
+}
+
+// staleAlpha computes stale coefficients under the assumption that every
+// process outside the dropped set executes.
+func staleAlpha(app *model.Application, dropped []bool) []float64 {
+	status := make([]utility.StaleStatus, app.N())
+	for i := range status {
+		if dropped[i] {
+			status[i] = utility.Dropped
+		}
+	}
+	return app.StaleCoefficients(nil, status)
 }

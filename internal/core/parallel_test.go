@@ -126,7 +126,7 @@ func TestSuffixMemo(t *testing.T) {
 	app := apps.Fig8()
 	s := newSynthesizer(app, FTQSOptions{M: 4}.withDefaults())
 
-	st := s.worker(0)
+	st := s.pricer(0).ftss
 	n := app.N()
 	p0 := model.ProcessID(0)
 	p1 := model.ProcessID(1)

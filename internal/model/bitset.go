@@ -22,13 +22,6 @@ func (s ProcSet) Add(id ProcessID) { s[uint(id)>>6] |= 1 << (uint(id) & 63) }
 // Remove deletes id.
 func (s ProcSet) Remove(id ProcessID) { s[uint(id)>>6] &^= 1 << (uint(id) & 63) }
 
-// Clone returns an independent copy of the set.
-func (s ProcSet) Clone() ProcSet {
-	cp := make(ProcSet, len(s))
-	copy(cp, s)
-	return cp
-}
-
 // ProcSetOf returns the set of the given ids, sized for n processes.
 func ProcSetOf(n int, ids []ProcessID) ProcSet {
 	s := NewProcSet(n)

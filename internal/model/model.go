@@ -19,6 +19,7 @@ package model
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"ftsched/internal/utility"
 )
@@ -115,6 +116,12 @@ type Application struct {
 
 	validated bool
 	topo      []ProcessID
+
+	// timings caches Timings, built on first use after Validate. The With*
+	// constructors set every field of their copy before returning it, so
+	// no caller sees rows of a half-built copy.
+	timingsOnce sync.Once
+	timings     []Timing
 }
 
 // canonicalPlatform backs Platform() for applications without an explicit
@@ -443,6 +450,16 @@ func (a *Application) StaleCoefficients(alpha []float64, status []utility.StaleS
 	return alpha
 }
 
+// UpdateStaleCoefficients reruns the α recurrence of StaleCoefficients
+// over order alone, reading every coefficient outside it from alpha as it
+// stands. After the status of process p changes, order must list p and
+// all its descendants in topological order: no other coefficient depends
+// on p, and each listed one is recomputed exactly as StaleCoefficients
+// would, from the same predecessor coefficients in the same order.
+func (a *Application) UpdateStaleCoefficients(alpha []float64, order []ProcessID, status []utility.StaleStatus) {
+	utility.CoefficientsInto(alpha, order, a.pred, status)
+}
+
 // WithFaults returns a copy of the (validated) application with a different
 // fault bound k and default recovery overhead µ. Baseline schedulers use it
 // to synthesise non-fault-tolerant schedules (k = 0) for the same workload.
@@ -517,6 +534,56 @@ func (a *Application) RecoveryOverhead(id ProcessID) Time {
 func (a *Application) WorstRecoveryCost(id ProcessID) Time {
 	rerun := a.Platform().Scale(a.RerunCoreOf(id), a.ProcRef(id).WCET)
 	return a.recovery.WorstResumeTime(rerun) + a.RecoveryOverhead(id)
+}
+
+// Timing is one row of the worst-case analysis table: the constants of a
+// process that the shared-slack analysis (package schedule) reads for
+// every entry it extends.
+type Timing struct {
+	// Release and Deadline are the process's own; the analysis reads
+	// Deadline only for a hard process.
+	Release, Deadline Time
+	// Attempt is a fault-free WCET attempt on the primary core: scaled by
+	// the core's speed, then inflated by the recovery model's per-attempt
+	// overheads.
+	Attempt Time
+	// Recovery is WorstRecoveryCost.
+	Recovery Time
+	// Core is the primary core.
+	Core CoreID
+	// Hard marks a hard process.
+	Hard bool
+}
+
+// Timings returns the analysis rows of every process, indexed by ID. A
+// validated application builds them once, on first use, and every later
+// caller shares them, so a one-shot analysis pays nothing per process
+// beyond the entries it reads. The rows must not be modified.
+func (a *Application) Timings() []Timing {
+	if !a.validated {
+		return a.buildTimings() // still mutable: nothing to cache
+	}
+	a.timingsOnce.Do(func() { a.timings = a.buildTimings() })
+	return a.timings
+}
+
+func (a *Application) buildTimings() []Timing {
+	plat := a.Platform()
+	rows := make([]Timing, len(a.procs))
+	for id := range rows {
+		pid := ProcessID(id)
+		p := &a.procs[id]
+		core := a.CoreOf(pid)
+		rows[id] = Timing{
+			Release:  p.Release,
+			Deadline: p.Deadline,
+			Attempt:  a.recovery.AttemptTime(plat.Scale(core, p.WCET)),
+			Recovery: a.WorstRecoveryCost(pid),
+			Core:     core,
+			Hard:     p.Kind == Hard,
+		}
+	}
+	return rows
 }
 
 // Platform returns the platform the application is mapped to. Applications

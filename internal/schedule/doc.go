@@ -47,6 +47,11 @@
 // takes O(k + |preds|) and copying O(k + cores) (plus the n finish times
 // on a mapped platform), and neither allocates once the Prefix is sized,
 // so list schedulers check a candidate as a copy of the placed prefix plus
-// the candidate's own entries. WorstCaseCompletions, CheckSchedulable and
-// Schedulable are single walks over a Prefix.
+// the candidate's own entries. An entry's constants (release, deadline,
+// kind, primary core, scaled attempt WCET and worst recovery cost) come
+// from the application's analysis rows, model.Application.Timings, which
+// a validated application builds once; Reset only looks them up, so the
+// rows follow the application of each Reset and a one-shot walk costs
+// nothing per process it does not read. WorstCaseCompletions,
+// CheckSchedulable and Schedulable are single walks over a Prefix.
 package schedule

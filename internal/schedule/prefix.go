@@ -47,6 +47,12 @@ func (t *timeline) reset(app *model.Application, start Time) {
 // restart).
 func (t *timeline) place(app *model.Application, id model.ProcessID, release, d Time) (start, finish Time) {
 	pc := app.CoreOf(id)
+	return t.placeAttempt(app, id, pc, release, t.rec.AttemptTime(t.plat.Scale(pc, d)))
+}
+
+// placeAttempt runs process id on core pc for the wall-clock attempt time
+// and returns its start and finish.
+func (t *timeline) placeAttempt(app *model.Application, id model.ProcessID, pc model.CoreID, release, attempt Time) (start, finish Time) {
 	start = t.ready[pc]
 	if release > start {
 		start = release
@@ -58,7 +64,7 @@ func (t *timeline) place(app *model.Application, id model.ProcessID, release, d 
 			}
 		}
 	}
-	finish = start + t.rec.AttemptTime(t.plat.Scale(pc, d))
+	finish = start + attempt
 	t.ready[pc] = finish
 	if len(t.done) > 0 {
 		t.done[id] = finish + 1
@@ -96,15 +102,19 @@ func resize(s []Time, n int) []Time {
 //
 // Extend appends one entry in O(k + |preds|) and CopyInto copies the state
 // in O(k + cores), plus the n finish times on a multi-core platform; once
-// Reset has sized a Prefix, neither allocates. The zero value is ready
-// for Reset. WorstCaseCompletions and CheckSchedulable are one walk over
+// Reset has sized a Prefix, neither allocates. Extend reads each entry's
+// constants from the application's analysis rows
+// (model.Application.Timings), which the application builds once and
+// Reset only looks up, so neither a reused Prefix nor a one-shot analysis
+// re-derives them. The zero value is ready for Reset. WorstCaseCompletions and CheckSchedulable are one walk over
 // a Prefix, so every user of the shared-slack bound shares this one
 // statement of it.
 type Prefix struct {
-	app *model.Application
-	k   int
-	n   int // entries extended
-	tl  timeline
+	app  *model.Application
+	rows []model.Timing // app.Timings()
+	k    int
+	n    int // entries extended
+	tl   timeline
 	// top holds the largest recovery units in descending order, at most
 	// k of them; rec is their sum.
 	top []Time
@@ -117,7 +127,7 @@ type Prefix struct {
 // Reset empties p for a schedule whose first entry starts no earlier than
 // start, with at most k faults still to come.
 func (p *Prefix) Reset(app *model.Application, start Time, k int) {
-	p.app, p.k, p.n = app, k, 0
+	p.app, p.rows, p.k, p.n = app, app.Timings(), k, 0
 	p.tl.reset(app, start)
 	if k < 0 {
 		k = 0
@@ -129,7 +139,7 @@ func (p *Prefix) Reset(app *model.Application, start Time, k int) {
 
 // CopyInto makes dst an independent copy of p, reusing dst's storage.
 func (p *Prefix) CopyInto(dst *Prefix) {
-	dst.app, dst.k, dst.n = p.app, p.k, p.n
+	dst.app, dst.rows, dst.k, dst.n = p.app, p.rows, p.k, p.n
 	p.tl.copyInto(&dst.tl)
 	dst.top = append(resize(dst.top, cap(p.top))[:0], p.top...)
 	dst.rec = p.rec
@@ -140,15 +150,15 @@ func (p *Prefix) CopyInto(dst *Prefix) {
 // and its worst-case completion: the prefix makespan plus the worst
 // allocation of the k faults over the prefix's recovery budgets.
 func (p *Prefix) Extend(e Entry) (start, finish, worst Time) {
-	proc := p.app.ProcRef(e.Proc)
-	start, finish = p.tl.place(p.app, e.Proc, proc.Release, proc.WCET)
+	r := &p.rows[e.Proc]
+	start, finish = p.tl.placeAttempt(p.app, e.Proc, r.Core, r.Release, r.Attempt)
 	if e.Recoveries > 0 {
-		p.addUnits(p.app.WorstRecoveryCost(e.Proc), e.Recoveries)
+		p.addUnits(r.Recovery, e.Recoveries)
 	}
 	p.n++
 	worst = p.tl.makespan + p.rec
-	if proc.Kind == model.Hard && worst > proc.Deadline && p.miss.Proc == model.NoProcess {
-		p.miss = UnschedulableError{Proc: e.Proc, Completion: worst, Bound: proc.Deadline}
+	if r.Hard && worst > r.Deadline && p.miss.Proc == model.NoProcess {
+		p.miss = UnschedulableError{Proc: e.Proc, Completion: worst, Bound: r.Deadline}
 	}
 	return start, finish, worst
 }

@@ -129,7 +129,10 @@ func sameUnschedulable(got, want error) bool {
 // generated and merged multi-rate applications, every recovery model,
 // both platforms, k from 0 to 3 and several start times. Each list is
 // also split at a random point, the prefix copied, and both the copy and
-// the original completed, so CopyInto must leave them independent.
+// the original completed, so CopyInto must leave them independent. One
+// Prefix value also alternates between neighbouring applications of the
+// matrix, which share their processes but not their platform or recovery
+// model, so analysis rows kept from an earlier Reset show.
 func TestPrefixMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	var orig, cp Prefix
@@ -175,6 +178,25 @@ func TestPrefixMatchesReference(t *testing.T) {
 						}
 					}
 				}
+			}
+		}
+	}
+	all := analysisApps(t)
+	var alt Prefix
+	rng = rand.New(rand.NewSource(2))
+	for i := 0; i+1 < len(all); i++ {
+		for _, na := range []namedApp{all[i], all[i+1], all[i], all[i+1]} {
+			entries := randomEntries(rng, na.app)
+			want := refWorstCaseCompletions(na.app, entries, 0, 2)
+			alt.Reset(na.app, 0, 2)
+			for j, e := range entries {
+				if s, f, wc := alt.Extend(e); s != want.Start[j] || f != want.Finish[j] || wc != want.WorstCase[j] {
+					t.Fatalf("%s after %s on one Prefix: entry %d = (%d, %d, %d), want (%d, %d, %d)",
+						na.name, all[i].name, j, s, f, wc, want.Start[j], want.Finish[j], want.WorstCase[j])
+				}
+			}
+			if err, wantErr := alt.Err(), refCheckSchedulable(na.app, entries, 0, 2); !sameUnschedulable(err, wantErr) {
+				t.Fatalf("%s after %s on one Prefix: Err = %v, want %v", na.name, all[i].name, err, wantErr)
 			}
 		}
 	}

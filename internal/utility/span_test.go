@@ -61,9 +61,26 @@ func randomTable(rng *rand.Rand, mode Interp) *Table {
 	return MustTable(mode, pts...)
 }
 
+// checkValueSpan asserts that the fused ValueSpan is (Value, Span), bit
+// for bit, at every t within 2 of a breakpoint.
+func checkValueSpan(t *testing.T, name string, tb *Table) {
+	t.Helper()
+	for _, p := range tb.points {
+		for x := p.T - 2; x <= p.T+2; x++ {
+			v, lo, hi := tb.ValueSpan(x)
+			wlo, whi := tb.Span(x)
+			if math.Float64bits(v) != math.Float64bits(tb.Value(x)) || lo != wlo || hi != whi {
+				t.Fatalf("%s: ValueSpan(%d) = (%g, %d, %d), want (%g, %d, %d)",
+					name, x, v, lo, hi, tb.Value(x), wlo, whi)
+			}
+		}
+	}
+}
+
 // TestSpanContract: Value is bitwise constant on Span(t) for every t in
 // [T_0-3, T_last+3] of random Step and Linear tables, NewStep staircases
-// and the Zero, Scaled and Shifted wrappers; Step spans are maximal.
+// and the Zero, Scaled and Shifted wrappers; Step spans are maximal. A
+// table's fused ValueSpan is its Value and Span around every breakpoint.
 func TestSpanContract(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	for k := 0; k < 400; k++ {
@@ -74,6 +91,7 @@ func TestSpanContract(t *testing.T) {
 			step := mode == Step
 			name := fmt.Sprintf("table %d %v", k, tb)
 			checkSpan(t, name, tb, from, to, step)
+			checkValueSpan(t, name, tb)
 			checkSpan(t, name+" scaled", Scaled{F: tb, Alpha: 0.5}, from, to, step)
 			by := Time(rng.Intn(100))
 			checkSpan(t, name+" shifted", Shifted{F: tb, By: by}, from+by, to+by, step)
@@ -83,6 +101,7 @@ func TestSpanContract(t *testing.T) {
 
 	u2 := MustStep([]Time{90, 200, 250}, []float64{40, 20, 10})
 	checkSpan(t, "NewStep", u2, 87, 254, true)
+	checkValueSpan(t, "NewStep", u2)
 	for _, c := range []struct{ t, lo, hi Time }{
 		{0, -Infinity, 90}, {90, -Infinity, 90}, {91, 91, 200}, {250, 201, 250}, {251, 251, Infinity},
 	} {

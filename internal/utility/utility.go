@@ -151,7 +151,8 @@ func MustStep(ts []Time, vs []float64) *Table {
 }
 
 // segment returns the index i with T_{i-1} < t <= T_i, for T_0 < t < T_last.
-// Value and Span both locate t through it, so they agree on the segment.
+// Value and ValueSpan both locate t through it, so they agree on the
+// segment.
 func (tb *Table) segment(t Time) int {
 	pts := tb.points
 	i, j := 0, len(pts)
@@ -166,6 +167,18 @@ func (tb *Table) segment(t Time) int {
 	return i
 }
 
+// inner returns U(t) on segment i, for T_{i-1} < t <= T_i.
+func (tb *Table) inner(i int, t Time) float64 {
+	pts := tb.points
+	if pts[i].T == t || tb.mode != Linear {
+		// Step: the value of the upcoming breakpoint holds.
+		return pts[i].V
+	}
+	a, b := pts[i-1], pts[i]
+	frac := float64(t-a.T) / float64(b.T-a.T)
+	return a.V + frac*(b.V-a.V)
+}
+
 // Value implements Function.
 func (tb *Table) Value(t Time) float64 {
 	pts := tb.points
@@ -176,51 +189,46 @@ func (tb *Table) Value(t Time) float64 {
 	if t >= last.T {
 		return last.V
 	}
-	i := tb.segment(t)
-	// pts[i].T >= t > pts[i-1].T, with 0 < i < len(pts).
-	if pts[i].T == t {
-		return pts[i].V
-	}
-	switch tb.mode {
-	case Linear:
-		a, b := pts[i-1], pts[i]
-		frac := float64(t-a.T) / float64(b.T-a.T)
-		return a.V + frac*(b.V-a.V)
-	default: // Step: value of the upcoming breakpoint's predecessor holds.
-		return pts[i].V
-	}
+	return tb.inner(tb.segment(t), t)
 }
 
 // Span implements Spanner. A Step table reports the whole maximal run of
 // equal steps around t, so Value changes just outside each finite end. A
 // Linear table reports its flat ends, and [t, t] in between.
 func (tb *Table) Span(t Time) (lo, hi Time) {
+	_, lo, hi = tb.ValueSpan(t)
+	return lo, hi
+}
+
+// ValueSpan returns Value(t) and Span(t) from one segment search, for
+// evaluators that read both at every probe.
+func (tb *Table) ValueSpan(t Time) (v float64, lo, hi Time) {
 	pts := tb.points
 	last := len(pts) - 1
-	if tb.mode == Linear {
-		switch {
-		case t <= pts[0].T:
-			return -Infinity, pts[0].T
-		case t >= pts[last].T:
-			return pts[last].T, Infinity
-		}
-		return t, t
-	}
-	// Step segment i holds V_i over (T_{i-1}, T_i]; the first extends
-	// down to -Infinity and the last up to Infinity.
+	// Segment i holds over (T_{i-1}, T_i]; the first extends down to
+	// -Infinity and the last up to Infinity.
 	i := last
 	switch {
 	case t <= pts[0].T:
+		if tb.mode == Linear {
+			return pts[0].V, -Infinity, pts[0].T
+		}
 		i = 0
 	case t < pts[last].T:
 		i = tb.segment(t)
+		if tb.mode == Linear {
+			return tb.inner(i, t), t, t
+		}
+	case tb.mode == Linear:
+		return pts[last].V, pts[last].T, Infinity
 	}
-	v := math.Float64bits(pts[i].V)
+	v = pts[i].V
+	bits := math.Float64bits(v)
 	a, b := i, i
-	for a > 0 && math.Float64bits(pts[a-1].V) == v {
+	for a > 0 && math.Float64bits(pts[a-1].V) == bits {
 		a--
 	}
-	for b < last && math.Float64bits(pts[b+1].V) == v {
+	for b < last && math.Float64bits(pts[b+1].V) == bits {
 		b++
 	}
 	lo, hi = -Infinity, Infinity
@@ -230,7 +238,7 @@ func (tb *Table) Span(t Time) (lo, hi Time) {
 	if b < last {
 		hi = pts[b].T
 	}
-	return lo, hi
+	return v, lo, hi
 }
 
 // Horizon implements Function.
