@@ -8,9 +8,11 @@ import (
 
 	"ftsched/internal/appio"
 	"ftsched/internal/apps"
+	"ftsched/internal/core"
 	"ftsched/internal/model"
 	"ftsched/internal/serve"
 	"ftsched/internal/serveapi"
+	"ftsched/internal/sim"
 )
 
 // TestRecoveryRoundTripsThroughClient: a recovering application travels
@@ -39,7 +41,7 @@ func TestRecoveryRoundTripsThroughClient(t *testing.T) {
 	synth := func(app *model.Application) *serveapi.SynthesizeResponse {
 		resp, err := c.Synthesize(ctx, serveapi.SynthesizeRequest{
 			Format: serveapi.FormatV1, App: encode(app),
-			Options: serveapi.FTQSOptionsJSON{M: 8},
+			Options: core.FTQSOptions{M: 8},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -55,7 +57,7 @@ func TestRecoveryRoundTripsThroughClient(t *testing.T) {
 	eval, err := c.Eval(ctx, serveapi.EvalRequest{
 		Format:  serveapi.FormatV1,
 		TreeRef: serveapi.TreeRef{TreeKey: recovering.TreeKey},
-		Config:  serveapi.MCConfigJSON{Scenarios: 400, Faults: 1, Seed: 9},
+		Config:  sim.MCConfig{Scenarios: 400, Faults: 1, Seed: 9},
 	})
 	if err != nil {
 		t.Fatal(err)

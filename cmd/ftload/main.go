@@ -56,6 +56,7 @@ import (
 	"ftsched/client"
 	"ftsched/internal/appio"
 	"ftsched/internal/cli"
+	"ftsched/internal/core"
 	"ftsched/internal/faultwire"
 	"ftsched/internal/model"
 	"ftsched/internal/obs"
@@ -229,7 +230,7 @@ func main() {
 	if err := appio.EncodeApplication(&appBuf, app); err != nil {
 		fatal(err)
 	}
-	opts := serveapi.FTQSOptionsJSON{M: *m}
+	opts := core.FTQSOptions{M: *m}
 	ctx := context.Background()
 	syn, err := c.Synthesize(ctx, serveapi.SynthesizeRequest{App: appBuf.Bytes(), Options: opts})
 	if err != nil {

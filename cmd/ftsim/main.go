@@ -485,7 +485,7 @@ func runRemote(app *model.Application, baseURL, tenant string, m, scenarios int,
 	ctx := context.Background()
 	syn, err := cl.Synthesize(ctx, serveapi.SynthesizeRequest{
 		App:     buf.Bytes(),
-		Options: serveapi.FTQSOptionsJSON{M: m, Workers: workers},
+		Options: core.FTQSOptions{M: m, Workers: workers},
 	})
 	if err != nil {
 		fatal(err)
@@ -514,12 +514,12 @@ func runRemote(app *model.Application, baseURL, tenant string, m, scenarios int,
 	for f := 0; f <= app.K(); f++ {
 		resp, err := cl.Eval(ctx, serveapi.EvalRequest{
 			TreeRef: serveapi.TreeRef{TreeKey: syn.TreeKey},
-			Config:  serveapi.MCConfigJSON{Scenarios: scenarios, Faults: f, Seed: seed, Workers: workers},
+			Config:  sim.MCConfig{Scenarios: scenarios, Faults: f, Seed: seed, Workers: workers},
 		})
 		if err != nil {
 			fatal(err)
 		}
-		st := resp.Stats.Stats()
+		st := resp.Stats
 		if f == 0 {
 			base = st.MeanUtility
 		}

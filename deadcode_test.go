@@ -26,11 +26,10 @@ import (
 // internal/. An entry whose name is gone or has gained a non-test user
 // fails TestInternalExportsReferenced.
 var testOnlyKept = map[string]string{
-	"core.Tree.Next":                    "the reference switch walk that the runtime and core tests check the compiled dispatcher against",
-	"runtime.MustNewDispatcher":         "test helper of the runtime, sim and appio tests",
-	"serveapi.AllKinds":                 "the error taxonomy that the serveapi lockstep test and the client retry test iterate over",
-	"serveapi.CertifyReportJSON.Report": "turns a served certify report back into certify.Report for the remote-equals-local tests in serve and serveapi",
-	"utility.MustTable":                 "test helper of the model, utility and core tests",
+	"core.Tree.Next":            "the reference switch walk that the runtime and core tests check the compiled dispatcher against",
+	"runtime.MustNewDispatcher": "test helper of the runtime, sim and appio tests",
+	"serveapi.AllKinds":         "the error taxonomy that the serveapi lockstep test and the client retry test iterate over",
+	"utility.MustTable":         "test helper of the model, utility and core tests",
 }
 
 // exportClass sorts an exported name declared under internal/ by its users.

@@ -27,24 +27,24 @@ const (
 type Config struct {
 	// MaxFaults is the largest fault-pattern size explored; 0 means the
 	// application bound k. Values above k are rejected.
-	MaxFaults int
+	MaxFaults int `json:"max_faults,omitempty"`
 	// Workers bounds the goroutines exploring fault patterns; 0 means
 	// GOMAXPROCS. The report and any counterexample are identical for
 	// every worker count.
-	Workers int
+	Workers int `json:"workers,omitempty"`
 	// Budget caps the scenarios exhaustive mode may plan; above it the
 	// engine switches to frontier mode (never silently truncates). 0 means
 	// the default (~2M).
-	Budget int64
+	Budget int64 `json:"budget,omitempty"`
 	// MaxBoundaries caps the bisection change points collected per
 	// process; 0 means the default (4), negative disables bisection.
-	MaxBoundaries int
+	MaxBoundaries int `json:"max_boundaries,omitempty"`
 	// Sink receives certification counters and histograms, and is routed
 	// into the dispatcher the scenarios execute on. Every dispatch counter
 	// reads what running each scenario from the root would emit; the
 	// per-entry histograms (guard depth, hard slack, switch node) count
 	// only the entries that executed after a scenario's resume point.
-	Sink obs.Sink
+	Sink obs.Sink `json:"-"`
 }
 
 // Report summarises what a certification run explored, whether it ended in
@@ -52,30 +52,30 @@ type Config struct {
 type Report struct {
 	// Mode is "exhaustive" (every pattern x corner combination ran) or
 	// "frontier" (extreme profiles plus single-process deviations).
-	Mode string
+	Mode string `json:"mode"`
 	// MaxFaults is the resolved fault bound that was certified.
-	MaxFaults int
+	MaxFaults int `json:"max_faults"`
 	// Patterns counts canonical fault patterns explored; PatternsPruned
 	// counts raw patterns collapsed into them by canonicalisation.
-	Patterns       int
-	PatternsPruned int
+	Patterns       int `json:"patterns"`
+	PatternsPruned int `json:"patterns_pruned"`
 	// Scenarios counts scenarios explored (each resumed from a recorded
 	// prefix where it matches), excluding the bisection probes, reported
 	// separately as BisectionRuns.
-	Scenarios     int64
-	BisectionRuns int64
+	Scenarios     int64 `json:"scenarios"`
+	BisectionRuns int64 `json:"bisection_runs"`
 	// WorstSlack is the minimum hard-deadline slack observed over every
 	// explored scenario, and WorstSlackProc the process realising it;
 	// WorstSlackProc is model.NoProcess when no hard process completed.
 	// Slack at or below zero comes with a counterexample.
-	WorstSlack     model.Time
-	WorstSlackProc model.ProcessID
+	WorstSlack     model.Time      `json:"worst_slack"`
+	WorstSlackProc model.ProcessID `json:"worst_slack_proc"`
 	// MinUtility is the lowest cycle utility observed and
 	// MinUtilityFaultsAt the fault placement (per-process counts) that
 	// produced it — the utility-minimising adversary within the explored
 	// set.
-	MinUtility         float64
-	MinUtilityFaultsAt []int
+	MinUtility         float64 `json:"min_utility"`
+	MinUtilityFaultsAt []int   `json:"min_utility_faults_at,omitempty"`
 }
 
 // patternOutcome is one worker's summary of one fault pattern, folded

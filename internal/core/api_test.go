@@ -76,15 +76,21 @@ func TestFTQSOptionsValidate(t *testing.T) {
 	if err != nil || got.Workers != 1 {
 		t.Errorf("under GOMAXPROCS(1): Workers = %d, err = %v; want 1", got.Workers, err)
 	}
-	for name, o := range map[string]FTQSOptions{
-		"negative sweep":   {SweepSamples: -1},
-		"negative eval":    {EvalScenarios: -2},
-		"negative workers": {Workers: -1},
-		"NaN gain":         {MinGain: math.NaN()},
-		"Inf gain":         {MinGain: math.Inf(1)},
+	for _, tc := range []struct {
+		name  string
+		opts  FTQSOptions
+		field string
+	}{
+		{"negative sweep", FTQSOptions{SweepSamples: -1}, "SweepSamples"},
+		{"negative eval", FTQSOptions{EvalScenarios: -2}, "EvalScenarios"},
+		{"negative workers", FTQSOptions{Workers: -1}, "Workers"},
+		{"NaN gain", FTQSOptions{MinGain: math.NaN()}, "MinGain"},
+		{"Inf gain", FTQSOptions{MinGain: math.Inf(1)}, "MinGain"},
 	} {
-		if _, err := o.Validate(); err == nil {
-			t.Errorf("%s: accepted", name)
+		_, err := tc.opts.Validate()
+		var oe *OptionsError
+		if !errors.As(err, &oe) || oe.Field != tc.field {
+			t.Errorf("%s: err = %v, want *OptionsError on %s", tc.name, err, tc.field)
 		}
 	}
 }

@@ -19,63 +19,80 @@ type FTQSOptions struct {
 	// M limits the number of schedules in the tree (paper: "we are
 	// interested in determining the best M schedules"). M = 1 yields the
 	// bare FTSS schedule. Values below 1 are treated as 1.
-	M int
+	M int `json:"m"`
 	// SweepSamples bounds the number of probe points interval
 	// partitioning uses per candidate arc. The sweep is exact (every
 	// integer completion time, as in the paper) whenever the completion
 	// window is narrower than SweepSamples; wider windows are probed with
 	// a stride and guard boundaries are refined by bisection. Defaults
 	// to 256.
-	SweepSamples int
+	SweepSamples int `json:"sweep_samples,omitempty"`
 	// MinGain is the smallest mean utility improvement a candidate
 	// sub-schedule must offer to be kept. Defaults to 1e-9 (any strict
 	// improvement).
-	MinGain float64
+	MinGain float64 `json:"min_gain,omitempty"`
 	// EvalScenarios selects how schedules are compared during interval
 	// partitioning: 1 evaluates completion times at the average execution
 	// times (the paper's point estimate); larger values average over a
 	// deterministic quadrature of uniform execution times, which removes
 	// the point estimate's optimism near guard boundaries. Defaults to 8.
-	EvalScenarios int
+	EvalScenarios int `json:"eval_scenarios,omitempty"`
 	// DisableRevival, for ablation studies, prevents sub-schedules from
 	// re-admitting processes their parent dropped. The pessimistic
 	// worst-case root drops generously, and reviving its victims when
 	// execution runs early is the dominant source of the quasi-static
 	// utility gain (see DESIGN.md); disabling it isolates the
 	// contribution of pure reordering.
-	DisableRevival bool
+	DisableRevival bool `json:"disable_revival,omitempty"`
 	// Workers bounds the goroutines generating one node's candidate
 	// sub-schedules (one per position after the switch point). 0 selects
 	// runtime.GOMAXPROCS(0); 1 forces fully serial synthesis. The tree is
 	// identical for every worker count: candidate generation is
 	// side-effect-free, and a single coordinator collects the candidates
 	// in position order and attaches them in the serial order.
-	Workers int
+	Workers int `json:"workers,omitempty"`
 	// Sink receives synthesis events (nodes expanded, memoisation
 	// hits/misses, candidates kept/rejected, worker busy time). A nil sink
 	// or obs.NopSink disables instrumentation. Instrumentation never
 	// alters the synthesised tree.
-	Sink obs.Sink
+	Sink obs.Sink `json:"-"`
 }
 
-// Validate normalises the options and rejects impossible values: negative
-// SweepSamples, EvalScenarios or Workers, and a non-finite MinGain. Zero
-// values are replaced by the documented defaults (and M < 1 by 1), so a
-// zero FTQSOptions validates to the default configuration. Every synthesis
-// entry point applies Validate, so CLI flags and library callers get the
-// same diagnostics.
+// OptionsError reports an FTQSOptions field that fails validation, so
+// callers such as the ftserved wire decoder can name the field instead of
+// parsing a message — the same discipline as sim.ConfigError.
+type OptionsError struct {
+	// Field is the FTQSOptions field name.
+	Field string
+	// Value is the rejected value.
+	Value float64
+	// Constraint is the violated bound: "non-negative" or "finite".
+	Constraint string
+}
+
+// Error implements error.
+func (e *OptionsError) Error() string {
+	return fmt.Sprintf("core: FTQSOptions.%s must be %s, got %v", e.Field, e.Constraint, e.Value)
+}
+
+// Validate normalises the options and rejects impossible values with an
+// *OptionsError: negative SweepSamples, EvalScenarios or Workers, and a
+// non-finite MinGain. Zero values are replaced by the documented defaults
+// (and M < 1 by 1), so a zero FTQSOptions validates to the default
+// configuration. Every synthesis entry point applies Validate, so CLI
+// flags, library callers and ftserved requests get the same diagnostics.
 func (o FTQSOptions) Validate() (FTQSOptions, error) {
 	if o.SweepSamples < 0 {
-		return o, fmt.Errorf("core: FTQSOptions.SweepSamples must be non-negative, got %d", o.SweepSamples)
+		return o, &OptionsError{Field: "SweepSamples", Value: float64(o.SweepSamples), Constraint: "non-negative"}
 	}
 	if o.EvalScenarios < 0 {
-		return o, fmt.Errorf("core: FTQSOptions.EvalScenarios must be non-negative, got %d", o.EvalScenarios)
+		return o, &OptionsError{Field: "EvalScenarios", Value: float64(o.EvalScenarios), Constraint: "non-negative"}
 	}
 	if o.Workers < 0 {
-		return o, fmt.Errorf("core: FTQSOptions.Workers must be non-negative, got %d", o.Workers)
+		return o, &OptionsError{Field: "Workers", Value: float64(o.Workers), Constraint: "non-negative"}
 	}
 	if math.IsNaN(o.MinGain) || math.IsInf(o.MinGain, 0) {
-		return o, fmt.Errorf("core: FTQSOptions.MinGain must be finite, got %v", o.MinGain)
+		return o, &OptionsError{Field: "MinGain", Value: o.MinGain, Constraint: "finite"}
 	}
 	return o.withDefaults(), nil
 }

@@ -102,19 +102,13 @@ func Key(appJSON []byte, opts core.FTQSOptions) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// normalizeOptions validates wire options and strips the execution hints
-// that do not participate in tree identity.
-func normalizeOptions(o *serveapi.FTQSOptionsJSON) (core.FTQSOptions, error) {
-	var raw core.FTQSOptions
-	if o != nil {
-		raw = o.Core()
+// normalizeOptions validates request options; nil selects the defaults.
+// Requests carry no Sink (it has no wire form).
+func normalizeOptions(o *core.FTQSOptions) (core.FTQSOptions, error) {
+	if o == nil {
+		return core.FTQSOptions{}.Validate()
 	}
-	opts, err := raw.Validate()
-	if err != nil {
-		return core.FTQSOptions{}, err
-	}
-	opts.Sink = nil
-	return opts, nil
+	return o.Validate()
 }
 
 // Resolve returns the compiled artifact a TreeRef addresses, compiling on
@@ -153,18 +147,16 @@ func (c *Cache) Resolve(ctx context.Context, ref serveapi.TreeRef) (*entry, *com
 
 // compile resolves an embedded application to a compiled entry, reusing
 // the cache when the derived key is already present.
-func (c *Cache) compile(ctx context.Context, appJSON []byte, optsJSON *serveapi.FTQSOptionsJSON) (*entry, *compiled, bool, *serveapi.Error) {
+func (c *Cache) compile(ctx context.Context, appJSON []byte, reqOpts *core.FTQSOptions) (*entry, *compiled, bool, *serveapi.Error) {
 	if len(appJSON) == 0 {
 		return nil, nil, false, &serveapi.Error{
 			Code: http.StatusBadRequest, Kind: serveapi.KindBadRequest,
 			Message: "request embeds no application",
 		}
 	}
-	opts, err := normalizeOptions(optsJSON)
+	opts, err := normalizeOptions(reqOpts)
 	if err != nil {
-		return nil, nil, false, &serveapi.Error{
-			Code: http.StatusBadRequest, Kind: serveapi.KindInvalidConfig, Message: err.Error(),
-		}
+		return nil, nil, false, serveapi.WireError(err)
 	}
 	app, err := appio.DecodeApplication(bytes.NewReader(appJSON))
 	if err != nil {

@@ -25,22 +25,22 @@ func TestWireDeterminism(t *testing.T) {
 		name string
 		app  *model.Application
 		m    int
-		mc   serveapi.MCConfigJSON
-		cert *serveapi.CertifyConfigJSON // nil skips certification
+		mc   sim.MCConfig
+		cert *certify.Config // nil skips certification
 	}{
 		{
 			name: "fig1", app: apps.Fig1(), m: 8,
-			mc:   serveapi.MCConfigJSON{Scenarios: 4000, Faults: 1, Seed: 42},
-			cert: &serveapi.CertifyConfigJSON{MaxFaults: 1},
+			mc:   sim.MCConfig{Scenarios: 4000, Faults: 1, Seed: 42},
+			cert: &certify.Config{MaxFaults: 1},
 		},
 		{
 			name: "fig8", app: apps.Fig8(), m: 6,
-			mc:   serveapi.MCConfigJSON{Scenarios: 4000, Faults: 1, Seed: 7},
-			cert: &serveapi.CertifyConfigJSON{MaxFaults: 1},
+			mc:   sim.MCConfig{Scenarios: 4000, Faults: 1, Seed: 7},
+			cert: &certify.Config{MaxFaults: 1},
 		},
 		{
 			name: "cruise-controller", app: apps.CruiseController(), m: 4,
-			mc: serveapi.MCConfigJSON{Scenarios: 1000, Faults: 1, Seed: 1},
+			mc: sim.MCConfig{Scenarios: 1000, Faults: 1, Seed: 1},
 			// Exhaustive certification of the 32-process controller is a
 			// benchmark, not a unit test; eval coverage suffices here.
 		},
@@ -72,10 +72,10 @@ func TestWireDeterminism(t *testing.T) {
 					t.Run(fmt.Sprintf("workers=%d/%s", workers, mode), func(t *testing.T) {
 						_, ts := newTestServer(t, Config{})
 						ref := serveapi.TreeRef{App: appJSON(t, fx.app),
-							Options: &serveapi.FTQSOptionsJSON{M: fx.m}}
+							Options: &core.FTQSOptions{M: fx.m}}
 						if mode == "hit" {
 							// Prime the cache, then address by key only.
-							syn := synthesize(t, ts.URL, fx.app, serveapi.FTQSOptionsJSON{M: fx.m})
+							syn := synthesize(t, ts.URL, fx.app, core.FTQSOptions{M: fx.m})
 							ref = serveapi.TreeRef{TreeKey: syn.TreeKey}
 						}
 
@@ -90,7 +90,7 @@ func TestWireDeterminism(t *testing.T) {
 						if eval.CacheHit != (mode == "hit") {
 							t.Fatalf("cache hit = %v in %s mode", eval.CacheHit, mode)
 						}
-						if got := eval.Stats.Stats(); got != wantStats {
+						if got := eval.Stats; got != wantStats {
 							t.Fatalf("served stats diverge from in-process:\nserved = %+v\nlocal  = %+v", got, wantStats)
 						}
 
@@ -108,7 +108,7 @@ func TestWireDeterminism(t *testing.T) {
 						if !cr.Certified {
 							t.Fatalf("served certification failed: %+v", cr)
 						}
-						if got := cr.Report.Report(); !reflect.DeepEqual(got, wantReport) {
+						if got := cr.Report; !reflect.DeepEqual(got, wantReport) {
 							t.Fatalf("served report diverges from in-process:\nserved = %+v\nlocal  = %+v", got, wantReport)
 						}
 					})

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"ftsched/internal/apps"
+	"ftsched/internal/core"
 	"ftsched/internal/obs"
 	"ftsched/internal/serveapi"
 	"ftsched/internal/sim"
@@ -32,7 +33,7 @@ func TestScrapeDuringDrainObservesCounters(t *testing.T) {
 
 	s, ts := newTestServer(t, Config{Metrics: collector})
 	app := apps.Fig8()
-	syn := synthesize(t, ts.URL, app, serveapi.FTQSOptionsJSON{M: 6})
+	syn := synthesize(t, ts.URL, app, core.FTQSOptions{M: 6})
 
 	// A dispatch batch big enough to still be in flight when Drain starts.
 	cycles := make([]serveapi.CycleJSON, 0, 2000)

@@ -5,8 +5,10 @@ import (
 	"testing"
 
 	"ftsched/internal/apps"
+	"ftsched/internal/core"
 	"ftsched/internal/model"
 	"ftsched/internal/serveapi"
+	"ftsched/internal/sim"
 )
 
 // TestRecoveryDifferentiatesTreeKey: the recovery model rides inside the
@@ -27,7 +29,7 @@ func TestRecoveryDifferentiatesTreeKey(t *testing.T) {
 
 	keys := map[string]string{}
 	for name, app := range map[string]*model.Application{"canonical": base, "checkpoint": cp, "restart": rs} {
-		resp := synthesize(t, ts.URL, app, serveapi.FTQSOptionsJSON{M: 8})
+		resp := synthesize(t, ts.URL, app, core.FTQSOptions{M: 8})
 		if resp.CacheHit {
 			t.Fatalf("%s: unexpected cache hit", name)
 		}
@@ -39,7 +41,7 @@ func TestRecoveryDifferentiatesTreeKey(t *testing.T) {
 
 	// A second synthesis of the recovering application hits the cache under
 	// its own key, and the cached tree evaluates clean by key reference.
-	again := synthesize(t, ts.URL, cp, serveapi.FTQSOptionsJSON{M: 8})
+	again := synthesize(t, ts.URL, cp, core.FTQSOptions{M: 8})
 	if !again.CacheHit || again.TreeKey != keys["checkpoint"] {
 		t.Fatalf("recovering application missed its own cache entry: %+v", again)
 	}
@@ -47,7 +49,7 @@ func TestRecoveryDifferentiatesTreeKey(t *testing.T) {
 	if code := post(t, ts.URL+"/v1/eval", "", serveapi.EvalRequest{
 		Format:  serveapi.FormatV1,
 		TreeRef: serveapi.TreeRef{TreeKey: keys["checkpoint"]},
-		Config:  serveapi.MCConfigJSON{Scenarios: 400, Faults: 1, Seed: 9},
+		Config:  sim.MCConfig{Scenarios: 400, Faults: 1, Seed: 9},
 	}, &eval); code != http.StatusOK {
 		t.Fatalf("eval: status %d", code)
 	}

@@ -44,28 +44,38 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 // returning the status code.
 func post(t *testing.T, url, tenant string, req, out any) int {
 	t.Helper()
+	code, err := do(url, tenant, req, out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return code
+}
+
+// do is post without the *testing.T, for goroutines other than the
+// test's own.
+func do(url, tenant string, req, out any) (int, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
-		t.Fatalf("marshal: %v", err)
+		return 0, fmt.Errorf("marshal: %v", err)
 	}
 	hreq, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(body))
 	if err != nil {
-		t.Fatalf("new request: %v", err)
+		return 0, fmt.Errorf("new request: %v", err)
 	}
 	if tenant != "" {
 		hreq.Header.Set(serveapi.TenantHeader, tenant)
 	}
 	resp, err := http.DefaultClient.Do(hreq)
 	if err != nil {
-		t.Fatalf("POST %s: %v", url, err)
+		return 0, fmt.Errorf("POST %s: %v", url, err)
 	}
 	defer resp.Body.Close()
 	if out != nil {
 		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-			t.Fatalf("decode response (%d): %v", resp.StatusCode, err)
+			return resp.StatusCode, fmt.Errorf("decode response (%d): %v", resp.StatusCode, err)
 		}
 	}
-	return resp.StatusCode
+	return resp.StatusCode, nil
 }
 
 func wireErr(t *testing.T, url, tenant string, req any, wantCode int, wantKind string) serveapi.Error {
@@ -78,7 +88,7 @@ func wireErr(t *testing.T, url, tenant string, req any, wantCode int, wantKind s
 	return er.Err
 }
 
-func synthesize(t *testing.T, url string, app *model.Application, opts serveapi.FTQSOptionsJSON) serveapi.SynthesizeResponse {
+func synthesize(t *testing.T, url string, app *model.Application, opts core.FTQSOptions) serveapi.SynthesizeResponse {
 	t.Helper()
 	var resp serveapi.SynthesizeResponse
 	if code := post(t, url+"/v1/synthesize", "", serveapi.SynthesizeRequest{
@@ -93,7 +103,7 @@ func TestSynthesizeCachesByCanonicalKey(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	app := apps.Fig1()
 
-	first := synthesize(t, ts.URL, app, serveapi.FTQSOptionsJSON{M: 8})
+	first := synthesize(t, ts.URL, app, core.FTQSOptions{M: 8})
 	if first.CacheHit {
 		t.Fatal("first synthesis reported a cache hit")
 	}
@@ -101,19 +111,19 @@ func TestSynthesizeCachesByCanonicalKey(t *testing.T) {
 		t.Fatalf("implausible response %+v", first)
 	}
 
-	second := synthesize(t, ts.URL, app, serveapi.FTQSOptionsJSON{M: 8})
+	second := synthesize(t, ts.URL, app, core.FTQSOptions{M: 8})
 	if !second.CacheHit || second.TreeKey != first.TreeKey {
 		t.Fatalf("second synthesis: %+v, want hit on %s", second, first.TreeKey)
 	}
 
 	// Different options derive a different key.
-	other := synthesize(t, ts.URL, app, serveapi.FTQSOptionsJSON{M: 2})
+	other := synthesize(t, ts.URL, app, core.FTQSOptions{M: 2})
 	if other.TreeKey == first.TreeKey {
 		t.Fatal("M=2 and M=8 share a tree key")
 	}
 
 	// Workers is an execution hint, not identity.
-	hint := synthesize(t, ts.URL, app, serveapi.FTQSOptionsJSON{M: 8, Workers: 3})
+	hint := synthesize(t, ts.URL, app, core.FTQSOptions{M: 8, Workers: 3})
 	if !hint.CacheHit || hint.TreeKey != first.TreeKey {
 		t.Fatalf("workers changed the key: %+v", hint)
 	}
@@ -124,7 +134,7 @@ func TestUnknownTreeKeyIsTyped(t *testing.T) {
 	wireErr(t, ts.URL+"/v1/eval", "", serveapi.EvalRequest{
 		Format:  serveapi.FormatV1,
 		TreeRef: serveapi.TreeRef{TreeKey: "deadbeef"},
-		Config:  serveapi.MCConfigJSON{Scenarios: 10},
+		Config:  sim.MCConfig{Scenarios: 10},
 	}, http.StatusNotFound, serveapi.KindUnknownTree)
 }
 
@@ -138,14 +148,14 @@ func TestUnschedulableIsTyped(t *testing.T) {
 		t.Fatalf("fixture: %v", err)
 	}
 	wireErr(t, ts.URL+"/v1/synthesize", "", serveapi.SynthesizeRequest{
-		Format: serveapi.FormatV1, App: appJSON(t, app), Options: serveapi.FTQSOptionsJSON{M: 4},
+		Format: serveapi.FormatV1, App: appJSON(t, app), Options: core.FTQSOptions{M: 4},
 	}, http.StatusUnprocessableEntity, serveapi.KindUnschedulable)
 }
 
 func TestDispatchRejectsOutOfModelCycle(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	app := apps.Fig1()
-	syn := synthesize(t, ts.URL, app, serveapi.FTQSOptionsJSON{M: 4})
+	syn := synthesize(t, ts.URL, app, core.FTQSOptions{M: 4})
 
 	durations := make([]model.Time, app.N())
 	for i := 0; i < app.N(); i++ {
@@ -169,7 +179,7 @@ func TestDispatchRejectsOutOfModelCycle(t *testing.T) {
 func TestDispatchMatchesInProcess(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	app := apps.Fig1()
-	syn := synthesize(t, ts.URL, app, serveapi.FTQSOptionsJSON{M: 8})
+	syn := synthesize(t, ts.URL, app, core.FTQSOptions{M: 8})
 
 	tree, err := core.FTQS(app, core.FTQSOptions{M: 8})
 	if err != nil {
@@ -230,9 +240,9 @@ func TestRateLimitRejectionIsTyped(t *testing.T) {
 	app := apps.Fig1()
 
 	// First request takes the only token.
-	synthesize(t, ts.URL, app, serveapi.FTQSOptionsJSON{M: 2})
+	synthesize(t, ts.URL, app, core.FTQSOptions{M: 2})
 	werr := wireErr(t, ts.URL+"/v1/synthesize", "", serveapi.SynthesizeRequest{
-		Format: serveapi.FormatV1, App: appJSON(t, app), Options: serveapi.FTQSOptionsJSON{M: 2},
+		Format: serveapi.FormatV1, App: appJSON(t, app), Options: core.FTQSOptions{M: 2},
 	}, http.StatusTooManyRequests, serveapi.KindRateLimited)
 	if werr.RetryAfterMillis <= 0 || werr.Tenant != serveapi.DefaultTenant {
 		t.Fatalf("rejection carries no retry hint/tenant: %+v", werr)
@@ -241,7 +251,7 @@ func TestRateLimitRejectionIsTyped(t *testing.T) {
 	// Tenants are isolated: a fresh tenant has its own bucket.
 	var resp serveapi.SynthesizeResponse
 	if code := post(t, ts.URL+"/v1/synthesize", "other", serveapi.SynthesizeRequest{
-		Format: serveapi.FormatV1, App: appJSON(t, app), Options: serveapi.FTQSOptionsJSON{M: 2},
+		Format: serveapi.FormatV1, App: appJSON(t, app), Options: core.FTQSOptions{M: 2},
 	}, &resp); code != http.StatusOK {
 		t.Fatalf("other tenant rejected: %d", code)
 	}
@@ -249,7 +259,7 @@ func TestRateLimitRejectionIsTyped(t *testing.T) {
 	// Advancing the clock refills the bucket.
 	clock = clock.Add(2 * time.Second)
 	if code := post(t, ts.URL+"/v1/synthesize", "", serveapi.SynthesizeRequest{
-		Format: serveapi.FormatV1, App: appJSON(t, app), Options: serveapi.FTQSOptionsJSON{M: 2},
+		Format: serveapi.FormatV1, App: appJSON(t, app), Options: core.FTQSOptions{M: 2},
 	}, &resp); code != http.StatusOK {
 		t.Fatalf("refilled bucket still rejects: %d", code)
 	}
@@ -280,7 +290,7 @@ func TestInFlightCapRejectionIsTyped(t *testing.T) {
 func TestDrainLosesNothing(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	app := apps.Fig1()
-	syn := synthesize(t, ts.URL, app, serveapi.FTQSOptionsJSON{M: 4})
+	syn := synthesize(t, ts.URL, app, core.FTQSOptions{M: 4})
 
 	durations := make([]model.Time, app.N())
 	for i := 0; i < app.N(); i++ {
@@ -347,7 +357,7 @@ func TestDrainLosesNothing(t *testing.T) {
 func TestReloadSwapsAtomically(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	app := apps.Fig1()
-	syn := synthesize(t, ts.URL, app, serveapi.FTQSOptionsJSON{M: 8})
+	syn := synthesize(t, ts.URL, app, core.FTQSOptions{M: 8})
 
 	durations := make([]model.Time, app.N())
 	for i := 0; i < app.N(); i++ {
@@ -415,7 +425,7 @@ func TestReloadSwapsAtomically(t *testing.T) {
 func TestHealthzAndTenantMetrics(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	app := apps.Fig1()
-	synthesize(t, ts.URL, app, serveapi.FTQSOptionsJSON{M: 2})
+	synthesize(t, ts.URL, app, core.FTQSOptions{M: 2})
 
 	resp, err := http.Get(ts.URL + "/v1/healthz")
 	if err != nil {
@@ -467,12 +477,12 @@ func TestCertifyCounterexampleIsReplayable(t *testing.T) {
 	// determinism test against the in-process certifier (both sides must
 	// agree, counterexample or not).
 	app := apps.Fig1()
-	syn := synthesize(t, ts.URL, app, serveapi.FTQSOptionsJSON{M: 1})
+	syn := synthesize(t, ts.URL, app, core.FTQSOptions{M: 1})
 	var resp serveapi.CertifyResponse
 	if code := post(t, ts.URL+"/v1/certify", "", serveapi.CertifyRequest{
 		Format:  serveapi.FormatV1,
 		TreeRef: serveapi.TreeRef{TreeKey: syn.TreeKey},
-		Config:  serveapi.CertifyConfigJSON{MaxFaults: app.K()},
+		Config:  certify.Config{MaxFaults: app.K()},
 	}, &resp); code != http.StatusOK {
 		t.Fatalf("certify: status %d", code)
 	}
@@ -487,8 +497,8 @@ func TestCertifyCounterexampleIsReplayable(t *testing.T) {
 	if err != nil {
 		t.Fatalf("in-process certify: %v", err)
 	}
-	if !reflect.DeepEqual(resp.Report.Report(), inProc) {
-		t.Fatalf("served report diverges:\nserved = %+v\nlocal  = %+v", resp.Report.Report(), inProc)
+	if !reflect.DeepEqual(resp.Report, inProc) {
+		t.Fatalf("served report diverges:\nserved = %+v\nlocal  = %+v", resp.Report, inProc)
 	}
 }
 

@@ -285,7 +285,7 @@ func (s *Server) synthesize(ctx context.Context, t *Tenant, body []byte) (any, *
 }
 
 func (s *Server) eval(ctx context.Context, t *Tenant, body []byte) (any, *serveapi.Error) {
-	req, cfg, werr := serveapi.DecodeEvalRequest(body)
+	req, werr := serveapi.DecodeEvalRequest(body)
 	if werr != nil {
 		return nil, werr
 	}
@@ -293,6 +293,7 @@ func (s *Server) eval(ctx context.Context, t *Tenant, body []byte) (any, *servea
 	if werr != nil {
 		return nil, werr
 	}
+	cfg := req.Config
 	cfg.Workers = s.clampWorkers(cfg.Workers)
 	cfg.Dispatcher = st.disp
 	cfg.Sink = t.metrics
@@ -301,13 +302,12 @@ func (s *Server) eval(ctx context.Context, t *Tenant, body []byte) (any, *servea
 		return nil, serveapi.WireError(err)
 	}
 	return &serveapi.EvalResponse{
-		Format: serveapi.FormatV1, TreeKey: e.key, CacheHit: hit,
-		Stats: serveapi.StatsJSON(stats),
+		Format: serveapi.FormatV1, TreeKey: e.key, CacheHit: hit, Stats: stats,
 	}, nil
 }
 
 func (s *Server) certify(ctx context.Context, t *Tenant, body []byte) (any, *serveapi.Error) {
-	req, cfg, werr := serveapi.DecodeCertifyRequest(body)
+	req, werr := serveapi.DecodeCertifyRequest(body)
 	if werr != nil {
 		return nil, werr
 	}
@@ -315,13 +315,13 @@ func (s *Server) certify(ctx context.Context, t *Tenant, body []byte) (any, *ser
 	if werr != nil {
 		return nil, werr
 	}
+	cfg := req.Config
 	cfg.Workers = s.clampWorkers(cfg.Workers)
 	cfg.Sink = t.metrics
 	report, err := certify.CertifyContext(ctx, st.tree, cfg)
 	resp := &serveapi.CertifyResponse{
 		Format: serveapi.FormatV1, TreeKey: e.key, CacheHit: hit,
-		Certified: err == nil,
-		Report:    serveapi.ReportJSON(report),
+		Certified: err == nil, Report: report,
 	}
 	if err != nil {
 		ceErr, ok := asCounterexample(err)

@@ -5,8 +5,11 @@ import (
 	"fmt"
 
 	"ftsched/internal/appio"
+	"ftsched/internal/certify"
 	"ftsched/internal/chaos"
+	"ftsched/internal/core"
 	"ftsched/internal/model"
+	"ftsched/internal/sim"
 )
 
 // FormatV1 tags every request and response of the v1 wire contract.
@@ -117,18 +120,15 @@ type ErrorResponse struct {
 	Err    Error  `json:"error"`
 }
 
-// FTQSOptionsJSON mirrors core.FTQSOptions on the wire. Workers is
-// accepted but excluded from the cache key: the synthesised tree is
-// bit-identical for every worker count, so it is a server-side execution
-// hint, not part of the tree's identity. Sink has no wire form.
-type FTQSOptionsJSON struct {
-	M              int     `json:"m"`
-	SweepSamples   int     `json:"sweep_samples,omitempty"`
-	MinGain        float64 `json:"min_gain,omitempty"`
-	EvalScenarios  int     `json:"eval_scenarios,omitempty"`
-	DisableRevival bool    `json:"disable_revival,omitempty"`
-	Workers        int     `json:"workers,omitempty"`
-}
+// The former mirror names of four library types, kept only because the
+// perfbench module spells them; the library types are the wire types (see
+// the package documentation).
+type (
+	FTQSOptionsJSON = core.FTQSOptions
+	MCConfigJSON    = sim.MCConfig
+	MCStatsJSON     = sim.MCStats
+	StatsJSON       = sim.MCStats
+)
 
 // TreeRef addresses the compiled tree a request operates on: a tree_key
 // returned by a previous synthesis, or an embedded application plus
@@ -140,16 +140,19 @@ type TreeRef struct {
 	// App is the application as appio JSON (the ftgen/ftsched file
 	// format), for requests that compile on the fly.
 	App json.RawMessage `json:"app,omitempty"`
-	// Options tunes the synthesis when App is given.
-	Options *FTQSOptionsJSON `json:"options,omitempty"`
+	// Options tunes the synthesis when App is given. Workers is accepted
+	// but excluded from the cache key: the synthesised tree is
+	// bit-identical for every worker count, so it is a server-side
+	// execution hint, not part of the tree's identity.
+	Options *core.FTQSOptions `json:"options,omitempty"`
 }
 
 // SynthesizeRequest asks the server to synthesise (or fetch from cache)
 // the quasi-static tree for an application.
 type SynthesizeRequest struct {
-	Format  string          `json:"format"`
-	App     json.RawMessage `json:"app"`
-	Options FTQSOptionsJSON `json:"options"`
+	Format  string           `json:"format"`
+	App     json.RawMessage  `json:"app"`
+	Options core.FTQSOptions `json:"options"`
 	// IncludeTree asks for the compact tree encoding in the response, so
 	// a client can also dispatch locally from the served artifact.
 	IncludeTree bool `json:"include_tree,omitempty"`
@@ -178,46 +181,14 @@ type SynthesizeResponse struct {
 	Tree json.RawMessage `json:"tree,omitempty"`
 }
 
-// MCConfigJSON mirrors sim.MCConfig on the wire (Sink and Dispatcher have
-// no wire form; the server supplies both).
-type MCConfigJSON struct {
-	Scenarios int   `json:"scenarios"`
-	Faults    int   `json:"faults,omitempty"`
-	Seed      int64 `json:"seed,omitempty"`
-	// Workers is a server-side execution hint; results are bit-identical
-	// for any value (the engine's worker-invariance contract), so a
-	// server is free to clamp it.
-	Workers int `json:"workers,omitempty"`
-}
-
 // EvalRequest runs a Monte-Carlo evaluation against a compiled tree.
+// Config.Workers is a server-side execution hint; results are
+// bit-identical for any value (the engine's worker-invariance contract),
+// so a server is free to clamp it.
 type EvalRequest struct {
 	Format string `json:"format"`
 	TreeRef
-	Config MCConfigJSON `json:"config"`
-}
-
-// MCStatsJSON mirrors sim.MCStats field-for-field. The conversion is
-// lossless: MCStats → MCStatsJSON → JSON → MCStatsJSON → MCStats is the
-// identity (encoding/json round-trips float64 exactly), which the wire
-// determinism test gates on every fixture.
-type MCStatsJSON struct {
-	MeanUtility      float64 `json:"mean_utility"`
-	StdDev           float64 `json:"std_dev"`
-	MinUtility       float64 `json:"min_utility"`
-	MaxUtility       float64 `json:"max_utility"`
-	P05              float64 `json:"p05"`
-	P50              float64 `json:"p50"`
-	P95              float64 `json:"p95"`
-	HardViolations   int     `json:"hard_violations"`
-	Degraded         int     `json:"degraded"`
-	Violations       int     `json:"violations"`
-	MeanSwitches     float64 `json:"mean_switches"`
-	MeanRecoveries   float64 `json:"mean_recoveries"`
-	MeanEnergy       float64 `json:"mean_energy"`
-	MeanEnergyActive float64 `json:"mean_energy_active"`
-	MeanEnergyIdle   float64 `json:"mean_energy_idle"`
-	Scenarios        int     `json:"scenarios"`
+	Config sim.MCConfig `json:"config"`
 }
 
 // EvalResponse carries the evaluation statistics.
@@ -225,38 +196,14 @@ type EvalResponse struct {
 	Format   string      `json:"format"`
 	TreeKey  string      `json:"tree_key"`
 	CacheHit bool        `json:"cache_hit"`
-	Stats    MCStatsJSON `json:"stats"`
-}
-
-// CertifyConfigJSON mirrors certify.Config on the wire (Sink has no wire
-// form).
-type CertifyConfigJSON struct {
-	MaxFaults     int   `json:"max_faults,omitempty"`
-	Workers       int   `json:"workers,omitempty"`
-	Budget        int64 `json:"budget,omitempty"`
-	MaxBoundaries int   `json:"max_boundaries,omitempty"`
+	Stats    sim.MCStats `json:"stats"`
 }
 
 // CertifyRequest certifies a compiled tree against the fault bound.
 type CertifyRequest struct {
 	Format string `json:"format"`
 	TreeRef
-	Config CertifyConfigJSON `json:"config"`
-}
-
-// CertifyReportJSON mirrors certify.Report field-for-field; WorstSlackProc
-// is the ProcessID (or -1 for model.NoProcess).
-type CertifyReportJSON struct {
-	Mode               string     `json:"mode"`
-	MaxFaults          int        `json:"max_faults"`
-	Patterns           int        `json:"patterns"`
-	PatternsPruned     int        `json:"patterns_pruned"`
-	Scenarios          int64      `json:"scenarios"`
-	BisectionRuns      int64      `json:"bisection_runs"`
-	WorstSlack         model.Time `json:"worst_slack"`
-	WorstSlackProc     int        `json:"worst_slack_proc"`
-	MinUtility         float64    `json:"min_utility"`
-	MinUtilityFaultsAt []int      `json:"min_utility_faults_at,omitempty"`
+	Config certify.Config `json:"config"`
 }
 
 // CertifyResponse carries the certification verdict. Certified false comes
@@ -268,7 +215,7 @@ type CertifyResponse struct {
 	TreeKey        string                `json:"tree_key"`
 	CacheHit       bool                  `json:"cache_hit"`
 	Certified      bool                  `json:"certified"`
-	Report         CertifyReportJSON     `json:"report"`
+	Report         certify.Report        `json:"report"`
 	Counterexample *appio.Counterexample `json:"counterexample,omitempty"`
 }
 

@@ -85,7 +85,7 @@ func TestDecodeSynthesizeRequest(t *testing.T) {
 	req, werr := DecodeSynthesizeRequest(body(t, SynthesizeRequest{
 		Format:  FormatV1,
 		App:     json.RawMessage(`{"format":"ftsched-app/v1"}`),
-		Options: FTQSOptionsJSON{M: 8},
+		Options: core.FTQSOptions{M: 8},
 	}))
 	if werr != nil {
 		t.Fatalf("decode: %v", werr)
@@ -98,21 +98,35 @@ func TestDecodeSynthesizeRequest(t *testing.T) {
 		t.Fatalf("missing app: werr = %v, want %s", werr, KindBadRequest)
 	}
 	if _, werr := DecodeSynthesizeRequest(body(t, SynthesizeRequest{
-		Format: FormatV1, App: json.RawMessage(`{}`), Options: FTQSOptionsJSON{M: MaxTreeSize + 1},
+		Format: FormatV1, App: json.RawMessage(`{}`), Options: core.FTQSOptions{M: MaxTreeSize + 1},
 	})); werr == nil || werr.Kind != KindInvalidConfig || werr.Field != "M" {
 		t.Fatalf("oversized M: werr = %v, want invalid_config on M", werr)
 	}
 }
 
+// TestDecodeOptionsValidates: embedded synthesis options are rejected at
+// decode, by core.FTQSOptions.Validate, with the library's field name.
+func TestDecodeOptionsValidates(t *testing.T) {
+	_, werr := DecodeSynthesizeRequest([]byte(`{"format":"ftsched-api/v1","app":{},"options":{"m":4,"sweep_samples":-1}}`))
+	if werr == nil || werr.Kind != KindInvalidConfig || werr.Field != "SweepSamples" {
+		t.Fatalf("synthesize: werr = %v, want invalid_config on SweepSamples", werr)
+	}
+	_, werr = DecodeEvalRequest([]byte(`{"format":"ftsched-api/v1","app":{},"options":{"m":4,"workers":-1},"config":{"scenarios":1}}`))
+	if werr == nil || werr.Kind != KindInvalidConfig || werr.Field != "Workers" {
+		t.Fatalf("eval: werr = %v, want invalid_config on Workers", werr)
+	}
+}
+
 func TestDecodeEvalRequestValidates(t *testing.T) {
-	req, cfg, werr := DecodeEvalRequest(body(t, EvalRequest{
+	req, werr := DecodeEvalRequest(body(t, EvalRequest{
 		Format:  FormatV1,
 		TreeRef: TreeRef{TreeKey: "abc"},
-		Config:  MCConfigJSON{Scenarios: 100, Faults: 1, Seed: 42},
+		Config:  sim.MCConfig{Scenarios: 100, Faults: 1, Seed: 42},
 	}))
 	if werr != nil {
 		t.Fatalf("decode: %v", werr)
 	}
+	cfg := req.Config
 	if req.TreeKey != "abc" || cfg.Scenarios != 100 || cfg.Faults != 1 || cfg.Seed != 42 {
 		t.Fatalf("decoded %+v / %+v", req, cfg)
 	}
@@ -122,19 +136,19 @@ func TestDecodeEvalRequestValidates(t *testing.T) {
 
 	// The wire rejects exactly what sim.MCConfig.Validate rejects, with
 	// the same field name.
-	_, _, werr = DecodeEvalRequest(body(t, EvalRequest{
+	_, werr = DecodeEvalRequest(body(t, EvalRequest{
 		Format:  FormatV1,
 		TreeRef: TreeRef{TreeKey: "abc"},
-		Config:  MCConfigJSON{Scenarios: 0},
+		Config:  sim.MCConfig{Scenarios: 0},
 	}))
 	if werr == nil || werr.Kind != KindInvalidConfig || werr.Field != "Scenarios" {
 		t.Fatalf("werr = %v, want invalid_config on Scenarios", werr)
 	}
 
 	// No tree reference at all.
-	_, _, werr = DecodeEvalRequest(body(t, EvalRequest{
+	_, werr = DecodeEvalRequest(body(t, EvalRequest{
 		Format: FormatV1,
-		Config: MCConfigJSON{Scenarios: 1},
+		Config: sim.MCConfig{Scenarios: 1},
 	}))
 	if werr == nil || werr.Kind != KindBadRequest {
 		t.Fatalf("werr = %v, want bad_request", werr)
@@ -142,22 +156,22 @@ func TestDecodeEvalRequestValidates(t *testing.T) {
 }
 
 func TestDecodeCertifyRequestValidates(t *testing.T) {
-	_, cfg, werr := DecodeCertifyRequest(body(t, CertifyRequest{
+	req, werr := DecodeCertifyRequest(body(t, CertifyRequest{
 		Format:  FormatV1,
 		TreeRef: TreeRef{TreeKey: "abc"},
-		Config:  CertifyConfigJSON{MaxFaults: 2},
+		Config:  certify.Config{MaxFaults: 2},
 	}))
 	if werr != nil {
 		t.Fatalf("decode: %v", werr)
 	}
-	if cfg.MaxFaults != 2 || cfg.Budget <= 0 {
+	if cfg := req.Config; cfg.MaxFaults != 2 || cfg.Budget <= 0 {
 		t.Fatalf("cfg = %+v, want normalised budget", cfg)
 	}
 
-	_, _, werr = DecodeCertifyRequest(body(t, CertifyRequest{
+	_, werr = DecodeCertifyRequest(body(t, CertifyRequest{
 		Format:  FormatV1,
 		TreeRef: TreeRef{TreeKey: "abc"},
-		Config:  CertifyConfigJSON{MaxFaults: -1},
+		Config:  certify.Config{MaxFaults: -1},
 	}))
 	if werr == nil || werr.Kind != KindInvalidConfig || werr.Field != "MaxFaults" {
 		t.Fatalf("werr = %v, want invalid_config on MaxFaults", werr)
@@ -265,6 +279,7 @@ func TestWireErrorMapping(t *testing.T) {
 		{"mc config", &sim.ConfigError{Field: "Scenarios", Value: -1}, 400, KindInvalidConfig, "Scenarios"},
 		{"certify config", &certify.ConfigError{Field: "Budget", Value: -1}, 400, KindInvalidConfig, "Budget"},
 		{"chaos config", &chaos.ConfigError{Field: "Cycles", Value: 0, Constraint: "must be positive"}, 400, KindInvalidConfig, "Cycles"},
+		{"ftqs options", &core.OptionsError{Field: "MinGain", Value: math.NaN(), Constraint: "finite"}, 400, KindInvalidConfig, "MinGain"},
 		{"sample", &sim.SampleError{NFaults: 9, Bound: 2}, 400, KindBadRequest, ""},
 		{"scenario size", &runtime.ScenarioSizeError{Durations: 1, Faults: 1, Want: 4}, 400, KindBadRequest, ""},
 		{"unschedulable", fmt.Errorf("ftqs: %w", core.ErrUnschedulable), 422, KindUnschedulable, ""},
@@ -296,15 +311,15 @@ func TestMCStatsRoundTrip(t *testing.T) {
 		MeanEnergy: 123.456, MeanEnergyActive: 100.4, MeanEnergyIdle: 23.056,
 		Scenarios: 20000,
 	}
-	data, err := json.Marshal(StatsJSON(in))
+	data, err := json.Marshal(in)
 	if err != nil {
 		t.Fatalf("marshal: %v", err)
 	}
-	var wire MCStatsJSON
-	if err := json.Unmarshal(data, &wire); err != nil {
+	var out sim.MCStats
+	if err := json.Unmarshal(data, &out); err != nil {
 		t.Fatalf("unmarshal: %v", err)
 	}
-	if out := wire.Stats(); out != in {
+	if out != in {
 		t.Fatalf("round trip lost data:\n in = %+v\nout = %+v", in, out)
 	}
 }
@@ -316,15 +331,15 @@ func TestCertifyReportRoundTrip(t *testing.T) {
 		WorstSlack: 42, WorstSlackProc: model.NoProcess,
 		MinUtility: 0.75, MinUtilityFaultsAt: []int{0, 2, 0},
 	}
-	data, err := json.Marshal(ReportJSON(in))
+	data, err := json.Marshal(in)
 	if err != nil {
 		t.Fatalf("marshal: %v", err)
 	}
-	var wire CertifyReportJSON
-	if err := json.Unmarshal(data, &wire); err != nil {
+	var out certify.Report
+	if err := json.Unmarshal(data, &out); err != nil {
 		t.Fatalf("unmarshal: %v", err)
 	}
-	if out := wire.Report(); !reflect.DeepEqual(out, in) {
+	if !reflect.DeepEqual(out, in) {
 		t.Fatalf("round trip lost data:\n in = %+v\nout = %+v", in, out)
 	}
 }
@@ -357,16 +372,15 @@ func TestChaosConfigRoundTrip(t *testing.T) {
 func TestFTQSOptionsRoundTrip(t *testing.T) {
 	in := core.FTQSOptions{M: 16, SweepSamples: 128, MinGain: 0.001, EvalScenarios: 32,
 		DisableRevival: true, Workers: 3}
-	data, err := json.Marshal(FTQSOptionsJSON{M: 16, SweepSamples: 128, MinGain: 0.001, EvalScenarios: 32,
-		DisableRevival: true, Workers: 3})
+	data, err := json.Marshal(in)
 	if err != nil {
 		t.Fatalf("marshal: %v", err)
 	}
-	var wire FTQSOptionsJSON
-	if err := json.Unmarshal(data, &wire); err != nil {
+	var out core.FTQSOptions
+	if err := json.Unmarshal(data, &out); err != nil {
 		t.Fatalf("unmarshal: %v", err)
 	}
-	if out := wire.Core(); out != in {
+	if out != in {
 		t.Fatalf("round trip lost data:\n in = %+v\nout = %+v", in, out)
 	}
 }

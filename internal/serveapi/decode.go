@@ -79,23 +79,29 @@ func emptyRaw(raw json.RawMessage) bool {
 	return len(raw) == 0 || string(raw) == "null"
 }
 
-// checkRef validates that a request addresses a tree at all.
+// checkRef validates that a request addresses a tree at all, and checks
+// the synthesis options it embeds.
 func checkRef(ref TreeRef) *Error {
 	if ref.TreeKey == "" && emptyRaw(ref.App) {
 		return badRequest(KindBadRequest, "request references no tree: set tree_key or embed app")
 	}
+	if ref.Options != nil {
+		return checkOptions(*ref.Options)
+	}
 	return nil
 }
 
-// checkOptions bounds wire synthesis options.
-func checkOptions(o FTQSOptionsJSON) *Error {
+// checkOptions bounds the tree size of wire synthesis options and
+// validates them through core.FTQSOptions.Validate. The normalised
+// options are discarded: the cache normalises again when it derives the
+// tree key.
+func checkOptions(o core.FTQSOptions) *Error {
 	if o.M > MaxTreeSize {
 		return &Error{Code: http.StatusBadRequest, Kind: KindInvalidConfig, Field: "M",
 			Message: fmt.Sprintf("tree size M %d exceeds the server bound %d", o.M, MaxTreeSize)}
 	}
-	if o.Workers < 0 {
-		return &Error{Code: http.StatusBadRequest, Kind: KindInvalidConfig, Field: "Workers",
-			Message: fmt.Sprintf("Workers must be non-negative (got %d)", o.Workers)}
+	if _, err := o.Validate(); err != nil {
+		return WireError(err)
 	}
 	return nil
 }
@@ -116,48 +122,39 @@ func DecodeSynthesizeRequest(data []byte) (*SynthesizeRequest, *Error) {
 }
 
 // DecodeEvalRequest decodes an evaluation request and validates its
-// config through sim.MCConfig.Validate — the decoded request carries the
-// normalised config, so the server runs exactly what the library would.
-func DecodeEvalRequest(data []byte) (*EvalRequest, sim.MCConfig, *Error) {
+// config in place through sim.MCConfig.Validate — the decoded request
+// carries the normalised config, so the server runs exactly what the
+// library would.
+func DecodeEvalRequest(data []byte) (*EvalRequest, *Error) {
 	var req EvalRequest
 	if werr := decodeInto(data, &req, &req.Format); werr != nil {
-		return nil, sim.MCConfig{}, werr
+		return nil, werr
 	}
 	if werr := checkRef(req.TreeRef); werr != nil {
-		return nil, sim.MCConfig{}, werr
+		return nil, werr
 	}
-	if req.Options != nil {
-		if werr := checkOptions(*req.Options); werr != nil {
-			return nil, sim.MCConfig{}, werr
-		}
+	var err error
+	if req.Config, err = req.Config.Validate(); err != nil {
+		return nil, WireError(err)
 	}
-	cfg, err := req.Config.MCConfig()
-	if err != nil {
-		return nil, sim.MCConfig{}, WireError(err)
-	}
-	return &req, cfg, nil
+	return &req, nil
 }
 
 // DecodeCertifyRequest decodes a certification request and validates its
-// config through certify.Config.Validate.
-func DecodeCertifyRequest(data []byte) (*CertifyRequest, certify.Config, *Error) {
+// config in place through certify.Config.Validate.
+func DecodeCertifyRequest(data []byte) (*CertifyRequest, *Error) {
 	var req CertifyRequest
 	if werr := decodeInto(data, &req, &req.Format); werr != nil {
-		return nil, certify.Config{}, werr
+		return nil, werr
 	}
 	if werr := checkRef(req.TreeRef); werr != nil {
-		return nil, certify.Config{}, werr
+		return nil, werr
 	}
-	if req.Options != nil {
-		if werr := checkOptions(*req.Options); werr != nil {
-			return nil, certify.Config{}, werr
-		}
+	var err error
+	if req.Config, err = req.Config.Validate(); err != nil {
+		return nil, WireError(err)
 	}
-	cfg, err := req.Config.CertifyConfig()
-	if err != nil {
-		return nil, certify.Config{}, WireError(err)
-	}
-	return &req, cfg, nil
+	return &req, nil
 }
 
 // DecodeChaosRequest decodes a chaos-campaign request and validates its
@@ -169,11 +166,6 @@ func DecodeChaosRequest(data []byte) (*ChaosRequest, chaos.Config, *Error) {
 	}
 	if werr := checkRef(req.TreeRef); werr != nil {
 		return nil, chaos.Config{}, werr
-	}
-	if req.Options != nil {
-		if werr := checkOptions(*req.Options); werr != nil {
-			return nil, chaos.Config{}, werr
-		}
 	}
 	cfg, err := req.Config.ChaosConfig()
 	if err != nil {
@@ -205,11 +197,6 @@ func DecodeDispatchRequest(data []byte) (*DispatchRequest, *Error) {
 func checkDispatch(req *DispatchRequest) *Error {
 	if werr := checkRef(req.TreeRef); werr != nil {
 		return werr
-	}
-	if req.Options != nil {
-		if werr := checkOptions(*req.Options); werr != nil {
-			return werr
-		}
 	}
 	if len(req.Cycles) == 0 {
 		return badRequest(KindBadRequest, "dispatch request carries no cycles")
@@ -265,6 +252,10 @@ func WireError(err error) *Error {
 	var chaosErr *chaos.ConfigError
 	if errors.As(err, &chaosErr) {
 		return &Error{Code: http.StatusBadRequest, Kind: KindInvalidConfig, Field: chaosErr.Field, Message: chaosErr.Error()}
+	}
+	var optsErr *core.OptionsError
+	if errors.As(err, &optsErr) {
+		return &Error{Code: http.StatusBadRequest, Kind: KindInvalidConfig, Field: optsErr.Field, Message: optsErr.Error()}
 	}
 	var decErr *appio.DecodeError
 	if errors.As(err, &decErr) {

@@ -19,15 +19,23 @@
 // scanner (codec.go) that either returns exactly what encoding/json would
 // or declines the body, which then goes through encoding/json unchanged.
 //
+// # Wire types
+//
+// Library types are the wire types: core.FTQSOptions, sim.MCConfig,
+// sim.MCStats, certify.Config, certify.Report and chaos.Report carry their
+// wire names as json tags and travel as themselves. The exceptions are
+// ChaosConfigJSON (an empty policy means shed-soft on the wire, the zero
+// chaos.Config policy strict), TrimJSON (it exposes only Scenarios and
+// Seed of sim.TrimConfig) and the dispatch projections CycleJSON and
+// CycleResultJSON, which the single-pass codec reads.
+//
 // # Validation discipline
 //
-// Request decoding reuses the library's config validation verbatim:
-// sim.MCConfig.Validate, certify.Config.Validate and chaos.Config.Validate
-// run on the decoded payload, and their typed errors
-// (*sim.ConfigError, *certify.ConfigError, *chaos.ConfigError) are mapped
-// onto the wire *Error with Kind KindInvalidConfig and the offending field
-// name — so the CLI, the library and the wire reject bad input
-// identically.
+// Request decoding runs the library's Validate — core.FTQSOptions,
+// sim.MCConfig, certify.Config, chaos.Config — on the decoded payload and
+// maps its typed error onto the wire *Error with Kind KindInvalidConfig
+// and the offending field name, so the CLI, the library and the wire
+// reject bad input identically.
 //
 // # Identifier discipline
 //

@@ -12,9 +12,12 @@ import (
 	"testing"
 
 	"ftsched/internal/appio"
+	"ftsched/internal/certify"
 	"ftsched/internal/chaos"
+	"ftsched/internal/core"
 	"ftsched/internal/model"
 	"ftsched/internal/runtime"
+	"ftsched/internal/sim"
 )
 
 // wireCase is one request or response value whose encoding is pinned by
@@ -32,10 +35,10 @@ type wireCase struct {
 func wireCases() []wireCase {
 	const key = "5d41402abc4b2a76b9719d911017c592ae3b1d3c6a8e57a5e7c0f3a4b2d1e0f9"
 	app := json.RawMessage(`{"format":"ftsched-app/v1","name":"paper-fig1","k":1}`)
-	opts := FTQSOptionsJSON{M: 16, SweepSamples: 129, MinGain: 0.0012345678901234567,
+	opts := core.FTQSOptions{M: 16, SweepSamples: 129, MinGain: 0.0012345678901234567,
 		EvalScenarios: 33, DisableRevival: true, Workers: 3}
 	ref := TreeRef{TreeKey: key, App: app, Options: &opts}
-	stats := MCStatsJSON{
+	stats := sim.MCStats{
 		MeanUtility: 1.0 / 3.0, StdDev: math.Pi / 10, MinUtility: -0.123456789012345,
 		MaxUtility: math.Nextafter(1, 2), P05: 0.05000000000000001, P50: 2.0 / 7.0, P95: 0.9499999999999998,
 		HardViolations: 1, Degraded: 2, Violations: 3,
@@ -43,15 +46,15 @@ func wireCases() []wireCase {
 		MeanEnergy: 123.45678901234, MeanEnergyActive: 100.40000000000001, MeanEnergyIdle: 23.05678901233999,
 		Scenarios: 20000,
 	}
-	report := CertifyReportJSON{
+	report := certify.Report{
 		Mode: "exhaustive", MaxFaults: 2, Patterns: 17, PatternsPruned: 5,
 		Scenarios: 1 << 33, BisectionRuns: 41,
 		WorstSlack: -7, WorstSlackProc: 3,
 		MinUtility: 0.7071067811865476, MinUtilityFaultsAt: []int{0, 2, 0, 1},
 	}
-	noProc := CertifyReportJSON{
+	noProc := certify.Report{
 		Mode: "frontier", MaxFaults: 1, Patterns: 3, Scenarios: 96,
-		WorstSlack: 1 << 40, WorstSlackProc: int(model.NoProcess),
+		WorstSlack: 1 << 40, WorstSlackProc: model.NoProcess,
 		MinUtility: 1.0 / 9.0, MinUtilityFaultsAt: []int{1},
 	}
 	ce := &appio.Counterexample{
@@ -92,14 +95,14 @@ func wireCases() []wireCase {
 		{name: "synthesize_response_zero", v: &SynthesizeResponse{}},
 		{name: "eval_request_full", v: &EvalRequest{
 			Format: FormatV1, TreeRef: ref,
-			Config: MCConfigJSON{Scenarios: 20000, Faults: 2, Seed: -8070450532247928832, Workers: 4}}},
+			Config: sim.MCConfig{Scenarios: 20000, Faults: 2, Seed: -8070450532247928832, Workers: 4}}},
 		{name: "eval_request_zero", v: &EvalRequest{}},
 		{name: "eval_response_full", v: &EvalResponse{
 			Format: FormatV1, TreeKey: key, CacheHit: true, Stats: stats}},
 		{name: "eval_response_zero", v: &EvalResponse{}},
 		{name: "certify_request_full", v: &CertifyRequest{
 			Format: FormatV1, TreeRef: ref,
-			Config: CertifyConfigJSON{MaxFaults: 2, Workers: 3, Budget: 1 << 41, MaxBoundaries: -1}}},
+			Config: certify.Config{MaxFaults: 2, Workers: 3, Budget: 1 << 41, MaxBoundaries: -1}}},
 		{name: "certify_request_zero", v: &CertifyRequest{}},
 		{name: "certify_response_full", v: &CertifyResponse{
 			Format: FormatV1, TreeKey: key, CacheHit: true, Report: report, Counterexample: ce}},

@@ -14,29 +14,29 @@ import (
 type MCConfig struct {
 	// Scenarios is the number of execution scenarios to simulate (the
 	// paper uses 20 000 per configuration).
-	Scenarios int
+	Scenarios int `json:"scenarios"`
 	// Faults is the number of transient faults injected per scenario
 	// (0 <= Faults <= k).
-	Faults int
+	Faults int `json:"faults,omitempty"`
 	// Seed makes the evaluation reproducible.
-	Seed int64
+	Seed int64 `json:"seed,omitempty"`
 	// Workers spreads the scenario blocks over goroutines. 0 selects
 	// runtime.GOMAXPROCS(0); 1 forces sequential evaluation. Results are
 	// bit-identical for any worker count: scenario i always derives from
 	// (Seed, i) and statistics fold in fixed block order.
-	Workers int
+	Workers int `json:"workers,omitempty"`
 	// Dispatcher optionally reuses a pre-compiled dispatcher across
 	// evaluations; nil compiles the tree internally. It must have been
 	// compiled from the very tree being evaluated (pointer identity), which
 	// is checked. Results are identical either way.
-	Dispatcher *runtime.Dispatcher
+	Dispatcher *runtime.Dispatcher `json:"-"`
 	// Sink receives evaluation events (runs, scenario throughput, the
 	// per-scenario utility distribution). When the dispatcher is built
 	// internally it inherits the sink, so dispatch events flow too; a
 	// caller-supplied Dispatcher keeps whatever sink it was built with. A
 	// nil sink or obs.NopSink disables instrumentation. Instrumentation
 	// never alters the statistics.
-	Sink obs.Sink
+	Sink obs.Sink `json:"-"`
 }
 
 // ConfigError reports an MCConfig field that fails validation, carrying
@@ -85,11 +85,12 @@ func (c MCConfig) Validate() (MCConfig, error) {
 type MCStats struct {
 	// MeanUtility is the overall utility averaged over all scenarios —
 	// the paper's figure of merit.
-	MeanUtility float64
+	MeanUtility float64 `json:"mean_utility"`
 	// StdDev is the sample standard deviation of the utility.
-	StdDev float64
+	StdDev float64 `json:"std_dev"`
 	// MinUtility and MaxUtility bound the observed utilities.
-	MinUtility, MaxUtility float64
+	MinUtility float64 `json:"min_utility"`
+	MaxUtility float64 `json:"max_utility"`
 	// P05, P50 and P95 are utility percentile estimates from the engine's
 	// streaming 256-bucket histogram (nearest-rank bucket, interpolated
 	// between the bucket's observed min and max). The estimate error is
@@ -97,32 +98,36 @@ type MCStats struct {
 	// range — and Min ≤ P05 ≤ P50 ≤ P95 ≤ Max always holds. The spread
 	// matters for soft real-time quality-of-service reporting, where the
 	// mean hides bad tails.
-	P05, P50, P95 float64
+	P05 float64 `json:"p05"`
+	P50 float64 `json:"p50"`
+	P95 float64 `json:"p95"`
 	// HardViolations counts scenarios with at least one hard-deadline
 	// violation; it must be zero for correct schedules.
-	HardViolations int
+	HardViolations int `json:"hard_violations"`
 	// Degraded counts scenarios the dispatcher's envelope degraded —
 	// PolicyShedSoft dropped soft work for the emergency hard-only
 	// suffix. Zero unless the evaluation runs through a dispatcher with
 	// an attached envelope (MCConfig.Dispatcher + runtime.WithEnvelope).
-	Degraded int
+	Degraded int `json:"degraded"`
 	// Violations counts envelope violation events across all scenarios,
 	// including the in-model BudgetExhausted records every dispatcher
 	// reports.
-	Violations int
+	Violations int `json:"violations"`
 	// MeanSwitches is the average number of schedule switches taken.
-	MeanSwitches float64
+	MeanSwitches float64 `json:"mean_switches"`
 	// MeanRecoveries is the average number of re-executions performed.
-	MeanRecoveries float64
+	MeanRecoveries float64 `json:"mean_recoveries"`
 	// MeanEnergy is the average platform energy consumed per cycle
 	// (active + idle over all cores); MeanEnergyActive and MeanEnergyIdle
 	// are the two summands. On the canonical single-core platform
 	// MeanEnergy equals the mean busy time of the core. Kept as scalars so
 	// MCStats stays comparable; per-core breakdowns come from
 	// runtime.Result.CoreEnergy.
-	MeanEnergy, MeanEnergyActive, MeanEnergyIdle float64
+	MeanEnergy       float64 `json:"mean_energy"`
+	MeanEnergyActive float64 `json:"mean_energy_active"`
+	MeanEnergyIdle   float64 `json:"mean_energy_idle"`
 	// Scenarios echoes the number of scenarios simulated.
-	Scenarios int
+	Scenarios int `json:"scenarios"`
 }
 
 // ScenarioSeed derives the independent seed of scenario i from the
