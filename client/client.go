@@ -10,7 +10,8 @@
 // documents. Failures below the contract — connection resets, truncated
 // or corrupted bodies, per-attempt timeouts — surface as *TransportError.
 // A response body longer than serveapi.MaxResponseBytes is not read past
-// the bound and fails with *ResponseTooLargeError.
+// the bound (nor at all when its Content-Length already exceeds it) and
+// fails with *ResponseTooLargeError.
 //
 // With a RetryPolicy (see WithRetryPolicy / DefaultRetryPolicy) the
 // client heals transient failures itself: capped exponential backoff
@@ -26,7 +27,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -115,12 +115,6 @@ func (e *ResponseTooLargeError) Error() string {
 	return fmt.Sprintf("client: %s: response body exceeds %d bytes (serveapi.MaxResponseBytes)", e.Path, e.Limit)
 }
 
-// limitBody caps a response body at serveapi.MaxResponseBytes; the
-// reader's N reaching 0 means the body went past the bound.
-func limitBody(body io.Reader) *io.LimitedReader {
-	return &io.LimitedReader{R: body, N: serveapi.MaxResponseBytes + 1}
-}
-
 // jsonInto is the response decoder of every endpoint but dispatch.
 func jsonInto(resp any) func([]byte) error {
 	return func(data []byte) error { return json.Unmarshal(data, resp) }
@@ -135,6 +129,11 @@ func (c *Client) post(ctx context.Context, path string, req any, decode func([]b
 	if err != nil {
 		return fmt.Errorf("client: encoding %s request: %w", path, err)
 	}
+	return c.send(ctx, path, body, decode)
+}
+
+// send is post for a request body that is already encoded.
+func (c *Client) send(ctx context.Context, path string, body []byte, decode func([]byte) error) error {
 	return c.doRetry(ctx, path, func() error {
 		return c.attempt(ctx, path, body, decode)
 	})
@@ -169,8 +168,7 @@ func (c *Client) attempt(ctx context.Context, path string, body []byte, decode f
 		return &TransportError{Path: path, Err: err}
 	}
 	defer hresp.Body.Close()
-	lr := limitBody(hresp.Body)
-	data, err := io.ReadAll(lr)
+	data, tooLarge, err := serveapi.ReadBody(hresp.Body, hresp.ContentLength, serveapi.MaxResponseBytes)
 	if err != nil {
 		if ctx.Err() != nil {
 			return fmt.Errorf("client: reading %s response: %w", path, ctx.Err())
@@ -178,7 +176,7 @@ func (c *Client) attempt(ctx context.Context, path string, body []byte, decode f
 		// Connection reset mid-body.
 		return &TransportError{Path: path, Err: fmt.Errorf("reading response: %w", err)}
 	}
-	if lr.N == 0 {
+	if tooLarge {
 		return &ResponseTooLargeError{Path: path, Limit: serveapi.MaxResponseBytes}
 	}
 	if hresp.StatusCode/100 != 2 {
@@ -244,13 +242,17 @@ func (c *Client) Chaos(ctx context.Context, req serveapi.ChaosRequest) (*serveap
 }
 
 // Dispatch executes a batch of operation cycles through the compiled
-// dispatcher and returns the positional per-cycle outcomes. The response
-// goes through serveapi.DecodeDispatchResponse, the single-pass batch
-// decoder.
+// dispatcher and returns the positional per-cycle outcomes. The request
+// is encoded by serveapi.EncodeDispatchRequest and the response decoded
+// by serveapi.DecodeDispatchResponse, the single-pass batch codec.
 func (c *Client) Dispatch(ctx context.Context, req serveapi.DispatchRequest) (*serveapi.DispatchResponse, error) {
 	req.Format = serveapi.FormatV1
+	body, err := serveapi.EncodeDispatchRequest(&req)
+	if err != nil {
+		return nil, fmt.Errorf("client: encoding /v1/dispatch request: %w", err)
+	}
 	var resp *serveapi.DispatchResponse
-	if err := c.post(ctx, "/v1/dispatch", req, func(data []byte) (err error) {
+	if err := c.send(ctx, "/v1/dispatch", body, func(data []byte) (err error) {
 		resp, err = serveapi.DecodeDispatchResponse(data)
 		return err
 	}); err != nil {
@@ -280,12 +282,15 @@ func (c *Client) Health(ctx context.Context) (*serveapi.HealthResponse, error) {
 		return nil, fmt.Errorf("client: healthz: %w", err)
 	}
 	defer hresp.Body.Close()
-	lr := limitBody(hresp.Body)
+	data, tooLarge, err := serveapi.ReadBody(hresp.Body, hresp.ContentLength, serveapi.MaxResponseBytes)
+	if err != nil {
+		return nil, fmt.Errorf("client: reading healthz: %w", err)
+	}
+	if tooLarge {
+		return nil, &ResponseTooLargeError{Path: "/v1/healthz", Limit: serveapi.MaxResponseBytes}
+	}
 	var resp serveapi.HealthResponse
-	if err := json.NewDecoder(lr).Decode(&resp); err != nil {
-		if lr.N == 0 {
-			return nil, &ResponseTooLargeError{Path: "/v1/healthz", Limit: serveapi.MaxResponseBytes}
-		}
+	if err := json.Unmarshal(data, &resp); err != nil {
 		return nil, fmt.Errorf("client: decoding healthz: %w", err)
 	}
 	return &resp, nil

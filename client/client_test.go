@@ -16,13 +16,19 @@ import (
 )
 
 // TestResponseBodyBounded streams one byte more than
-// serveapi.MaxResponseBytes: every call stops reading at the bound and
-// fails with a typed *ResponseTooLargeError naming it, without retrying.
+// serveapi.MaxResponseBytes, chunked and then under a Content-Length that
+// declares it: every call stops reading at the bound (or does not start,
+// given the declared length) and fails with a typed
+// *ResponseTooLargeError naming it, without retrying.
 func TestResponseBodyBounded(t *testing.T) {
 	var hits atomic.Int64
+	var declare atomic.Bool
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		hits.Add(1)
 		w.Header().Set("Content-Type", "application/json")
+		if declare.Load() {
+			w.Header().Set("Content-Length", strconv.Itoa(serveapi.MaxResponseBytes+1))
+		}
 		chunk := bytes.Repeat([]byte{' '}, 64<<10)
 		for left := serveapi.MaxResponseBytes + 1; left > 0; left -= len(chunk) {
 			if _, err := w.Write(chunk[:min(left, len(chunk))]); err != nil {
@@ -47,13 +53,16 @@ func TestResponseBodyBounded(t *testing.T) {
 			t.Fatalf("%s: %d requests, want 1 (an oversized body is not retried)", what, n)
 		}
 	}
-	_, err := c.Dispatch(ctx, serveapi.DispatchRequest{
-		TreeRef: serveapi.TreeRef{TreeKey: "k"},
-		Cycles:  []serveapi.CycleJSON{{Durations: []model.Time{1}}},
-	})
-	check("dispatch", err)
-	_, err = c.Eval(ctx, serveapi.EvalRequest{TreeRef: serveapi.TreeRef{TreeKey: "k"}})
-	check("eval", err)
-	_, err = c.Health(ctx)
-	check("healthz", err)
+	for _, how := range []string{"chunked", "content-length"} {
+		declare.Store(how == "content-length")
+		_, err := c.Dispatch(ctx, serveapi.DispatchRequest{
+			TreeRef: serveapi.TreeRef{TreeKey: "k"},
+			Cycles:  []serveapi.CycleJSON{{Durations: []model.Time{1}}},
+		})
+		check(how+" dispatch", err)
+		_, err = c.Eval(ctx, serveapi.EvalRequest{TreeRef: serveapi.TreeRef{TreeKey: "k"}})
+		check(how+" eval", err)
+		_, err = c.Health(ctx)
+		check(how+" healthz", err)
+	}
 }

@@ -60,7 +60,7 @@ func kindHTTPCode(kind string) int {
 		return http.StatusInternalServerError
 	case serveapi.KindUnknownTree:
 		return http.StatusNotFound
-	case serveapi.KindUnschedulable, serveapi.KindCounterexample:
+	case serveapi.KindUnschedulable:
 		return http.StatusUnprocessableEntity
 	default:
 		return http.StatusBadRequest
@@ -73,17 +73,16 @@ func kindHTTPCode(kind string) int {
 // retried.
 func TestKindTaxonomyRetryClassification(t *testing.T) {
 	wantRetryable := map[string]bool{
-		serveapi.KindBadRequest:     false,
-		serveapi.KindUnknownFormat:  false,
-		serveapi.KindInvalidConfig:  false,
-		serveapi.KindInvalidApp:     false,
-		serveapi.KindUnknownTree:    false,
-		serveapi.KindUnschedulable:  false,
-		serveapi.KindCounterexample: false,
-		serveapi.KindRateLimited:    true,
-		serveapi.KindOverloaded:     true,
-		serveapi.KindDraining:       true,
-		serveapi.KindInternal:       false,
+		serveapi.KindBadRequest:    false,
+		serveapi.KindUnknownFormat: false,
+		serveapi.KindInvalidConfig: false,
+		serveapi.KindInvalidApp:    false,
+		serveapi.KindUnknownTree:   false,
+		serveapi.KindUnschedulable: false,
+		serveapi.KindRateLimited:   true,
+		serveapi.KindOverloaded:    true,
+		serveapi.KindDraining:      true,
+		serveapi.KindInternal:      false,
 	}
 	kinds := serveapi.AllKinds()
 	if len(wantRetryable) != len(kinds) {

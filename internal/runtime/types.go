@@ -36,7 +36,7 @@ func (sc *Scenario) Validate(app *model.Application) error {
 	}
 	total := 0
 	for id := 0; id < app.N(); id++ {
-		p := app.Proc(model.ProcessID(id))
+		p := app.ProcRef(model.ProcessID(id))
 		if sc.Durations[id] < p.BCET || sc.Durations[id] > p.WCET {
 			return fmt.Errorf("sim: duration %d of %s outside [%d,%d]",
 				sc.Durations[id], p.Name, p.BCET, p.WCET)

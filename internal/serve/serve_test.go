@@ -468,14 +468,9 @@ func TestHealthzAndTenantMetrics(t *testing.T) {
 
 func TestCertifyCounterexampleIsReplayable(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	// A static single-schedule tree for Fig. 1 with k=2 faults certifies
-	// at MaxFaults 0..k thanks to recovery slack; to force a violation,
-	// certify a tree built for fewer faults than we certify against is
-	// rejected by config — instead use the M=1 tree and raise MaxFaults
-	// to k, which the root schedule tolerates. So assert the certified
-	// path here, and the counterexample wiring is covered by the
-	// determinism test against the in-process certifier (both sides must
-	// agree, counterexample or not).
+	// Every tree the server synthesises certifies, so this asserts the
+	// certified path of a served certification; TestCertifyServesCounterexample
+	// seeds the cache with an unsafe tree for the counterexample path.
 	app := apps.Fig1()
 	syn := synthesize(t, ts.URL, app, core.FTQSOptions{M: 1})
 	var resp serveapi.CertifyResponse

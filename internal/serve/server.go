@@ -33,11 +33,11 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -198,7 +198,7 @@ func (s *Server) wrap(name string, fn endpoint) http.HandlerFunc {
 		}
 
 		start := s.now()
-		body, err := io.ReadAll(io.LimitReader(r.Body, serveapi.MaxRequestBytes+1))
+		body, tooLarge, err := serveapi.ReadBody(r.Body, r.ContentLength, serveapi.MaxRequestBytes)
 		if err != nil {
 			writeError(w, &serveapi.Error{
 				Code: http.StatusBadRequest, Kind: serveapi.KindBadRequest,
@@ -206,7 +206,7 @@ func (s *Server) wrap(name string, fn endpoint) http.HandlerFunc {
 			})
 			return
 		}
-		if len(body) > serveapi.MaxRequestBytes {
+		if tooLarge {
 			writeError(w, &serveapi.Error{
 				Code: http.StatusRequestEntityTooLarge, Kind: serveapi.KindBadRequest,
 				Message: fmt.Sprintf("request body exceeds %d bytes", serveapi.MaxRequestBytes),
@@ -236,11 +236,33 @@ func writeError(w http.ResponseWriter, werr *serveapi.Error) {
 	writeJSON(w, werr.Code, serveapi.ErrorResponse{Format: serveapi.FormatV1, Err: *werr})
 }
 
+// writeJSON encodes v into a buffer and writes it with an explicit
+// Content-Length, so the client can size its read. A value that does not
+// encode is served as a typed internal error instead.
 func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	body, err := encodeBody(v)
+	if err != nil {
+		code = http.StatusInternalServerError
+		body, _ = encodeBody(serveapi.ErrorResponse{Format: serveapi.FormatV1, Err: serveapi.Error{
+			Code: code, Kind: serveapi.KindInternal, Message: "encoding response: " + err.Error(),
+		}})
+	}
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(v) // the status line is already out; nothing to do on error
+	_, _ = w.Write(body) // a failed write means the client has gone; nothing to report
+}
+
+// encodeBody writes v as json.Encoder does; dispatch responses go through
+// the single-pass appender.
+func encodeBody(v any) ([]byte, error) {
+	if resp, ok := v.(*serveapi.DispatchResponse); ok {
+		return serveapi.EncodeDispatchResponse(resp)
+	}
+	var buf bytes.Buffer
+	err := json.NewEncoder(&buf).Encode(v)
+	return buf.Bytes(), err
 }
 
 // clampWorkers applies the server-wide worker bound to a request hint.
@@ -377,8 +399,14 @@ func (s *Server) dispatch(ctx context.Context, t *Tenant, body []byte) (any, *se
 	// The served tree's guarantees only cover in-model scenarios; every
 	// cycle is validated against the application before any dispatch, so
 	// a batch is all-or-nothing and a rejection names the cycle.
+	// Fault-free cycles share one zero row, as dispatch only reads a
+	// scenario.
 	scenarios := make([]runtime.Scenario, len(req.Cycles))
+	noFaults := make([]int, app.N())
 	for i, c := range req.Cycles {
+		if c.FaultsAt == nil && len(c.Durations) == len(noFaults) {
+			c.FaultsAt = noFaults
+		}
 		scenarios[i] = c.Scenario()
 		if err := scenarios[i].Validate(app); err != nil {
 			return nil, &serveapi.Error{

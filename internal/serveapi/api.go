@@ -50,9 +50,6 @@ const (
 	// KindUnschedulable: synthesis failed — no schedule guarantees the
 	// hard deadlines under k faults.
 	KindUnschedulable = "unschedulable"
-	// KindCounterexample: certification found a hard-deadline miss; the
-	// CertifyResponse carries the replayable counterexample.
-	KindCounterexample = "counterexample"
 	// KindRateLimited: the tenant's token bucket is empty (HTTP 429);
 	// RetryAfterMillis says when a token will be available.
 	KindRateLimited = "rate_limited"
@@ -77,7 +74,6 @@ func AllKinds() []string {
 		KindInvalidApp,
 		KindUnknownTree,
 		KindUnschedulable,
-		KindCounterexample,
 		KindRateLimited,
 		KindOverloaded,
 		KindDraining,

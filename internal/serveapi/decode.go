@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 
 	"ftsched/internal/appio"
@@ -25,6 +26,46 @@ const MaxRequestBytes = 32 << 20
 // room to spare, while a hostile or broken server cannot make a client
 // allocate without limit.
 const MaxResponseBytes = 32 << 20
+
+// maxPresize caps the buffer ReadBody allocates from a declared length
+// before any byte has arrived, so a peer that declares a large body and
+// sends little cannot make the reader allocate the declared size.
+const maxPresize = 1 << 20
+
+// ReadBody reads a request or response body of at most limit bytes. The
+// declared length (an http Content-Length, or -1 when unknown) sizes the
+// buffer, capped at maxPresize, so a body that states its length is read
+// without regrowing. It only sizes the buffer: reading runs to EOF, so a
+// body that understates its length is still bounded by limit. tooLarge
+// reports a body longer than limit; it is set without reading when the
+// declared length already exceeds limit, and otherwise after reading
+// limit+1 bytes.
+func ReadBody(r io.Reader, declared, limit int64) (data []byte, tooLarge bool, err error) {
+	if declared > limit {
+		return nil, true, nil
+	}
+	size := int64(512)
+	if declared >= 0 {
+		// One byte past the declared length, so the read that reports
+		// EOF finds room without growing the buffer.
+		size = min(declared, maxPresize) + 1
+	}
+	data = make([]byte, 0, size)
+	lr := io.LimitedReader{R: r, N: limit + 1}
+	for {
+		if len(data) == cap(data) {
+			data = append(data, 0)[:len(data)]
+		}
+		n, err := lr.Read(data[len(data):cap(data)])
+		data = data[:len(data)+n]
+		if err == io.EOF {
+			return data, int64(len(data)) > limit, nil
+		}
+		if err != nil {
+			return data, false, err
+		}
+	}
+}
 
 // MaxTreeSize bounds the per-request synthesis size (FTQSOptions.M) a
 // server accepts, so one request cannot monopolise a shared process with

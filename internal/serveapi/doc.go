@@ -15,9 +15,13 @@
 //
 // # Dispatch codec
 //
-// The dispatch batch request and response are decoded by a single-pass
-// scanner (codec.go) that either returns exactly what encoding/json would
-// or declines the body, which then goes through encoding/json unchanged.
+// The dispatch batch request and response are decoded by single-pass
+// scanners and encoded by single-pass appenders (codec.go). A scanner
+// either returns exactly what encoding/json would or declines the body,
+// which then goes through encoding/json unchanged; an appender either
+// writes exactly encoding/json's bytes or declines the value, which
+// encoding/json then encodes. ReadBody reads either body at its declared
+// length within the MaxRequestBytes / MaxResponseBytes bounds.
 //
 // # Wire types
 //

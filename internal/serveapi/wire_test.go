@@ -173,7 +173,56 @@ func TestWireGolden(t *testing.T) {
 			if !reflect.DeepEqual(back.Interface(), want) {
 				t.Fatalf("golden decodes to\n%+v\nwant\n%+v", back.Elem(), reflect.ValueOf(want).Elem())
 			}
+			checkAppenderGolden(t, tc.v, golden)
 		})
+	}
+}
+
+// checkAppenderGolden runs a dispatch request or response through its
+// single-pass appender and requires the golden's bytes. The request
+// appender declines embedded app/options; on such a value it must
+// decline, the encoding/json fallback of EncodeDispatchRequest must
+// still give the golden, and the appender must reproduce the golden
+// with both members removed from value and bytes alike.
+func checkAppenderGolden(t *testing.T, v any, golden []byte) {
+	t.Helper()
+	var got []byte
+	var ok bool
+	switch v := v.(type) {
+	case *DispatchRequest:
+		full, err := EncodeDispatchRequest(v)
+		if err != nil || !bytes.Equal(append(full, '\n'), golden) {
+			t.Fatalf("EncodeDispatchRequest = %s, %v\nwant %s", full, err, golden)
+		}
+		if len(v.App) != 0 || v.Options != nil {
+			if _, ok := appendDispatchRequest(nil, v); ok {
+				t.Fatal("request appender accepted embedded app/options")
+			}
+			bare := *v
+			bare.App, bare.Options = nil, nil
+			i, j := bytes.Index(golden, []byte(`,"app":`)), bytes.Index(golden, []byte(`,"cycles":`))
+			if i < 0 || j < i {
+				t.Fatalf("golden carries no app/options members: %s", golden)
+			}
+			v, golden = &bare, append(golden[:i:i], golden[j:]...)
+		}
+		if got, ok = appendDispatchRequest(nil, v); ok {
+			got = append(got, '\n')
+		}
+	case *DispatchResponse:
+		full, err := EncodeDispatchResponse(v)
+		if err != nil || !bytes.Equal(full, golden) {
+			t.Fatalf("EncodeDispatchResponse = %s, %v\nwant %s", full, err, golden)
+		}
+		got, ok = appendDispatchResponse(nil, v)
+	default:
+		return
+	}
+	if !ok {
+		t.Fatal("appender declined a golden value")
+	}
+	if !bytes.Equal(got, golden) {
+		t.Fatalf("appender bytes differ from the golden:\n got = %s\nwant = %s", got, golden)
 	}
 }
 
