@@ -29,8 +29,10 @@ const MaxResponseBytes = 32 << 20
 
 // maxPresize caps the buffer ReadBody allocates from a declared length
 // before any byte has arrived, so a peer that declares a large body and
-// sends little cannot make the reader allocate the declared size.
-const maxPresize = 1 << 20
+// sends little cannot make the reader allocate the declared size. A
+// 64-cycle cruise-controller batch is ~10.5 KB; larger bodies grow from
+// the cap as io.ReadAll would.
+const maxPresize = 64 << 10
 
 // ReadBody reads a request or response body of at most limit bytes. The
 // declared length (an http Content-Length, or -1 when unknown) sizes the
